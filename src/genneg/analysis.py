@@ -209,7 +209,7 @@ def _run_jobs(jobs, workers: int | None):
     return list(ex.map(_evaluate_point, jobs, chunksize=chunk))
 
 
-def _one_sided_kinks(grid, values, eta) -> list:
+def _one_sided_kinks(grid, values) -> list:
     h = float(grid[1] - grid[0])
     lnv = np.full(len(values), np.nan)
     ok = np.isfinite(values) & (values >= ETA_FLOOR)
@@ -240,7 +240,7 @@ def sweep(rho0: np.ndarray, kind: ChannelKind, grid, nqubits: int,
     failures = [(float(s), note) for s, (_, ok, note) in zip(grid, outcomes) if not ok]
     eta = log_derivative(grid, values)
     return SweepSeries(label=label or "state", channel=kind, grid=grid, values=values,
-                       eta=eta, kinks=_one_sided_kinks(grid, values, eta),
+                       eta=eta, kinks=_one_sided_kinks(grid, values),
                        failures=failures)
 
 
@@ -287,7 +287,7 @@ def ensemble_from_densities(rhos, generator: GeneratorKind, kind: ChannelKind,
             mlabel = member_labels[i] if member_labels else f"member-{i:03d}"
             members.append(SweepSeries(label=mlabel, channel=kind, grid=grid,
                                        values=values[i], eta=eta[i],
-                                       kinks=_one_sided_kinks(grid, values[i], eta[i])))
+                                       kinks=_one_sided_kinks(grid, values[i])))
     return EnsembleSummary(
         generator=generator, nqubits=nqubits, channel=kind, count=count, seed=seed,
         grid=grid, mean_values=values[included].mean(axis=0), mean_eta=mean_eta,

@@ -70,12 +70,10 @@ def _sdp_options(args) -> SdpOptions:
 
 def _grid(args) -> np.ndarray:
     kind = ChannelKind.parse(args.channel)
-    smax = args.smax if args.smax is not None else (0.5 if kind is ChannelKind.DEPOLARIZING else 1.0)
-    if not args.smin < smax:
-        raise ValueError(f"invalid grid: need smin < smax, got [{args.smin}, {smax}]")
-    if args.steps < 3:
-        raise ValueError(f"invalid grid: need at least 3 steps, got {args.steps}")
-    return np.linspace(args.smin, smax, args.steps)
+    try:
+        return analysis.default_grid(kind, args.smin, args.smax, args.steps)
+    except ValueError as exc:
+        raise ValueError(f"invalid grid: {exc}") from None
 
 
 def _workers(args) -> int:

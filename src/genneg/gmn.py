@@ -18,6 +18,15 @@ each bipartition contributes four embedded cone blocks (P_M, 1-P_M, Q_M,
 1-Q_M).  The right-hand side is built from complex-convention traces, so all
 reported objective values are already in the complex convention.
 
+The coefficients q_M of bipartition M reach only the four blocks of M, so the
+solver's Schur matrix is block-arrowhead: the witness columns w border K
+diagonal q-blocks that never couple to each other (K = 2^(N-1) - 1).  The
+program supplies :class:`ArrowheadSchur` as its ``sdp.SchurSystem``.  It
+assembles each block's contribution from the unembedded d x d complex
+iterates (d = 2^N), eliminates the K q-blocks of size d^2, and factors only
+the d^2 x d^2 Schur complement of the w-block.  The generic dense path would
+instead form and factor a (K + 1) d^2 square matrix, 2048 x 2048 at N = 4.
+
 For two parties the monotone equals the partial-transpose negativity, which
 :func:`bipartite_negativity` computes directly as the eigendecomposition
 oracle.
@@ -27,9 +36,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import sdp
@@ -106,12 +116,13 @@ def bipartite_negativity(rho: np.ndarray, members, nqubits: int) -> float:
 # -- Hermitian basis bookkeeping ---------------------------------------------
 #
 # Basis order for a d-dimensional Hermitian space (d^2 elements):
-#   diag(a)           a = 0..d-1          F = e_a e_a'
-#   re(a, b), im(a, b)  for a < b (lex)   F = (e_a e_b' + e_b e_a')/sqrt(2)
-#                                         F = i (e_a e_b' - e_b e_a')/sqrt(2)
+#   diag(a)       a = 0..d-1          F = e_a e_a'
+#   re(a, b)      a < b (lex)         F = (e_a e_b' + e_b e_a')/sqrt(2)
+#   im(a, b)      a < b (lex)         F = i (e_a e_b' - e_b e_a')/sqrt(2)
 # All F are trace-orthonormal. The partial transpose permutes this basis up
 # to a sign, and the real embedding of every element occupies exactly two
-# scaled-svec coordinates with values +-1.
+# scaled-svec coordinates with values +-1.  Keeping the three kinds in
+# contiguous runs lets the Schur assembly combine them with slices.
 
 _DIAG, _RE, _IM = 0, 1, 2
 
@@ -122,20 +133,12 @@ def _triu_pos(i: int, j: int, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _basis_enumeration(d: int):
-    """Arrays (a, b, kind) for the d^2 basis elements, plus pair->index lookup."""
-    a_idx, b_idx, kind = [], [], []
-    for a in range(d):
-        a_idx.append(a)
-        b_idx.append(a)
-        kind.append(_DIAG)
-    pair_base = {}
-    for a in range(d):
-        for b in range(a + 1, d):
-            pair_base[(a, b)] = len(a_idx)
-            a_idx += [a, a]
-            b_idx += [b, b]
-            kind += [_RE, _IM]
-    return np.array(a_idx), np.array(b_idx), np.array(kind), pair_base
+    """Arrays (a, b, kind) for the d^2 basis elements, plus (a, b, kind)->index lookup."""
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    elements = ([(a, a, _DIAG) for a in range(d)] + [(a, b, _RE) for a, b in pairs]
+                + [(a, b, _IM) for a, b in pairs])
+    a_idx, b_idx, kind = (np.array(col) for col in zip(*elements))
+    return a_idx, b_idx, kind, {e: i for i, e in enumerate(elements)}
 
 
 def _embedding_coords(a: int, b: int, kind: int, d: int):
@@ -158,6 +161,122 @@ def _transpose_action(a: int, b: int, kind: int, mask: int):
     return tb, ta, kind, (1.0 if kind == _RE else -1.0)
 
 
+@dataclass(frozen=True)
+class _ArrowheadLayout:
+    """What the arrowhead Schur system needs to know about the program."""
+
+    dim: int               # d = 2^N
+    a: np.ndarray          # (d^2,): matrix positions (a, b) in the order diagonal,
+    b: np.ndarray          #         (a, b) for a < b, (b, a) for a < b
+    scale_re: np.ndarray   # (d^2, d^2): H = scale_re * Re(V) + scale_im * Im(V)
+    scale_im: np.ndarray
+    tau: np.ndarray        # (K, d^2): F_alpha^{T_M} = sigma[M, alpha] F_{tau[M, alpha]}
+    sigma: np.ndarray      # (K, d^2)
+
+
+class ArrowheadSchur:
+    """Block-arrowhead :class:`sdp.SchurSystem` of the PPT-mixture program.
+
+    The columns are the witness coefficients w, then the coefficients q_M of
+    each bipartition M (n = d^2 each).  q_M reaches only the four cone blocks
+    of M, so q_M and q_M' never couple and the Schur matrix is
+
+        [ M_ww    M_wq_1  ...  M_wq_K ]
+        [ M_q1w   M_q1q1  ...  0      ]
+        [ ...             ...         ]
+        [ M_qKw   0       ...  M_qKqK ]
+
+    A block with unembedded iterates s = S^-1 and x contributes
+    H[alpha, beta] = 2 Re Tr(F_alpha s F_beta x) = 2 Re (C^T G C) in the
+    Hermitian basis C, with G[(a,b),(c,e)] = s[b,c] x[e,a].  The blocks P_M
+    and 1-P_M (Q_M and 1-Q_M) carry the same columns up to sign, so their G
+    are summed into H01_M (H23_M) before the basis change.  Then
+
+        M_ww = sum_M H01_M,   M_wq_M = -H01_M[:, tau_M] sigma_M,
+        M_qq_M = sigma_M H01_M[tau_M, tau_M] sigma_M + H23_M.
+
+    Factoring eliminates the K q-blocks (n x n Cholesky each) and factors the
+    n x n Schur complement of the w-block.
+    """
+
+    def __init__(self, layout: _ArrowheadLayout, problem: sdp.SdpProblem):
+        self._layout = layout
+        self.n = layout.dim ** 2
+        self.nparts = layout.tau.shape[0]
+        if problem.num_constraints != self.n * (1 + self.nparts):
+            raise ValueError(f"program has {problem.num_constraints} constraints, "
+                             f"layout expects {self.n * (1 + self.nparts)}")
+        self.ww = self.qw = self.qq = None       # M_ww, M_{q_M w} and M_{q_M q_M}
+        self._lq = self._wq = self._lw = None    # factors, set by factor()
+
+    def assemble(self, sinv_blocks, x_blocks):
+        lay, d, n, k = self._layout, self._layout.dim, self.n, self.nparts
+        s = unembed_hermitian(np.stack(sinv_blocks)).reshape(2 * k, 2, n)
+        xt = unembed_hermitian(np.stack(x_blocks)).transpose(0, 2, 1).reshape(2 * k, 2, n)
+        # G summed over the two blocks of each pair, in the order G[pair, a, e, b, c]
+        g = np.matmul(xt.transpose(0, 2, 1), s).reshape(2 * k, d, d, d, d)
+        # V: the rows and then the columns (a, b), (b, a) of G turned into their sum
+        # and difference, which is C^T G C up to the factors in scale_re/scale_im
+        v = g[:, lay.a, :, lay.b, :].reshape(n, 2 * k, n)
+        self._fold(v[d:])
+        v = np.take(v.reshape(-1, n), lay.b * d + lay.a, axis=1).reshape(n, 2 * k, n)
+        self._fold(v[..., d:].transpose(2, 0, 1))
+        h = (v.real * lay.scale_re[:, None, :]
+             + v.imag * lay.scale_im[:, None, :]).transpose(1, 0, 2)
+        h01, h23 = h[0::2], h[1::2]
+        ww = h01.sum(axis=0)
+        self.ww = (ww + ww.T) / 2
+        self.qw = -lay.sigma[:, :, None] * np.take_along_axis(h01, lay.tau[:, :, None], axis=1)
+        qq = -np.take_along_axis(self.qw, lay.tau[:, None, :], axis=2) * lay.sigma[:, None, :]
+        qq += h23
+        self.qq = (qq + qq.transpose(0, 2, 1)) / 2
+
+    @staticmethod
+    def _fold(v):
+        """Entries (a, b), (b, a) of each pair become their sum and difference."""
+        ab, ba = np.split(v, 2)
+        np.subtract(ab, ba, out=ba)
+        ab *= 2
+        ab -= ba
+
+    def max_diagonal(self):
+        return float(max(np.max(np.abs(self.ww.diagonal())),
+                         np.max(np.abs(self.qq.diagonal(axis1=1, axis2=2)))))
+
+    def factor(self, shift):
+        diag = np.arange(self.n)
+        qq = self.qq.copy()
+        qq[:, diag, diag] += shift
+        # q.T is q itself, and Fortran-ordered, so LAPACK factors it in place
+        self._lq = [sla.cho_factor(q.T, lower=True, overwrite_a=True, check_finite=False)[0]
+                    for q in qq]
+        self._wq = np.stack([sla.solve_triangular(lq, qw, lower=True, check_finite=False)
+                             for lq, qw in zip(self._lq, self.qw)])
+        wq = self._wq.reshape(-1, self.n)
+        sc = self.ww - wq.T @ wq
+        sc[diag, diag] += shift
+        self._lw = sla.cho_factor(sc, lower=True, overwrite_a=True, check_finite=False)
+
+    def solve(self, rhs):
+        n, k = self.n, self.nparts
+        r = rhs.reshape(len(rhs), -1)
+        z = np.stack([sla.solve_triangular(lq, rq, lower=True, check_finite=False)
+                      for lq, rq in zip(self._lq, r[n:].reshape(k, n, -1))])
+        dw = sla.cho_solve(self._lw, r[:n] - self._wq.reshape(-1, n).T @ z.reshape(k * n, -1),
+                           check_finite=False)
+        dq = np.stack([sla.solve_triangular(lq, zq, lower=True, trans="T", check_finite=False)
+                       for lq, zq in zip(self._lq, z - self._wq @ dw)])
+        return np.concatenate([dw, dq.reshape(k * n, -1)]).reshape(rhs.shape)
+
+    def matvec(self, v):
+        n, k = self.n, self.nparts
+        v2 = v.reshape(len(v), -1)
+        vw, vq = v2[:n], v2[n:].reshape(k, n, -1)
+        out_w = self.ww @ vw + self.qw.reshape(-1, n).T @ vq.reshape(k * n, -1)
+        out_q = self.qw @ vw + self.qq @ vq
+        return np.concatenate([out_w, out_q.reshape(k * n, -1)]).reshape(v.shape)
+
+
 @lru_cache(maxsize=None)
 def _program_structure(nqubits: int):
     """Constraint matrix, objective and extraction metadata for N qubits.
@@ -171,7 +290,7 @@ def _program_structure(nqubits: int):
     n_parts = len(parts)
     block_dim = 2 * d
     block_dims = tuple([block_dim] * (4 * n_parts))
-    a_idx, b_idx, kind, _ = _basis_enumeration(d)
+    a_idx, b_idx, kind, index = _basis_enumeration(d)
     svec_len_block = block_dim * (block_dim + 1) // 2
 
     c_blocks = []
@@ -193,12 +312,16 @@ def _program_structure(nqubits: int):
         for mi in range(n_parts):
             add(alpha, 4 * mi + 0, coords, -1.0)   # P_M block:   S = W - Q^{T_M}
             add(alpha, 4 * mi + 1, coords, +1.0)   # 1-P_M block: S = 1 - W + Q^{T_M}
+    tau = np.empty((n_parts, n_basis), dtype=np.intp)
+    sigma = np.empty((n_parts, n_basis))
     for mi, part in enumerate(parts):
         mask = part.mask
         for alpha in range(n_basis):
             col = n_basis * (1 + mi) + alpha
             ta, tb, tk, sign = _transpose_action(int(a_idx[alpha]), int(b_idx[alpha]),
                                                  int(kind[alpha]), mask)
+            tau[mi, alpha] = index[(ta, tb, tk)]
+            sigma[mi, alpha] = sign
             tcoords = _embedding_coords(ta, tb, tk, d)
             coords = _embedding_coords(int(a_idx[alpha]), int(b_idx[alpha]), int(kind[alpha]), d)
             add(col, 4 * mi + 0, tcoords, +sign)   # ... - Q^{T_M} inside the P_M slack
@@ -210,6 +333,20 @@ def _program_structure(nqubits: int):
     a_csc = sp.csc_matrix((np.array(vals), (np.array(rows), np.array(cols))),
                           shape=(len(block_dims) * svec_len_block, m))
     skeleton = sdp.SdpProblem.from_svec_columns(block_dims, c_blocks, a_csc, np.zeros(m))
+    # 2 Re of the complex coefficient products of F_alpha and F_beta, applied to
+    # the sums and differences that assemble() forms (see ArrowheadSchur)
+    kappa = np.where(kind == _DIAG, 1.0, 1 / math.sqrt(2))
+    imag = kind == _IM
+    scale = 2 * np.outer(kappa, kappa)
+    mixed = imag[:, None] != imag[None, :]
+    layout = _ArrowheadLayout(
+        dim=d,
+        a=np.concatenate([a_idx[~imag], b_idx[imag]]),
+        b=np.concatenate([b_idx[~imag], a_idx[imag]]),
+        scale_re=np.where(mixed, 0.0, np.where(imag[:, None], -scale, scale)),
+        scale_im=np.where(mixed, -scale, 0.0),
+        tau=tau, sigma=sigma)
+    skeleton.schur_factory = partial(ArrowheadSchur, layout)
     return {
         "nqubits": nqubits,
         "dim": d,

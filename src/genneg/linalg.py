@@ -21,8 +21,8 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """Return (m + m†)/2."""
-    return (m + m.conj().T) / 2
+    """Return (m + m†)/2 (of each matrix in a stack along the last two axes)."""
+    return (m + np.swapaxes(m.conj(), -1, -2)) / 2
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
@@ -104,14 +104,15 @@ def unembed_hermitian(r: np.ndarray) -> np.ndarray:
     """Inverse of :func:`real_embedding` for (possibly perturbed) symmetric input.
 
     Averages the two real blocks and antisymmetrizes the imaginary blocks, so
-    small symmetric noise maps to small Hermitian noise.
+    small symmetric noise maps to small Hermitian noise.  A stack of embedded
+    matrices (along the last two axes) is unembedded matrix by matrix.
     """
-    n2 = r.shape[0]
+    n2 = r.shape[-1]
     if n2 % 2:
         raise ValueError("embedded matrix must have even dimension")
     d = n2 // 2
-    re = (r[:d, :d] + r[d:, d:]) / 2
-    im = (r[d:, :d] - r[:d, d:]) / 2
+    re = (r[..., :d, :d] + r[..., d:, d:]) / 2
+    im = (r[..., d:, :d] - r[..., :d, d:]) / 2
     return hermitian_part(re + 1j * im)
 
 

@@ -8,14 +8,21 @@ Solves the standard equality form over a product of real symmetric blocks
 together with its dual  max b'y  s.t.  C - sum_i y_i A_i = S >= 0.
 
 Algorithm: infeasible-start path following with the HKM symmetrized search
-direction and a Mehrotra predictor-corrector step.  Each iteration factors
-the (symmetric positive definite) Schur complement
+direction and a Mehrotra predictor-corrector step.  Each iteration assembles
+and factors the (symmetric positive definite) Schur complement
 
     M_ij = Tr(A_i S^{-1} A_j X)
 
-by dense Cholesky with escalating diagonal regularization, applies one step
-of iterative refinement per solve, and adds a pure centering step whenever
-the smallest complementarity pairs drift far below their mean (which is what
+behind the small :class:`SchurSystem` interface (assemble, factor with a
+diagonal shift, solve, matvec).  A problem supplies its implementation through
+``SdpProblem.schur_factory``; the default :class:`DenseSchur` forms the whole
+m x m matrix and factors it by dense Cholesky, while structured programs (the
+PPT-mixture program in ``gmn``) keep M in a sparser block form.  The solver
+owns the regularization ladder: the shift is reg times max(1, the largest
+diagonal entry of M), with reg escalating by factors of ten from ``min_regularization``
+to ``max_regularization``.  Each solve gets one step of iterative refinement
+against the unshifted M, and a pure centering step is taken whenever the
+smallest complementarity pairs drift far below their mean (which is what
 stalls plain Mehrotra steps on degenerate optima).  Step lengths are 0.98 of
 the distance to the cone boundary, capped at 1.
 
@@ -37,6 +44,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from typing import Protocol
 
 import numpy as np
 import scipy.linalg as sla
@@ -158,6 +166,10 @@ class SdpProblem:
     where ``blocks`` maps block index -> dense symmetric array (a dict, or a
     list with ``None`` for untouched blocks).  Internally every constraint is
     one sparse column in the stacked scaled-svec basis.
+
+    ``schur_factory`` builds the :class:`SchurSystem` of each solve from the
+    problem; it defaults to :class:`DenseSchur` and is shared by
+    :meth:`with_rhs` copies.
     """
 
     def __init__(self, block_dims, objective_blocks, constraints):
@@ -200,6 +212,7 @@ class SdpProblem:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.svec_length, len(b)))
         self._prep_holder = {"prep": None}
+        self.schur_factory = DenseSchur
 
     @classmethod
     def from_svec_columns(cls, block_dims, objective_blocks, a_csc, b) -> "SdpProblem":
@@ -217,6 +230,7 @@ class SdpProblem:
         self.a_csc = a_csc.tocsc()
         self.b = np.asarray(b, dtype=float)
         self._prep_holder = {"prep": None}
+        self.schur_factory = DenseSchur
         return self
 
     def _check_block(self, blk, k, what):
@@ -249,7 +263,7 @@ class SdpProblem:
         return [slice(int(o[k]), int(o[k + 1])) for k in range(len(self.block_dims))]
 
     def prep(self):
-        """Per-block constraint data for the Schur assembly (cached, shared).
+        """Per-block constraint data for the :class:`DenseSchur` assembly (cached, shared).
 
         For every block: the active constraint columns, their contiguous runs
         (so the scatter into the Schur matrix is slice arithmetic), the sparse
@@ -294,6 +308,94 @@ class SdpProblem:
                 })
             self._prep_holder["prep"] = prep
         return self._prep_holder["prep"]
+
+
+class SchurSystem(Protocol):
+    """The Schur complement (normal-equation) system of one solve.
+
+    ``M_ij = <A_i, (S^-1 A_j X + X A_j S^-1)/2>`` summed over the cone blocks,
+    for the current iterate.  A problem supplies the implementation through
+    :attr:`SdpProblem.schur_factory`, so it can exploit its own sparsity.
+    """
+
+    def assemble(self, sinv_blocks: list, x_blocks: list) -> None:
+        """Form M from the per-block S^-1 and X (problem block order)."""
+
+    def max_diagonal(self) -> float:
+        """Largest |M_ii|, the scale of the regularization shift."""
+
+    def factor(self, shift: float) -> None:
+        """Factor M + shift*I; raise ``np.linalg.LinAlgError`` unless it is PD."""
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """(M + shift*I)^-1 rhs with the last factored shift (rhs: m or m x k)."""
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """M v without the shift (v: m or m x k)."""
+
+
+class DenseSchur:
+    """Generic :class:`SchurSystem`: the full m x m matrix and a dense Cholesky.
+
+    Every block contributes the sandwich of skron(S^-1, X) with its active
+    constraint columns, scattered into the rows and columns of those columns.
+    """
+
+    def __init__(self, problem: SdpProblem):
+        self._prep = problem.prep()
+        m = problem.num_constraints
+        self.matrix = np.zeros((m, m))
+        self._kron_bufs = {g.n: np.empty((g.L, g.L)) for g in problem._geom}
+        self._contrib_bufs = {}
+        for info in self._prep:
+            if info is not None and info["coords"] is not None:
+                m_act = len(info["act"])
+                if m_act not in self._contrib_bufs:
+                    self._contrib_bufs[m_act] = np.empty((m_act, m_act))
+        self._factor = None
+
+    def assemble(self, sinv_blocks, x_blocks):
+        mmat = self.matrix
+        mmat.fill(0.0)
+        exact_symmetric = True
+        for info, sinv, x in zip(self._prep, sinv_blocks, x_blocks):
+            if info is None:
+                continue
+            geom = info["geom"]
+            k = geom.skron(sinv, x, out=self._kron_bufs[geom.n])
+            if info["coords"] is not None:
+                p1, p2, w1, w2 = info["coords"]
+                contrib = self._contrib_bufs[len(p1)]
+                sandwich_into(k, p1, p2, w1, w2, contrib)
+            else:
+                contrib = (info["phi_act_t"] @ k) @ info["phi_act"]
+                exact_symmetric = False
+            runs = info["runs"]
+            if len(runs) <= 8:
+                for a0, a1, c0, c1 in runs:
+                    for b0, b1, d0, d1 in runs:
+                        mmat[a0:a1, b0:b1] += contrib[c0:c1, d0:d1]
+            else:
+                act = info["act"]
+                mmat[np.ix_(act, act)] += contrib
+        if not exact_symmetric:
+            mmat += mmat.T
+            mmat *= 0.5
+
+    def max_diagonal(self):
+        return float(np.max(np.abs(self.matrix.diagonal())))
+
+    def factor(self, shift):
+        shifted = self.matrix.copy()
+        shifted[np.diag_indices_from(shifted)] += shift
+        self._factor = sla.cho_factor(shifted, lower=True, overwrite_a=True,
+                                      check_finite=False)
+
+    def solve(self, rhs):
+        return sla.cho_solve(self._factor, rhs, check_finite=False)
+
+    def matvec(self, v):
+        return self.matrix @ v
 
 
 class _Stacks:
@@ -423,58 +525,18 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
             return math.inf
         return -1.0 / lam_min
 
-    mmat_buf = np.zeros((m, m))
-    kron_bufs = {d: np.empty((g.L, g.L)) for d, _, g in stacks.groups}
-    contrib_bufs = {}
-    for info in problem.prep():
-        if info is not None and info["coords"] is not None:
-            m_act = len(info["act"])
-            if m_act not in contrib_bufs:
-                contrib_bufs[m_act] = np.empty((m_act, m_act))
-    prep = problem.prep()
+    schur = problem.schur_factory(problem)
 
-    def schur(sinv: dict) -> np.ndarray:
-        mmat = mmat_buf
-        mmat.fill(0.0)
-        exact_symmetric = True
-        for idx in range(len(dims)):
-            info = prep[idx]
-            if info is None:
-                continue
-            geom = info["geom"]
-            k = geom.skron(stacks.block(sinv, idx), stacks.block(x_st, idx),
-                           out=kron_bufs[geom.n])
-            if info["coords"] is not None:
-                p1, p2, w1, w2 = info["coords"]
-                contrib = contrib_bufs[len(p1)]
-                sandwich_into(k, p1, p2, w1, w2, contrib)
-            else:
-                contrib = (info["phi_act_t"] @ k) @ info["phi_act"]
-                exact_symmetric = False
-            runs = info["runs"]
-            if len(runs) <= 8:
-                for a0, a1, c0, c1 in runs:
-                    for b0, b1, d0, d1 in runs:
-                        mmat[a0:a1, b0:b1] += contrib[c0:c1, d0:d1]
-            else:
-                act = info["act"]
-                mmat[np.ix_(act, act)] += contrib
-        if not exact_symmetric:
-            mmat += mmat.T
-            mmat *= 0.5
-        return mmat
-
-    def factor_schur(mmat):
+    def factor_schur():
         # regularization is relative to the diagonal scale: near convergence the
         # Schur entries grow like 1/mu and an absolute shift would vanish in
         # the rounding noise of the factorization
-        diag = mmat.diagonal().copy()
-        scale = max(1.0, float(np.max(np.abs(diag))))
+        scale = max(1.0, schur.max_diagonal())
         reg = opts.min_regularization
         while reg <= opts.max_regularization * (1 + 1e-12):
-            np.fill_diagonal(mmat, diag + reg * scale)
             try:
-                return sla.cho_factor(mmat, lower=True, check_finite=False), reg * scale
+                schur.factor(reg * scale)
+                return
             except np.linalg.LinAlgError:
                 reg *= 10
         raise _Failure(SdpStatus.NUMERICAL_FAILURE,
@@ -544,15 +606,14 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
             x_chol = cholesky_stacks(x_st, "primal iterate")
             sinv = stacks.map(lambda s, e: _herm_stack(np.linalg.solve(s, e)), s_st, eye_stacks)
 
-            mmat = schur(sinv)
-            factor, reg_abs = factor_schur(mmat)
+            schur.assemble(stacks.to_blocks(sinv), stacks.to_blocks(x_st))
+            factor_schur()
             refine = relgap < 1e-3 or rp_norm < 1e-3
 
             def kkt_solve(rhs):
-                dy = sla.cho_solve(factor, rhs, check_finite=False)
+                dy = schur.solve(rhs)
                 if refine:
-                    residual = rhs - (mmat_buf @ dy) + reg_abs * dy
-                    dy += sla.cho_solve(factor, residual, check_finite=False)
+                    dy += schur.solve(rhs - schur.matvec(dy))
                 return dy
 
             a_sinv = op_a(sinv).copy()

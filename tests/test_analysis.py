@@ -213,8 +213,7 @@ class TestKinkDetection:
         grid = np.linspace(0.0, 1.0, 21)
         h = grid[1] - grid[0]
         values = np.where(grid < 0.5, np.exp(-grid), np.exp(-0.5) * np.exp(-9 * (grid - 0.5)))
-        eta = log_derivative(grid, values)
-        kinks = analysis._one_sided_kinks(grid, values, eta)
+        kinks = analysis._one_sided_kinks(grid, values)
         assert kinks
         s_kink = kinks[0][0]
         assert abs(s_kink - 0.5) <= h + 1e-12
@@ -222,8 +221,7 @@ class TestKinkDetection:
     def test_smooth_curve_has_none(self):
         grid = np.linspace(0.0, 1.0, 21)
         values = np.exp(-2 * grid)
-        eta = log_derivative(grid, values)
-        assert analysis._one_sided_kinks(grid, values, eta) == []
+        assert analysis._one_sided_kinks(grid, values) == []
 
 
 class TestCsv:

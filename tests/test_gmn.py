@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from genneg import gmn, states
+from genneg import gmn, sdp, states
 from genneg.channels import ChannelKind, apply_local_channel
-from genneg.linalg import partial_transpose
+from genneg.linalg import partial_transpose, real_embedding
 from genneg.sdp import SdpOptions, SdpStatus
 
 
@@ -273,3 +274,115 @@ class TestTransposeBookkeeping:
                     g[ta, tb] = 1j / np.sqrt(2)
                     g[tb, ta] = -1j / np.sqrt(2)
                 assert np.allclose(partial_transpose(f, part.members, n), sign * g)
+
+
+def random_embedded_iterates(rng, problem):
+    """Embedded S^-1 and X blocks of random Hermitian positive definite iterates."""
+    d = problem.block_dims[0] // 2
+
+    def hermitian_pd():
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return g @ g.conj().T / d + 0.1 * np.eye(d)
+
+    sinv = [real_embedding(np.linalg.inv(hermitian_pd())) for _ in problem.block_dims]
+    x = [real_embedding(hermitian_pd()) for _ in problem.block_dims]
+    return sinv, x
+
+
+@pytest.fixture(scope="module", params=[2, 3, 4])
+def schur_pair(request):
+    """Dense and arrowhead Schur systems assembled from the same random iterate."""
+    n = request.param
+    rng = np.random.default_rng(100 + n)
+    problem = gmn.build_program(np.eye(2**n) / 2**n, n)
+    sinv, x = random_embedded_iterates(rng, problem)
+    dense = sdp.DenseSchur(problem)
+    dense.assemble(sinv, x)
+    arrow = problem.schur_factory(problem)
+    arrow.assemble(sinv, x)
+    return n, problem, dense, arrow
+
+
+class TestArrowheadSchur:
+    def test_program_uses_arrowhead(self, schur_pair):
+        _, _, _, arrow = schur_pair
+        assert isinstance(arrow, gmn.ArrowheadSchur)
+
+    def test_expands_to_dense_assembly(self, schur_pair):
+        _, problem, dense, arrow = schur_pair
+        expanded = arrow.matvec(np.eye(problem.num_constraints))
+        scale = np.max(np.abs(dense.matrix))
+        assert np.max(np.abs(expanded - dense.matrix)) <= 1e-12 * scale
+        assert arrow.max_diagonal() == pytest.approx(dense.max_diagonal(), rel=1e-12)
+
+    def test_q_blocks_do_not_couple(self, schur_pair):
+        n, problem, dense, _ = schur_pair
+        nb = 4**n
+        nparts = len(gmn.bipartitions(n))
+        for i in range(nparts):
+            for j in range(nparts):
+                block = dense.matrix[nb * (1 + i):nb * (2 + i), nb * (1 + j):nb * (2 + j)]
+                if i != j:
+                    assert not np.any(block)
+                else:
+                    assert np.any(block)
+
+    def test_solve_matches_dense_cholesky(self, schur_pair):
+        _, problem, dense, arrow = schur_pair
+        rng = np.random.default_rng(7)
+        shift = 1e-9 * dense.max_diagonal()
+        arrow.factor(shift)
+        shifted = dense.matrix + shift * np.eye(problem.num_constraints)
+        factor = sla.cho_factor(shifted, lower=True)
+        rhs = rng.standard_normal(problem.num_constraints)
+        ref = sla.cho_solve(factor, rhs)
+        assert np.linalg.norm(arrow.solve(rhs) - ref) <= 1e-10 * np.linalg.norm(ref)
+        rhs2 = rng.standard_normal((problem.num_constraints, 3))
+        ref2 = sla.cho_solve(factor, rhs2)
+        assert np.linalg.norm(arrow.solve(rhs2) - ref2) <= 1e-10 * np.linalg.norm(ref2)
+
+    def test_indefinite_shift_raises(self, schur_pair):
+        _, _, _, arrow = schur_pair
+        with pytest.raises(np.linalg.LinAlgError):
+            arrow.factor(-2 * arrow.max_diagonal())
+
+
+ORACLE_STATES = [
+    ("ghz3", ChannelKind.PHASE_DAMPING),
+    ("w3", ChannelKind.AMPLITUDE_DAMPING),
+    ("haar", ChannelKind.DEPOLARIZING),
+]
+
+
+class TestDenseSchurOracle:
+    @pytest.mark.parametrize("name,kind", ORACLE_STATES)
+    def test_same_solve_with_dense_schur(self, name, kind, monkeypatch):
+        psi = states.haar_random_state(3, 5) if name == "haar" else states.named_state(name)
+        rho = apply_local_channel(states.to_density(psi), kind, 0.2, 3)
+        arrow = gmn.genuine_negativity(rho, 3)
+        skeleton = gmn._program_structure(3)["skeleton"]
+        monkeypatch.setattr(skeleton, "schur_factory", sdp.DenseSchur)
+        dense = gmn.genuine_negativity(rho, 3)
+        assert arrow.solved and dense.solved
+        assert arrow.value > 0
+        assert abs(arrow.value - dense.value) <= 1e-8
+        assert arrow.solver.status is dense.solver.status
+        assert abs(arrow.solver.iterations - dense.solver.iterations) <= 1
+
+
+class TestFourQubits:
+    def test_ghz4_dephasing_law(self):
+        rho = apply_local_channel(states.to_density(states.named_state("ghz4")),
+                                  ChannelKind.PHASE_DAMPING, 0.2, 4)
+        res = gmn.genuine_negativity(rho, 4)
+        assert res.solved and res.certificate_ok
+        assert abs(res.value - 0.5 * math.exp(-0.4)) <= 1e-6
+
+    def test_w4_below_bipartite_negativities(self):
+        rho = apply_local_channel(states.to_density(states.named_state("w4")),
+                                  ChannelKind.AMPLITUDE_DAMPING, 0.2, 4)
+        res = gmn.genuine_negativity(rho, 4)
+        assert res.solved and res.value > 0
+        bound = min(gmn.bipartite_negativity(rho, part.members, 4)
+                    for part in gmn.bipartitions(4))
+        assert res.value <= bound + 1e-7
