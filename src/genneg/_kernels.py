@@ -1,9 +1,10 @@
 """Optional numba kernel for the symmetrized Kronecker product.
 
-The Schur complement assembly evaluates skron(S^{-1}, X) once per cone block
-per interior-point iteration; the scalar-indexed loop is ~15x faster under
-numba than the vectorized gather version.  Everything degrades gracefully to
-numpy when numba is unavailable.
+The generic Schur complement assembly (``sdp.DenseSchur``) evaluates
+skron(S^{-1}, X) once per cone block per interior-point iteration; the
+scalar-indexed loop is ~15x faster under numba than the vectorized gather
+version.  numba is not a dependency: without it ``skron_into`` is None and
+``sdp`` uses the numpy gather version.
 """
 
 from __future__ import annotations
@@ -22,25 +23,5 @@ try:
                 l = ju[q]
                 out[p, q] = cc[p, q] * (u[j, k] * v[i, l] + u[j, l] * v[i, k]
                                         + u[i, k] * v[j, l] + u[i, l] * v[j, k])
-
-    @numba.njit(cache=True)
-    def sandwich_into(kmat, p1, p2, w1, w2, out):  # pragma: no cover
-        # out[r, c] = sum over the <=2 svec coordinates of constraints r and c
-        # of w_r w_c K[coord_r, coord_c]; padded coordinates carry weight 0
-        m = len(p1)
-        for r in range(m):
-            a = p1[r]
-            b = p2[r]
-            wa = w1[r]
-            wb = w2[r]
-            for c in range(r + 1):
-                acc = (wa * (w1[c] * kmat[a, p1[c]] + w2[c] * kmat[a, p2[c]])
-                       + wb * (w1[c] * kmat[b, p1[c]] + w2[c] * kmat[b, p2[c]]))
-                out[r, c] = acc
-                out[c, r] = acc
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:
     skron_into = None
-    sandwich_into = None
-    HAVE_NUMBA = False

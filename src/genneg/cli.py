@@ -14,8 +14,9 @@ State selectors: ghz2 ghz3 ghz4 ghz3b w2 w3 w4 w3b d24 singlet4 cluster4 chi4,
 ``file:PATH``, ``haar:N``, ``wgs:N`` (the latter two use ``--seed``).
 Channels: ``ad`` (amplitude damping), ``pd`` (phase damping), ``dp``
 (depolarizing).  Times are the dimensionless s = Γt.  All randomness derives
-from ``--seed``; the ``GENNEG_WORKERS`` environment variable caps parallel
-workers.
+from ``--seed``.  ``sweep`` and ``ensemble`` run in one process unless
+``--workers`` or the ``GENNEG_WORKERS`` environment variable sets the number
+of worker processes (the flag wins).
 """
 
 from __future__ import annotations
@@ -77,12 +78,7 @@ def _grid(args) -> np.ndarray:
 
 
 def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get(analysis.WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    return analysis.resolve_workers(args.workers)
 
 
 def _cmd_monotone(args) -> int:
@@ -166,7 +162,7 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
                         help="default 1.0 (0.5 for the depolarizing channel)")
     parser.add_argument("--steps", type=int, default=50, help="number of grid points")
     parser.add_argument("--workers", type=int, default=None,
-                        help="parallel worker processes (default: GENNEG_WORKERS or all cores)")
+                        help="parallel worker processes (default: GENNEG_WORKERS, else 1)")
     parser.add_argument("--out", required=True, help="output CSV path")
 
 

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from . import sdp
 from .linalg import (check_density_matrix, eig_hermitian, partial_transpose,
@@ -247,24 +247,29 @@ class ArrowheadSchur:
         diag = np.arange(self.n)
         qq = self.qq.copy()
         qq[:, diag, diag] += shift
-        # q.T is q itself, and Fortran-ordered, so LAPACK factors it in place
-        self._lq = [sla.cho_factor(q.T, lower=True, overwrite_a=True, check_finite=False)[0]
+        # LAPACK is called directly: the scipy.linalg wrappers spend tens of
+        # microseconds on argument checks per call, and every factor and solve
+        # makes 2K + 1 calls.  q.T is q itself, and Fortran-ordered, so LAPACK
+        # factors it in place.
+        self._lq = [sdp.lapack_checked(lapack.dpotrf(q.T, lower=1, clean=0, overwrite_a=1),
+                                       "dpotrf(q_M block)")
                     for q in qq]
-        self._wq = np.stack([sla.solve_triangular(lq, qw, lower=True, check_finite=False)
+        self._wq = np.stack([sdp.lapack_checked(lapack.dtrtrs(lq, qw, lower=1), "dtrtrs")
                              for lq, qw in zip(self._lq, self.qw)])
         wq = self._wq.reshape(-1, self.n)
         sc = self.ww - wq.T @ wq
         sc[diag, diag] += shift
-        self._lw = sla.cho_factor(sc, lower=True, overwrite_a=True, check_finite=False)
+        self._lw = sdp.lapack_checked(lapack.dpotrf(sc, lower=1, clean=0),
+                                      "dpotrf(w Schur complement)")
 
     def solve(self, rhs):
         n, k = self.n, self.nparts
         r = rhs.reshape(len(rhs), -1)
-        z = np.stack([sla.solve_triangular(lq, rq, lower=True, check_finite=False)
+        z = np.stack([sdp.lapack_checked(lapack.dtrtrs(lq, rq, lower=1), "dtrtrs")
                       for lq, rq in zip(self._lq, r[n:].reshape(k, n, -1))])
-        dw = sla.cho_solve(self._lw, r[:n] - self._wq.reshape(-1, n).T @ z.reshape(k * n, -1),
-                           check_finite=False)
-        dq = np.stack([sla.solve_triangular(lq, zq, lower=True, trans="T", check_finite=False)
+        rw = r[:n] - self._wq.reshape(-1, n).T @ z.reshape(k * n, -1)
+        dw = sdp.lapack_checked(lapack.dpotrs(self._lw, rw, lower=1), "dpotrs")
+        dq = np.stack([sdp.lapack_checked(lapack.dtrtrs(lq, zq, lower=1, trans=1), "dtrtrs")
                        for lq, zq in zip(self._lq, z - self._wq @ dw)])
         return np.concatenate([dw, dq.reshape(k * n, -1)]).reshape(rhs.shape)
 

@@ -26,6 +26,11 @@ smallest complementarity pairs drift far below their mean (which is what
 stalls plain Mehrotra steps on degenerate optima).  Step lengths are 0.98 of
 the distance to the cone boundary, capped at 1.
 
+Each iteration factors S = L_S L_S^T and X = L_X L_X^T once and inverts each
+factor once.  The inverse factors serve both S^-1 = L_S^-T L_S^-1 and the four
+step lengths, which come from the eigenvalues of L^-1 D L^-T for a direction
+D: a symmetric eigenproblem formed with matrix products, no further solves.
+
 Problems without a strictly complementary optimum hit an accuracy floor in
 double precision somewhere around 1e-7; the solver detects the stall and
 returns its best iterate with an explanatory message instead of burning the
@@ -49,8 +54,9 @@ from typing import Protocol
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
-from ._kernels import sandwich_into, skron_into
+from ._kernels import skron_into
 
 SYMMETRY_TOL = 1e-12
 
@@ -165,7 +171,9 @@ class SdpProblem:
     ``constraints`` in the public constructor is a list of ``(blocks, b_i)``
     where ``blocks`` maps block index -> dense symmetric array (a dict, or a
     list with ``None`` for untouched blocks).  Internally every constraint is
-    one sparse column in the stacked scaled-svec basis.
+    one sparse column in the stacked scaled-svec basis: ``a_csc`` holds the
+    columns and ``a_t`` its CSR transpose, built once because the solver
+    applies A^T several times per iteration.
 
     ``schur_factory`` builds the :class:`SchurSystem` of each solve from the
     problem; it defaults to :class:`DenseSchur` and is shared by
@@ -211,6 +219,7 @@ class SdpProblem:
         self.a_csc = sp.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.svec_length, len(b)))
+        self.a_t = self.a_csc.T
         self._prep_holder = {"prep": None}
         self.schur_factory = DenseSchur
 
@@ -228,6 +237,7 @@ class SdpProblem:
                              f"expected {self.svec_length}")
         self.c_blocks = [np.asarray(c, dtype=float) for c in objective_blocks]
         self.a_csc = a_csc.tocsc()
+        self.a_t = self.a_csc.T
         self.b = np.asarray(b, dtype=float)
         self._prep_holder = {"prep": None}
         self.schur_factory = DenseSchur
@@ -266,10 +276,8 @@ class SdpProblem:
         """Per-block constraint data for the :class:`DenseSchur` assembly (cached, shared).
 
         For every block: the active constraint columns, their contiguous runs
-        (so the scatter into the Schur matrix is slice arithmetic), the sparse
-        slice for the general sandwich path, and, when every active column has
-        at most two svec coordinates in the block, dense coordinate/weight
-        arrays for the numba sandwich kernel.
+        (so the scatter into the Schur matrix is slice arithmetic) and the
+        sparse slice of the constraint matrix that sandwiches skron(S^-1, X).
         """
         if self._prep_holder["prep"] is None:
             a_csr = self.a_csc.tocsr()
@@ -286,25 +294,12 @@ class SdpProblem:
                 stops = np.concatenate([breaks, [len(act)]])
                 runs = [(int(act[s0]), int(act[s1 - 1]) + 1, int(s0), int(s1))
                         for s0, s1 in zip(starts, stops)]
-                coords = None
-                nnz_per_col = np.diff(phi_act.indptr)
-                if sandwich_into is not None and np.all(nnz_per_col <= 2):
-                    m_act = len(act)
-                    p = np.zeros((2, m_act), dtype=np.int64)
-                    w = np.zeros((2, m_act), dtype=np.float64)
-                    for col in range(m_act):
-                        lo, hi = phi_act.indptr[col], phi_act.indptr[col + 1]
-                        for t in range(hi - lo):
-                            p[t, col] = phi_act.indices[lo + t]
-                            w[t, col] = phi_act.data[lo + t]
-                    coords = (p[0], p[1], w[0], w[1])
                 prep.append({
                     "geom": self._geom[k],
                     "act": act,
                     "runs": runs,
                     "phi_act": phi_act,
                     "phi_act_t": sp.csr_matrix(phi_act.T),
-                    "coords": coords,
                 })
             self._prep_holder["prep"] = prep
         return self._prep_holder["prep"]
@@ -346,30 +341,17 @@ class DenseSchur:
         m = problem.num_constraints
         self.matrix = np.zeros((m, m))
         self._kron_bufs = {g.n: np.empty((g.L, g.L)) for g in problem._geom}
-        self._contrib_bufs = {}
-        for info in self._prep:
-            if info is not None and info["coords"] is not None:
-                m_act = len(info["act"])
-                if m_act not in self._contrib_bufs:
-                    self._contrib_bufs[m_act] = np.empty((m_act, m_act))
         self._factor = None
 
     def assemble(self, sinv_blocks, x_blocks):
         mmat = self.matrix
         mmat.fill(0.0)
-        exact_symmetric = True
         for info, sinv, x in zip(self._prep, sinv_blocks, x_blocks):
             if info is None:
                 continue
             geom = info["geom"]
             k = geom.skron(sinv, x, out=self._kron_bufs[geom.n])
-            if info["coords"] is not None:
-                p1, p2, w1, w2 = info["coords"]
-                contrib = self._contrib_bufs[len(p1)]
-                sandwich_into(k, p1, p2, w1, w2, contrib)
-            else:
-                contrib = (info["phi_act_t"] @ k) @ info["phi_act"]
-                exact_symmetric = False
+            contrib = (info["phi_act_t"] @ k) @ info["phi_act"]
             runs = info["runs"]
             if len(runs) <= 8:
                 for a0, a1, c0, c1 in runs:
@@ -378,9 +360,8 @@ class DenseSchur:
             else:
                 act = info["act"]
                 mmat[np.ix_(act, act)] += contrib
-        if not exact_symmetric:
-            mmat += mmat.T
-            mmat *= 0.5
+        mmat += mmat.T
+        mmat *= 0.5
 
     def max_diagonal(self):
         return float(np.max(np.abs(self.matrix.diagonal())))
@@ -434,6 +415,48 @@ def _herm_stack(stack: np.ndarray) -> np.ndarray:
     return (stack + stack.transpose(0, 2, 1)) / 2
 
 
+def lapack_checked(result, routine: str) -> np.ndarray:
+    """The array of a ``scipy.linalg.lapack`` ``(array, info)`` result.
+
+    A positive info (a failed Cholesky factorization or a singular triangle)
+    raises ``np.linalg.LinAlgError``, which the regularization ladder catches;
+    a negative one is an illegal argument and raises ``ValueError``.
+    """
+    out, info = result
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine}: matrix not positive definite or "
+                                    f"singular at column {info}")
+    if info < 0:
+        raise ValueError(f"{routine}: illegal value in argument {-info}")
+    return out
+
+
+def _inverse_factor(chol: np.ndarray) -> np.ndarray:
+    """L^-1 for each lower-triangular Cholesky factor L of a (count, n, n) stack."""
+    out = np.empty_like(chol)
+    for blk, low in zip(out, chol):
+        blk[...] = lapack_checked(lapack.dtrtri(low, lower=1), "dtrtri")
+    return out
+
+
+def _inverse_from_factor(linv: np.ndarray) -> np.ndarray:
+    """X^-1 = L^-T L^-1 for each block, given the stacked L^-1 of X = L L^T."""
+    return _herm_stack(np.matmul(linv.transpose(0, 2, 1), linv))
+
+
+def _step_to_boundary(linv: np.ndarray, delta: np.ndarray) -> float:
+    """Largest alpha keeping every X + alpha*delta PSD, given the stacked L^-1 of X.
+
+    The eigenvalues of L^-1 delta L^-T are those of the pencil (delta, X); the
+    step is -1/lambda_min, or inf when no eigenvalue is below -1e-14.
+    """
+    z = np.matmul(np.matmul(linv, delta), linv.transpose(0, 2, 1))
+    lam_min = float(np.linalg.eigvalsh(_herm_stack(z)).min())
+    if lam_min >= -1e-14:
+        return math.inf
+    return -1.0 / lam_min
+
+
 class _Failure(Exception):
     def __init__(self, status: SdpStatus, message: str):
         self.status = status
@@ -449,7 +472,7 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
     primal objectives.
     """
     opts = options or SdpOptions()
-    a = problem.a_csc
+    a, a_t = problem.a_csc, problem.a_t
     b = problem.b
     m = problem.num_constraints
     dims = problem.block_dims
@@ -470,31 +493,30 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
     x_st = stacks.identity(tau)
     s_st = stacks.identity(tau)
     y = np.zeros(m)
-    eye_stacks = {d: np.eye(d) for d, _, _ in stacks.groups}
 
     svec_buf = np.empty(problem.svec_length)
+    # positions of each group's stacked svec rows in the full svec vector
+    svec_pos = {d: np.concatenate([np.arange(slices[i].start, slices[i].stop) for i in idxs])
+                for d, idxs, _ in stacks.groups}
 
     def svec_all(sd: dict) -> np.ndarray:
-        for d, idxs, g in stacks.groups:
-            vals = g.svec_stack(sd[d])
-            for row, idx in enumerate(idxs):
-                svec_buf[slices[idx]] = vals[row]
+        for d, _, g in stacks.groups:
+            svec_buf[svec_pos[d]] = g.svec_stack(sd[d]).ravel()
         return svec_buf
 
     def op_a(sd: dict) -> np.ndarray:
-        return a.T @ svec_all(sd)
+        return a_t @ svec_all(sd)
 
     def op_at(vec_y: np.ndarray) -> dict:
         full = a @ vec_y
-        out = {}
-        for d, idxs, g in stacks.groups:
-            rows = np.stack([full[slices[idx]] for idx in idxs])
-            out[d] = g.smat_stack(rows)
-        return out
+        return {d: g.smat_stack(full[svec_pos[d]].reshape(len(idxs), g.L))
+                for d, idxs, g in stacks.groups}
 
-    def cholesky_stacks(sd: dict, what: str) -> dict:
+    def inverse_factors(sd: dict, what: str) -> tuple:
+        """The Cholesky factors L and their inverses L^-1, per group."""
         try:
-            return stacks.map(np.linalg.cholesky, sd)
+            chol = stacks.map(np.linalg.cholesky, sd)
+            return chol, stacks.map(_inverse_factor, chol)
         except np.linalg.LinAlgError as exc:
             raise _Failure(SdpStatus.NUMERICAL_FAILURE,
                            f"{what} left the cone interior: {exc}") from None
@@ -514,16 +536,8 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
             alpha *= 0.5
         return 0.0
 
-    def max_step(chol: dict, delta: dict) -> float:
-        lam_min = 0.0
-        for d, _, _ in stacks.groups:
-            w1 = np.linalg.solve(chol[d], delta[d])
-            z = np.linalg.solve(chol[d], w1.transpose(0, 2, 1))
-            lam = float(np.linalg.eigvalsh(_herm_stack(z)).min())
-            lam_min = min(lam_min, lam)
-        if lam_min >= -1e-14:
-            return math.inf
-        return -1.0 / lam_min
+    def max_step(linv: dict, delta: dict) -> float:
+        return min(_step_to_boundary(linv[d], delta[d]) for d, _, _ in stacks.groups)
 
     schur = problem.schur_factory(problem)
 
@@ -562,7 +576,7 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
             dobj = float(b @ y)
             gap = pobj - dobj
             relgap = abs(gap) / (1 + abs(pobj))
-            rp_vec = b - a.T @ svec_x
+            rp_vec = b - a_t @ svec_x
             rd_st = stacks.map(lambda c, s, aty: c - s - aty, c_stacks, s_st, op_at(y))
             rp_norm = float(np.linalg.norm(rp_vec)) / (1 + b_norm)
             rd_norm = float(np.linalg.norm(svec_all(rd_st))) / (1 + c_norm)
@@ -602,9 +616,9 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
                 break
 
             mu = float(svec_x @ svec_s) / n_tot
-            s_chol = cholesky_stacks(s_st, "dual iterate")
-            x_chol = cholesky_stacks(x_st, "primal iterate")
-            sinv = stacks.map(lambda s, e: _herm_stack(np.linalg.solve(s, e)), s_st, eye_stacks)
+            s_chol, s_linv = inverse_factors(s_st, "dual iterate")
+            _, x_linv = inverse_factors(x_st, "primal iterate")
+            sinv = stacks.map(_inverse_from_factor, s_linv)
 
             schur.assemble(stacks.to_blocks(sinv), stacks.to_blocks(x_st))
             factor_schur()
@@ -647,8 +661,8 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
 
             # predictor (affine scaling, sigma = 0)
             dy_aff, ds_aff, dx_aff = direction(0.0, None)
-            ap_aff = min(1.0, max_step(x_chol, dx_aff))
-            ad_aff = min(1.0, max_step(s_chol, ds_aff))
+            ap_aff = min(1.0, max_step(x_linv, dx_aff))
+            ad_aff = min(1.0, max_step(s_linv, ds_aff))
             mu_aff = stacks.inner(
                 stacks.map(lambda x, dx: x + ap_aff * dx, x_st, dx_aff),
                 stacks.map(lambda s, ds: s + ad_aff * ds, s_st, ds_aff)) / n_tot
@@ -671,8 +685,8 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
                               sinv, ds_aff, dx_aff)
             dy, ds, dx = direction(sigma * mu, corr)
 
-            alpha_p = min(1.0, opts.step_fraction * max_step(x_chol, dx))
-            alpha_d = min(1.0, opts.step_fraction * max_step(s_chol, ds))
+            alpha_p = min(1.0, opts.step_fraction * max_step(x_linv, dx))
+            alpha_d = min(1.0, opts.step_fraction * max_step(s_linv, ds))
             alpha_p = safe_step(x_st, dx, alpha_p)
             alpha_d = safe_step(s_st, ds, alpha_d)
             if alpha_p <= 0 or alpha_d <= 0:
@@ -699,7 +713,7 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
     dobj = float(b @ y)
     gap = pobj - dobj
     relgap = abs(gap) / (1 + abs(pobj))
-    rp_norm = float(np.linalg.norm(b - a.T @ svec_x)) / (1 + b_norm)
+    rp_norm = float(np.linalg.norm(b - a_t @ svec_x)) / (1 + b_norm)
     rd_final = stacks.map(lambda c, s, aty: c - s - aty, c_stacks, s_st, op_at(y))
     rd_norm = float(np.linalg.norm(svec_all(rd_final))) / (1 + c_norm)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import genneg
-from genneg import cli
+from genneg import analysis, cli
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -145,6 +145,21 @@ class TestEnsemble:
                         "--count", "1", "--channel", "ad",
                         "--out", "/tmp/x.csv"]) == 1
         assert "at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--state", "ghz3"],
+    ["ensemble", "--generator", "haar", "--n", "3"],
+])
+def test_worker_default_matches_library(monkeypatch, command):
+    parse = cli.build_parser().parse_args
+    args = parse(command + ["--channel", "pd", "--out", "x.csv"])
+    monkeypatch.delenv(analysis.WORKERS_ENV, raising=False)
+    assert cli._workers(args) == analysis.resolve_workers(None) == 1
+    monkeypatch.setenv(analysis.WORKERS_ENV, "3")
+    assert cli._workers(args) == analysis.resolve_workers(None) == 3
+    assert cli._workers(parse(command + ["--channel", "pd", "--out", "x.csv",
+                                         "--workers", "2"])) == 2
 
 
 def test_module_entrypoint_smoke():

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -345,6 +346,30 @@ class TestArrowheadSchur:
         _, _, _, arrow = schur_pair
         with pytest.raises(np.linalg.LinAlgError):
             arrow.factor(-2 * arrow.max_diagonal())
+
+    def test_indefinite_q_block_raises(self, schur_pair):
+        _, _, _, arrow = schur_pair
+        broken = copy.copy(arrow)
+        w, v = np.linalg.eigh(arrow.qq[-1])
+        w[0] = -w[-1]
+        broken.qq = arrow.qq.copy()
+        broken.qq[-1] = (v * w) @ v.T
+        broken.qq[-1] = (broken.qq[-1] + broken.qq[-1].T) / 2
+        with pytest.raises(np.linalg.LinAlgError, match="q_M block"):
+            broken.factor(0.0)
+
+    def test_indefinite_w_schur_complement_raises(self, schur_pair):
+        # every q-block stays positive definite; only the Schur complement
+        # of the w-block gets a negative eigenvalue
+        _, _, _, arrow = schur_pair
+        for q in arrow.qq:
+            np.linalg.cholesky(q)
+        sc = arrow.ww - sum(qw.T @ np.linalg.solve(q, qw) for q, qw in zip(arrow.qq, arrow.qw))
+        w, v = np.linalg.eigh((sc + sc.T) / 2)
+        broken = copy.copy(arrow)
+        broken.ww = arrow.ww - (w[0] + 1.0) * np.outer(v[:, 0], v[:, 0])
+        with pytest.raises(np.linalg.LinAlgError, match="w Schur complement"):
+            broken.factor(0.0)
 
 
 ORACLE_STATES = [

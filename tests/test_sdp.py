@@ -1,11 +1,14 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from genneg import states
 from genneg.gmn import build_program
-from genneg.sdp import (SdpOptions, SdpProblem, SdpStatus, _geometry, solve)
+from genneg.sdp import (SdpOptions, SdpProblem, SdpStatus, _geometry, _inverse_factor,
+                        _inverse_from_factor, _step_to_boundary, solve)
 
 
 def scalar_bound_problem():
@@ -35,6 +38,24 @@ class TestSmallProblems:
         assert sol.status is SdpStatus.OPTIMAL
         assert abs(sol.primal_objective - 1.0) < 1e-7
         assert np.allclose(sol.x_blocks[0], np.diag([1.0, 0.0]), atol=1e-5)
+
+    def test_interleaved_block_dimensions(self):
+        # blocks of dimension 2, 1, 2: the two 2x2 blocks share a stack but are
+        # not adjacent in svec order.  min Tr(C1 X1) + 3 x2 + Tr(C3 X3) with
+        # Tr X1 = 1 and x2 + Tr X3 = 1 is lambda_min(C1) + lambda_min(C3) = 2
+        c3 = np.array([[2.0, 1.0], [1.0, 2.0]])
+        problem = SdpProblem(
+            block_dims=[2, 1, 2],
+            objective_blocks=[np.diag([1.0, 2.0]), np.array([[3.0]]), c3],
+            constraints=[([np.eye(2)], 1.0),
+                         ({1: np.array([[1.0]]), 2: np.eye(2)}, 1.0)],
+        )
+        sol = solve(problem)
+        assert sol.status is SdpStatus.OPTIMAL
+        assert abs(sol.primal_objective - 2.0) < 1e-7
+        assert np.allclose(sol.x_blocks[0], np.diag([1.0, 0.0]), atol=1e-5)
+        assert abs(sol.x_blocks[1][0, 0]) < 1e-5
+        assert np.allclose(sol.x_blocks[2], [[0.5, -0.5], [-0.5, 0.5]], atol=1e-5)
 
     def test_ghz3_instance_objective(self):
         rho = states.to_density(states.named_state("ghz3"))
@@ -213,6 +234,7 @@ class TestProblemApi:
         p1 = scalar_bound_problem()
         p2 = p1.with_rhs(np.array([2.0]))
         assert p2.a_csc is p1.a_csc
+        assert p2.a_t is p1.a_t
         sol = solve(p2)
         assert abs(sol.primal_objective - 2.0) < 1e-6
 
@@ -222,3 +244,46 @@ class TestProblemApi:
         lines = path.read_text().strip().split("\n")
         assert lines[0].startswith("iter,primal,dual,relgap")
         assert len(lines) == sol.iterations + 2  # header + iterates incl. start
+
+
+def random_pd_stack(rng, count, n):
+    g = rng.standard_normal((count, n, n))
+    return g @ g.transpose(0, 2, 1) / n + 0.1 * np.eye(n)
+
+
+def random_symmetric_stack(rng, count, n):
+    g = rng.standard_normal((count, n, n))
+    return (g + g.transpose(0, 2, 1)) / 2
+
+
+class TestFactorInverse:
+    """The step rule and S^-1, both taken from the inverse Cholesky factor."""
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_step_matches_generalized_eigenproblem(self, n):
+        rng = np.random.default_rng(50 + n)
+        x = random_pd_stack(rng, 4, n)
+        linv = _inverse_factor(np.linalg.cholesky(x))
+        deltas = [random_symmetric_stack(rng, 4, n),
+                  -random_pd_stack(rng, 4, n),
+                  random_pd_stack(rng, 4, n)]
+        for delta in deltas:
+            lam_min = min(sla.eigh(dd, xx, eigvals_only=True)[0] for dd, xx in zip(delta, x))
+            expected = math.inf if lam_min >= -1e-14 else -1.0 / lam_min
+            assert _step_to_boundary(linv, delta) == pytest.approx(expected, rel=1e-10)
+        assert _step_to_boundary(linv, deltas[2]) == math.inf
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_inverse_matches_numpy(self, n):
+        rng = np.random.default_rng(70 + n)
+        s = random_pd_stack(rng, 6, n)
+        sinv = _inverse_from_factor(_inverse_factor(np.linalg.cholesky(s)))
+        ref = np.linalg.inv(s)
+        for got, want in zip(sinv, ref):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_singular_factor_raises(self):
+        chol = np.linalg.cholesky(random_pd_stack(np.random.default_rng(3), 3, 5))
+        chol[1, 2, 2] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _inverse_factor(chol)
