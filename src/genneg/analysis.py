@@ -165,11 +165,15 @@ _EXECUTORS: dict = {}
 
 
 def resolve_workers(workers: int | None) -> int:
+    """The worker count: ``workers``, else ``GENNEG_WORKERS``, else 1."""
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get(WORKERS_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
     return 1
 
 
@@ -178,7 +182,9 @@ def _get_executor(workers: int) -> ProcessPoolExecutor:
     if ex is None:
         import multiprocessing
         saved = {}
-        # children inherit single-threaded BLAS so processes do not oversubscribe
+        # the spawn-time half of the one-BLAS-thread policy (sdp.solve holds
+        # the other): workers start with single-threaded BLAS, so they never
+        # create BLAS threads and the processes do not oversubscribe the cores
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             saved[var] = os.environ.get(var)
             os.environ[var] = "1"

@@ -31,6 +31,16 @@ factor once.  The inverse factors serve both S^-1 = L_S^-T L_S^-1 and the four
 step lengths, which come from the eigenvalues of L^-1 D L^-T for a direction
 D: a symmetric eigenproblem formed with matrix products, no further solves.
 
+Every solve runs on one BLAS thread: :func:`solve` lowers the thread count of
+each loaded OpenBLAS (numpy's and scipy's bundled copies, or a system build)
+to 1 for the duration of the iteration and restores it afterwards.
+Parallelism comes from the worker pool in ``analysis``, whose workers start
+single-threaded.  The largest BLAS operands are the 256 x 256 Schur blocks of
+the 4-qubit PPT-mixture program, too small for threads to pay off: on a
+2-vCPU host an N=4 solve took twice as long with two OpenBLAS threads as with
+one, at the same iteration count.  One thread also makes a solve's rounding
+the same in-process and in a pool worker.  Other BLAS vendors are left alone.
+
 Problems without a strictly complementary optimum hit an accuracy floor in
 double precision somewhere around 1e-7; the solver detects the stall and
 returns its best iterate with an explanatory message instead of burning the
@@ -45,11 +55,14 @@ is why everything is dense per block.
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 import scipy.linalg as sla
@@ -457,6 +470,98 @@ def _step_to_boundary(linv: np.ndarray, delta: np.ndarray) -> float:
     return -1.0 / lam_min
 
 
+# (get, set) thread-count functions of the OpenBLAS builds a process can load:
+# numpy's ILP64 scipy-openblas, scipy's LP64 scipy-openblas, a system build
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@dataclass(frozen=True)
+class _OpenBlas:
+    """The thread-count functions of one loaded OpenBLAS library."""
+
+    path: str
+    get_threads: Callable[[], int]
+    set_threads: Callable[[int], None]
+
+
+def _loaded_openblas() -> list:
+    """Every OpenBLAS library mapped into this process.
+
+    The libraries are read from ``/proc/self/maps``, so none are found on
+    systems without it.  A library that exports none of the known symbol pairs
+    (another BLAS vendor) is skipped.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return []
+    paths = dict.fromkeys(f[5].rstrip("\n") for f in fields if len(f) == 6)
+    found = {}
+    for path in paths:
+        if "openblas" not in path.lower():
+            continue
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get_fn, set_fn = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get_fn is not None and set_fn is not None:
+                get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+                set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+                # symbol lookup also searches a library's dependencies, so
+                # two mapped paths can lead to the same function
+                address = ctypes.cast(get_fn, ctypes.c_void_p).value
+                found.setdefault(address, _OpenBlas(path, get_fn, set_fn))
+                break
+    return list(found.values())
+
+
+class _OneBlasThread:
+    """Context manager that runs every loaded OpenBLAS on one thread inside it.
+
+    Entry lowers each thread count above 1 to 1.  The exit of the last
+    entry, over nested and concurrent entries in any thread, restores exactly
+    the counts that were lowered, also when the body raised.  The libraries
+    are looked up once, on the first entry.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._lowered = []  # (library, thread count before the first entry)
+        self._libraries = None
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                if self._libraries is None:
+                    self._libraries = _loaded_openblas()
+                for lib in self._libraries:
+                    count = lib.get_threads()
+                    if count > 1:
+                        lib.set_threads(1)
+                        self._lowered.append((lib, count))
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for lib, count in self._lowered:
+                    lib.set_threads(count)
+                self._lowered.clear()
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
 class _Failure(Exception):
     def __init__(self, status: SdpStatus, message: str):
         self.status = status
@@ -469,9 +574,14 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution
     Returns an :class:`SdpSolution` whose status is ``OPTIMAL`` once the
     relative gap and both scaled residual norms are below tolerance; weak
     duality then brackets the true optimum between the reported dual and
-    primal objectives.
+    primal objectives.  The iteration runs on one BLAS thread (see the module
+    docstring); the thread counts after the call equal those before it.
     """
-    opts = options or SdpOptions()
+    with _ONE_BLAS_THREAD:
+        return _solve(problem, options or SdpOptions())
+
+
+def _solve(problem: SdpProblem, opts: SdpOptions) -> SdpSolution:
     a, a_t = problem.a_csc, problem.a_t
     b = problem.b
     m = problem.num_constraints

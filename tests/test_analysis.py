@@ -75,6 +75,31 @@ class TestSweep:
         assert np.max(np.abs(series.eta + 1.5)) < 2e-3
         assert series.kinks == []
 
+    def test_ghz4_dephasing_law(self):
+        rho = states.to_density(states.named_state("ghz4"))
+        grid = np.linspace(0.1, 0.4, 4)
+        series = sweep(rho, ChannelKind.PHASE_DAMPING, grid, 4, label="ghz4")
+        assert series.ok
+        assert np.max(np.abs(series.values - 0.5 * np.exp(-2 * grid))) <= 1e-6
+        assert np.max(np.abs(series.eta + 2)) <= 2e-3
+
+    def test_values_do_not_depend_on_worker_count(self):
+        # in-process and pooled solves run on one BLAS thread each, so their
+        # rounding is the same
+        rho = states.to_density(states.named_state("w4"))
+        grid = np.array([0.1, 0.2, 0.3])
+        one = sweep(rho, ChannelKind.AMPLITUDE_DAMPING, grid, 4, workers=1)
+        two = sweep(rho, ChannelKind.AMPLITUDE_DAMPING, grid, 4, workers=2)
+        assert one.ok and two.ok
+        assert one.values.tobytes() == two.values.tobytes()
+
+    def test_workers_variable_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setenv(analysis.WORKERS_ENV, "two")
+        rho = states.to_density(states.named_state("ghz2"))
+        with pytest.raises(ValueError, match="GENNEG_WORKERS must be an integer, got 'two'"):
+            sweep(rho, ChannelKind.PHASE_DAMPING, np.linspace(0.1, 0.3, 3), 2)
+        assert analysis.resolve_workers(1) == 1
+
     def test_initial_value_at_zero(self):
         rho = states.to_density(states.named_state("ghz2"))
         grid = np.linspace(0.0, 0.2, 3)

@@ -162,6 +162,16 @@ def test_worker_default_matches_library(monkeypatch, command):
                                          "--workers", "2"])) == 2
 
 
+def test_non_integer_workers_variable_is_named(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv(analysis.WORKERS_ENV, "two")
+    out = tmp_path / "s.csv"
+    assert run_cli(["sweep", "--state", "ghz2", "--channel", "pd", "--steps", "3",
+                    "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "genneg: error: GENNEG_WORKERS must be an integer, got 'two'\n"
+    assert not out.exists()
+
+
 def test_module_entrypoint_smoke():
     proc = subprocess.run([sys.executable, "-m", "genneg.cli", "--help"],
                           capture_output=True, text=True, timeout=120)

@@ -396,6 +396,12 @@ class TestDenseSchurOracle:
 
 
 class TestFourQubits:
+    @pytest.mark.parametrize("name", ["ghz4", "cluster4"])
+    def test_pure_state_gives_one_half(self, name):
+        res = gmn.genuine_negativity(states.to_density(states.named_state(name)), 4)
+        assert res.solved and res.certificate_ok
+        assert abs(res.value - 0.5) <= 1e-6
+
     def test_ghz4_dephasing_law(self):
         rho = apply_local_channel(states.to_density(states.named_state("ghz4")),
                                   ChannelKind.PHASE_DAMPING, 0.2, 4)

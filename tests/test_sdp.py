@@ -1,11 +1,14 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+import scipy
 import scipy.linalg as sla
 
-from genneg import states
+from genneg import sdp, states
 from genneg.gmn import build_program
 from genneg.sdp import (SdpOptions, SdpProblem, SdpStatus, _geometry, _inverse_factor,
                         _inverse_from_factor, _step_to_boundary, solve)
@@ -287,3 +290,125 @@ class TestFactorInverse:
         chol[1, 2, 2] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
             _inverse_factor(chol)
+
+
+def bundled_openblas_expected() -> int:
+    """How many distinct OpenBLAS libraries numpy and scipy should have loaded."""
+    if not sys.platform.startswith("linux"):
+        return 0  # the library lookup reads the Linux process map
+    names = [module.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+             for module in (np, scipy)]
+    if names == ["scipy-openblas", "scipy-openblas"]:
+        return 2  # each wheel bundles its own copy (ILP64 for numpy)
+    return int(any("openblas" in name for name in names))
+
+
+def thread_counts(libs) -> list:
+    return [lib.get_threads() for lib in libs]
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """Every loaded OpenBLAS at 2 threads; the earlier counts come back afterwards."""
+    libs = sdp._loaded_openblas()
+    if not libs:
+        pytest.skip("no OpenBLAS library is loaded")
+    saved = thread_counts(libs)
+    for lib in libs:
+        lib.set_threads(2)
+    yield libs
+    for lib, count in zip(libs, saved):
+        lib.set_threads(count)
+
+
+class FakeOpenBlas:
+    def __init__(self, count):
+        self.count = count
+        self.sets = []
+
+    def library(self, path):
+        def set_threads(n):
+            self.sets.append(n)
+            self.count = n
+        return sdp._OpenBlas(path, lambda: self.count, set_threads)
+
+
+class TestOneBlasThread:
+    """``solve`` runs on one BLAS thread and leaves the counts as it found them."""
+
+    def test_finds_the_loaded_openblas_libraries(self):
+        libs = sdp._loaded_openblas()
+        assert len({lib.path for lib in libs}) == len(libs) >= bundled_openblas_expected()
+        assert all("openblas" in lib.path.lower() for lib in libs)
+
+    def test_one_thread_inside_and_counts_back_after(self, blas_at_two_threads):
+        libs = blas_at_two_threads
+        with sdp._ONE_BLAS_THREAD:
+            assert thread_counts(libs) == [1] * len(libs)
+        assert thread_counts(libs) == [2] * len(libs)
+
+    def test_counts_back_after_an_exception(self, blas_at_two_threads):
+        libs = blas_at_two_threads
+        with pytest.raises(RuntimeError, match="inside"):
+            with sdp._ONE_BLAS_THREAD:
+                assert thread_counts(libs) == [1] * len(libs)
+                raise RuntimeError("raised inside")
+        assert thread_counts(libs) == [2] * len(libs)
+
+    def test_nested_entry_restores_once(self, blas_at_two_threads):
+        libs = blas_at_two_threads
+        with sdp._ONE_BLAS_THREAD:
+            with sdp._ONE_BLAS_THREAD:
+                assert thread_counts(libs) == [1] * len(libs)
+            assert thread_counts(libs) == [1] * len(libs)
+        assert thread_counts(libs) == [2] * len(libs)
+
+    def test_restores_exactly_the_counts_it_lowered(self, monkeypatch):
+        single, multi = FakeOpenBlas(1), FakeOpenBlas(3)
+        fakes = [single.library("single"), multi.library("multi")]
+        monkeypatch.setattr(sdp, "_loaded_openblas", lambda: fakes)
+        limiter = sdp._OneBlasThread()
+        with limiter:
+            assert (single.count, multi.count) == (1, 1)
+        assert single.sets == [] and multi.sets == [1, 3]
+
+    def test_concurrent_entries(self, blas_at_two_threads):
+        libs = blas_at_two_threads
+        errors = []
+
+        def enter_repeatedly():
+            for _ in range(300):
+                with sdp._ONE_BLAS_THREAD:
+                    counts = thread_counts(libs)
+                    if counts != [1] * len(libs):
+                        errors.append(counts)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=enter_repeatedly) for _ in range(8)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == []
+        assert thread_counts(libs) == [2] * len(libs)
+
+    def test_solve_runs_on_one_thread(self, blas_at_two_threads, monkeypatch):
+        libs = blas_at_two_threads
+        seen = []
+        factor = sdp.DenseSchur.factor
+
+        def counting_factor(self, shift):
+            seen.append(thread_counts(libs))
+            return factor(self, shift)
+
+        monkeypatch.setattr(sdp.DenseSchur, "factor", counting_factor)
+        before = thread_counts(libs)
+        sol = solve(scalar_bound_problem())
+        assert sol.status is SdpStatus.OPTIMAL
+        assert seen and all(counts == [1] * len(libs) for counts in seen)
+        assert thread_counts(libs) == before == [2] * len(libs)
