@@ -165,16 +165,23 @@ _EXECUTORS: dict = {}
 
 
 def resolve_workers(workers: int | None) -> int:
-    """The worker count: ``workers``, else ``GENNEG_WORKERS``, else 1."""
+    """The worker count: ``workers``, else ``GENNEG_WORKERS``, else 1.
+
+    A count below 1 raises ``ValueError`` naming where it came from.
+    """
     if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV)
-    if env:
+        count, source = int(workers), "--workers/workers"
+    else:
+        env = os.environ.get(WORKERS_ENV)
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            count, source = int(env), WORKERS_ENV
         except ValueError:
             raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    return 1
+    if count < 1:
+        raise ValueError(f"{source} must be at least 1, got {count}")
+    return count
 
 
 def _get_executor(workers: int) -> ProcessPoolExecutor:

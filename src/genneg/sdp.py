@@ -61,7 +61,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Protocol
 
 import numpy as np
@@ -127,12 +127,26 @@ class _BlockGeometry:
         self.L = len(iu)
         self.scale = np.where(iu == ju, 1.0, math.sqrt(2.0))
         self.inv_scale = 1.0 / self.scale
-        # gather tables for the numpy fallback of the symmetrized Kronecker product
-        self.flat_ii = (iu[:, None] * n + iu[None, :]).astype(np.intp)
-        self.flat_jj = (ju[:, None] * n + ju[None, :]).astype(np.intp)
-        self.flat_ij = (iu[:, None] * n + ju[None, :]).astype(np.intp)
-        c = np.where(iu == ju, 0.5, 1.0 / math.sqrt(2.0))
-        self.cc = np.outer(c, c)
+
+    # Gather tables of the symmetrized Kronecker product, built on the first
+    # skron call: only DenseSchur reads them, and at block size 32 they hold 8.5 MB.
+
+    @cached_property
+    def flat_ii(self) -> np.ndarray:
+        return (self.iu[:, None] * self.n + self.iu[None, :]).astype(np.intp)
+
+    @cached_property
+    def flat_jj(self) -> np.ndarray:
+        return (self.ju[:, None] * self.n + self.ju[None, :]).astype(np.intp)
+
+    @cached_property
+    def flat_ij(self) -> np.ndarray:
+        return (self.iu[:, None] * self.n + self.ju[None, :]).astype(np.intp)
+
+    @cached_property
+    def cc(self) -> np.ndarray:
+        c = np.where(self.iu == self.ju, 0.5, 1.0 / math.sqrt(2.0))
+        return np.outer(c, c)
 
     def svec(self, m: np.ndarray) -> np.ndarray:
         return m[self.iu, self.ju] * self.scale

@@ -100,6 +100,22 @@ class TestSweep:
             sweep(rho, ChannelKind.PHASE_DAMPING, np.linspace(0.1, 0.3, 3), 2)
         assert analysis.resolve_workers(1) == 1
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_non_positive_worker_count_is_refused(self, workers, monkeypatch):
+        monkeypatch.delenv(analysis.WORKERS_ENV, raising=False)
+        with pytest.raises(ValueError, match=f"^--workers/workers must be at least 1, got {workers}$"):
+            analysis.resolve_workers(workers)
+        rho = states.to_density(states.named_state("ghz2"))
+        with pytest.raises(ValueError, match="--workers/workers must be at least 1"):
+            sweep(rho, ChannelKind.PHASE_DAMPING, np.linspace(0.1, 0.3, 3), 2, workers=workers)
+
+    @pytest.mark.parametrize("env", ["0", "-1"])
+    def test_non_positive_workers_variable_is_refused(self, env, monkeypatch):
+        monkeypatch.setenv(analysis.WORKERS_ENV, env)
+        with pytest.raises(ValueError, match=f"^GENNEG_WORKERS must be at least 1, got {env}$"):
+            analysis.resolve_workers(None)
+        assert analysis.resolve_workers(2) == 2   # the argument still wins
+
     def test_initial_value_at_zero(self):
         rho = states.to_density(states.named_state("ghz2"))
         grid = np.linspace(0.0, 0.2, 3)

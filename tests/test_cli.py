@@ -172,6 +172,30 @@ def test_non_integer_workers_variable_is_named(monkeypatch, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--state", "ghz2"],
+    ["ensemble", "--generator", "haar", "--n", "2", "--count", "2"],
+])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_non_positive_workers_are_refused(monkeypatch, tmp_path, capsys, command, workers):
+    monkeypatch.delenv(analysis.WORKERS_ENV, raising=False)
+    out = tmp_path / "out.csv"
+    assert run_cli(command + ["--channel", "pd", "--steps", "3", "--workers", workers,
+                              "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"genneg: error: --workers/workers must be at least 1, got {workers}\n"
+    assert not out.exists()
+
+
+def test_zero_workers_variable_is_refused(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv(analysis.WORKERS_ENV, "0")
+    out = tmp_path / "s.csv"
+    assert run_cli(["sweep", "--state", "ghz2", "--channel", "pd", "--steps", "3",
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "genneg: error: GENNEG_WORKERS must be at least 1, got 0\n"
+    assert not out.exists()
+
+
 def test_module_entrypoint_smoke():
     proc = subprocess.run([sys.executable, "-m", "genneg.cli", "--help"],
                           capture_output=True, text=True, timeout=120)

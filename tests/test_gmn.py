@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,6 +371,37 @@ class TestArrowheadSchur:
         broken.ww = arrow.ww - (w[0] + 1.0) * np.outer(v[:, 0], v[:, 0])
         with pytest.raises(np.linalg.LinAlgError, match="w Schur complement"):
             broken.factor(0.0)
+
+    def test_assembly_does_not_depend_on_chunk_size(self, schur_pair, monkeypatch):
+        # the default budget, one bipartition per chunk, and all in one chunk
+        n, problem, _, _ = schur_pair
+        sinv, x = random_embedded_iterates(np.random.default_rng(200 + n), problem)
+        chunks, outputs = [], []
+        for budget in (gmn.ASSEMBLY_CHUNK_BYTES, 1, 2**40):
+            monkeypatch.setattr(gmn, "ASSEMBLY_CHUNK_BYTES", budget)
+            schur = problem.schur_factory(problem)
+            schur.assemble(sinv, x)
+            chunks.append(schur._chunk)
+            outputs.append((schur.ww, schur.qw, schur.qq))
+        assert chunks[1] == 1 and chunks[2] >= len(gmn.bipartitions(n))
+        for other in outputs[1:]:
+            for a, b in zip(outputs[0], other):
+                assert np.array_equal(a, b)
+
+
+def test_n4_assembly_memory_stays_near_its_output():
+    """One N=4 assembly allocates at most three times the bytes of its output."""
+    problem = gmn.build_program(np.eye(16) / 16, 4)
+    sinv, x = random_embedded_iterates(np.random.default_rng(404), problem)
+    schur = problem.schur_factory(problem)
+    tracemalloc.start()
+    try:
+        schur.assemble(sinv, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = schur.ww.nbytes + schur.qw.nbytes + schur.qq.nbytes
+    assert peak <= 3 * output
 
 
 ORACLE_STATES = [

@@ -222,6 +222,16 @@ class TestGeometry:
         rhs = g.svec((u @ w @ v + v @ w @ u) / 2)
         assert np.max(np.abs(lhs - rhs)) < 1e-12
 
+    def test_skron_tables_are_built_on_first_use(self):
+        tables = ("flat_ii", "flat_jj", "flat_ij", "cc")
+        g = sdp._BlockGeometry(32)
+        assert not any(name in vars(g) for name in tables)
+        rng = np.random.default_rng(32)
+        u, v, w = ((m + m.T) / 2 for m in rng.standard_normal((3, 32, 32)))
+        lhs = g.skron(u, v) @ g.svec(w)
+        assert all(name in vars(g) for name in tables)
+        assert np.max(np.abs(lhs - g.svec((u @ w @ v + v @ w @ u) / 2))) < 1e-12
+
 
 class TestProblemApi:
     def test_rejects_asymmetric_block(self):
