@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``monotone``  - print E, the raw SDP objective and the certificate status
-  for one state.
+* ``monotone``  - print E, the objective Tr(W'rho) of the certified witness,
+  the bracket [E_lo, E_hi] and the certificate status for one state.
 * ``sweep``     - evaluate E and eta on a grid of elapsed noise values and
   write the analysis CSV.
 * ``ensemble``  - random-state ensemble statistics (mean eta, CI band) as CSV.
@@ -86,10 +86,13 @@ def _cmd_monotone(args) -> int:
     result = gmn.genuine_negativity(rho, n, _sdp_options(args))
     if not result.solved:
         print(f"genneg: solver failed for {label}: {result.solver.status.value} "
-              f"({result.solver.message})", file=sys.stderr)
+              f"({result.solver.message}); the bracket [{result.e_lo:.9f}, "
+              f"{result.e_hi:.9f}] did not close: width {result.e_hi - result.e_lo:.2e} "
+              f"> {gmn.BRACKET_TOL:.0e}", file=sys.stderr)
         return 3
     print(f"E = {result.value:.6f}")
     print(f"objective = {result.objective:.9f}")
+    print(f"bracket = [{result.e_lo:.9f}, {result.e_hi:.9f}]")
     print(f"certificate = {'ok' if result.certificate_ok else 'FAILED'}")
     if not result.certificate_ok:
         for line in gmn.certificate_diagnostics(result, rho):

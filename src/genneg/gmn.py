@@ -36,6 +36,24 @@ follows from the d^2 x d^2 complex working set of a pair and the byte budget
 chunk, and at N = 4 each bipartition is its own chunk.  The arithmetic, and
 so every rounding, does not depend on the chunk size.
 
+Every result is a certified bracket E_lo <= E <= E_hi, taken at each
+interior-point iterate through the solver's stop callback and kept as the best
+over all iterates:
+
+* E_lo = max(0, -Tr(W' rho)) for a witness repaired to exact feasibility: W
+  and the Q_M come from the dual vector, P_M = W - Q_M^{T_M}, and with eps the
+  largest excursion of an eigenvalue of any P_M or Q_M outside [0, 1],
+  W' = (W + 2 eps)/(1 + 2 eps) (Jansson-Chaykin-Keil, SIAM J. Numer. Anal. 46,
+  180 (2007));
+* E_hi = sum_M neg(rho_M) + neg(rho_M^{T_M}) for a split rho = sum_M rho_M read
+  from the primal blocks, with the residual put into the first part (the mixed
+  form of Hofmann-Moroder-Guehne, J. Phys. A 47, 155301 (2014)).
+
+The solve stops once E_hi - E_lo <= :data:`BRACKET_TOL`, and a result is
+usable (``solved``) exactly then, whatever the solver status.  It reports
+E = E_lo, and E = 0 when E_hi <= BRACKET_TOL.  Both bounds can be rechecked
+with eigendecompositions alone (:func:`certificate_diagnostics`).
+
 For two parties the monotone equals the partial-transpose negativity, which
 :func:`bipartite_negativity` computes directly as the eigendecomposition
 oracle.
@@ -43,6 +61,8 @@ oracle.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -52,19 +72,21 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from . import sdp
-from .linalg import (check_density_matrix, eig_hermitian, partial_transpose,
-                     unembed_hermitian)
+from .linalg import (check_density_matrix, eig_hermitian, hermitian_part,
+                     partial_transpose, unembed_hermitian)
 
-DETECTION_FLOOR = 1e-7    # monotone values below this are clamped to exactly 0
 QUBIT_BOUND = 0.5         # E <= 1/2 for any number of qubits
 
-# Generic states yield programs without a strictly complementary optimum; no
-# double-precision interior-point method reaches a joint 1e-8 accuracy there
-# (cross-checked against an independent production solver).  A stalled solve
-# is still accepted when gap and residuals are all below this level, which
-# keeps the monotone accurate to well under 1e-6; the witness certificate is
-# verified at its own tolerances regardless.
-STALL_ACCEPT_ACCURACY = 2e-6
+# A solve ends, and its result is usable, once E_hi - E_lo is at most this.
+# Generic states give programs without a strictly complementary optimum,
+# where the solver's own gap and residual tests stall near 1e-8 while the
+# bracket is already far narrower than this; at 1e-7 a few such brackets
+# (widths 1.0-1.6e-7 seen on Haar-3 states) never close before the stall.
+BRACKET_TOL = 5e-7
+
+# Absolute tolerance of every check in certificate_diagnostics: the repaired
+# witness and the split satisfy their constraints up to rounding alone.
+CERTIFICATE_TOL = 1e-9
 
 # Budget for the complex d^2 x d^2 intermediates of the block pairs that one
 # chunk of the arrowhead assembly holds at once.  The chunk's other arrays
@@ -383,6 +405,7 @@ def _program_structure(nqubits: int):
     imag = kind == _IM
     scale = 2 * np.outer(kappa, kappa)
     mixed = imag[:, None] != imag[None, :]
+    a_e, b_e = np.divmod(np.arange(n_basis), d)
     # matrix positions (a, b) in the order diagonal, (a, b) for a < b, (b, a) for a < b
     a = np.concatenate([a_idx[~imag], b_idx[imag]])
     b = np.concatenate([b_idx[~imag], a_idx[imag]])
@@ -398,19 +421,49 @@ def _program_structure(nqubits: int):
         "dim": d,
         "parts": parts,
         "skeleton": skeleton,
+        # flat positions, for entry (a, b) of a d x d matrix, of the entries
+        # (a, b), (d+a, d+b), (d+a, b), (a, d+b) of an embedded 2d x 2d block
+        "unembed": np.stack([a_e * block_dim + b_e, (d + a_e) * block_dim + d + b_e,
+                             (d + a_e) * block_dim + b_e, a_e * block_dim + d + b_e]),
+        # for a stack of K matrices H_M, the flat indices of the entries of H_M^{T_M}
+        "transpose": np.stack([partial_transpose(np.arange(n_basis).reshape(d, d),
+                                                 part.members, nqubits).ravel() + mi * n_basis
+                               for mi, part in enumerate(parts)]),
         "basis": (a_idx, b_idx, kind),
         "n_basis": n_basis,
     }
 
 
-def _rhs_for(rho: np.ndarray, structure) -> np.ndarray:
+def _coefficients(mats: np.ndarray, structure) -> np.ndarray:
+    """Coefficients Tr(F_alpha H) of Hermitian H (stacked along the last two axes)."""
     a_idx, b_idx, kind = structure["basis"]
-    vals = rho[a_idx, b_idx]
-    traces = np.where(kind == _DIAG, vals.real,
-                      np.where(kind == _RE, math.sqrt(2) * vals.real,
-                               math.sqrt(2) * vals.imag))
+    vals = mats[..., a_idx, b_idx]
+    return np.where(kind == _DIAG, vals.real,
+                    np.where(kind == _RE, math.sqrt(2) * vals.real,
+                             math.sqrt(2) * vals.imag))
+
+
+def _hermitian(coeffs: np.ndarray, structure) -> np.ndarray:
+    """The matrices sum_alpha c_alpha F_alpha of coefficient vectors along the last axis."""
+    d = structure["dim"]
+    a_idx, b_idx, _ = structure["basis"]
+    npairs = (structure["n_basis"] - d) // 2
+    a, b = a_idx[d:d + npairs], b_idx[d:d + npairs]
+    out = np.zeros(coeffs.shape[:-1] + (d * d,), dtype=complex)
+    out[..., a_idx[:d] * (d + 1)] = coeffs[..., :d]
+    upper = (coeffs[..., d:d + npairs] + 1j * coeffs[..., d + npairs:]) / math.sqrt(2)
+    out[..., a * d + b] = upper
+    out[..., b * d + a] = upper.conj()
+    return out.reshape(coeffs.shape[:-1] + (d, d))
+
+
+# weights of the four gathered entries in 2 unembed(D)[a, b]
+_UNEMBED_WEIGHTS = np.array([1.0, 1.0, 1j, -1j])
+
+
+def _rhs_for(rho: np.ndarray, structure) -> np.ndarray:
     b = np.zeros(structure["skeleton"].num_constraints)
-    b[:structure["n_basis"]] = -traces
+    b[:structure["n_basis"]] = -_coefficients(rho, structure)
     return b
 
 
@@ -426,39 +479,34 @@ def build_program(rho: np.ndarray, nqubits: int | None = None) -> sdp.SdpProblem
     return structure["skeleton"].with_rhs(_rhs_for(rho, structure))
 
 
-def _witness_from_y(y: np.ndarray, structure) -> np.ndarray:
-    d = structure["dim"]
-    a_idx, b_idx, kind = structure["basis"]
-    upper = np.zeros((d, d), dtype=complex)
-    coeff = y[:structure["n_basis"]]
-    r = 1 / math.sqrt(2)
-    diag = kind == _DIAG
-    upper[a_idx[diag], b_idx[diag]] = coeff[diag]
-    re = kind == _RE
-    im = kind == _IM
-    upper[a_idx[re], b_idx[re]] += coeff[re] * r
-    upper[a_idx[im], b_idx[im]] += 1j * coeff[im] * r
-    return upper + np.triu(upper, 1).conj().T
-
-
 @dataclass
 class GmnResult:
-    """Outcome of one PPT-mixture solve."""
+    """Outcome of one PPT-mixture solve: a certified bracket E_lo <= E <= E_hi.
+
+    The lower bound comes from a feasible witness W' = P'_M + Q'_M^{T_M}
+    (0 <= P'_M, Q'_M <= 1): E >= -Tr(W' rho).  The upper bound comes from a
+    split rho = sum_M rho_M: E <= sum_M neg(rho_M) + neg(rho_M^{T_M}).
+    :func:`certificate_diagnostics` rechecks both with eigendecompositions.
+    """
 
     nqubits: int
-    value: float                 # max(0, -objective); exact 0 below the detection floor
-    objective: float             # raw SDP minimum of Tr(W rho), <= 0 when entangled
-    witness: np.ndarray
-    decompositions: dict         # Bipartition -> (P_M, Q_M) as claimed by the solver
+    value: float                 # E_lo; 0 when E_hi <= BRACKET_TOL; NaN unless solved
+    objective: float             # Tr(W' rho), so E_lo = max(0, -objective)
+    witness: np.ndarray          # W'
+    decompositions: dict         # Bipartition -> (P'_M, Q'_M)
     certificate_ok: bool
     solver: sdp.SdpSolution
-    accuracy: float = math.nan   # max of relative gap and scaled residuals
+    e_hi: float = math.inf
+    split: dict | None = None    # Bipartition -> rho_M, summing to rho
+
+    @property
+    def e_lo(self) -> float:
+        return max(0.0, -self.objective)
 
     @property
     def solved(self) -> bool:
-        if self.solver.status is sdp.SdpStatus.OPTIMAL:
-            return True
-        return self.accuracy <= STALL_ACCEPT_ACCURACY
+        """True when the bracket closed to BRACKET_TOL, whatever the solver status."""
+        return self.e_hi - self.e_lo <= BRACKET_TOL
 
     @property
     def detected(self) -> bool:
@@ -466,71 +514,174 @@ class GmnResult:
         return self.solved and self.value > 0
 
 
+class _Bracket:
+    """The best certified bounds on E over the iterates of one solve.
+
+    :meth:`closed` is the solve's stop callback.
+
+    Upper bound, at every iterate: the primal blocks give rho_M = 2
+    unembed(X_{P_M} - X_{1-P_M}); the residual rho - sum_M rho_M goes into
+    the first, which makes the split exact at any iterate, feasible or not,
+    and E <= sum_M neg(rho_M) + neg(rho_M^{T_M}).
+
+    Lower bound: W and every Q_M come from y, and P_M = W - Q_M^{T_M}.  With
+    eps >= 0 the largest distance of an eigenvalue of any P_M or Q_M outside
+    [0, 1], W' = (W + 2 eps)/(1 + 2 eps) = P'_M + Q'_M^{T_M} with P'_M =
+    (P_M + eps)/(1 + 2 eps) and Q'_M likewise is feasible, so E >= -Tr(W'
+    rho).  Tr(W' rho) is a mean of Tr(W rho) and Tr(rho) = 1, so a witness
+    can only beat the best so far, or close the bracket, when Tr(W rho) does.
+    Witnesses therefore wait in a heap ordered by Tr(W rho) and are repaired
+    only when one of them could close the bracket, and at the end while one
+    could still improve E_lo.  The lower bound is the best over all iterates
+    all the same, and the solve stops at the same iterate as if every
+    witness were repaired at once, for a fraction of the eigendecompositions.
+
+    Partial transposes permute matrix entries through the structure's
+    ``transpose`` table.  Each bound takes one batched eigvalsh of 2K
+    matrices: rho_M and rho_M^{T_M}, or P_M and Q_M.
+    """
+
+    def __init__(self, rho: np.ndarray, structure):
+        self._structure = structure
+        self._k, self._d = len(structure["parts"]), structure["dim"]
+        self._rho = rho
+        self._rho_coeffs = _coefficients(rho, structure)
+        self._trace = float(np.trace(rho).real)
+        transpose = structure["transpose"]
+        # the entries of rho_M, then of rho_M^{T_M}, in a stack of the rho_M
+        self._split_entries = np.concatenate(
+            [np.arange(transpose.size).reshape(transpose.shape), transpose])
+        self.objective = math.inf      # the smallest Tr(W' rho) of a repaired witness
+        self.e_hi = math.inf           # the smallest upper bound so far
+        self._witness = None           # (W, P_M stack, Q_M stack, eps) behind self.objective
+        self._split = None             # rho_M stack behind self.e_hi
+        self._pending = []             # heap of (Tr(W rho), arrival, y) not yet repaired
+        self._arrivals = itertools.count()
+
+    @property
+    def e_lo(self) -> float:
+        return max(0.0, -self.objective)
+
+    def closed(self, x_blocks, y, s_blocks) -> bool:
+        """Update both bounds from one iterate; True once E_hi - E_lo <= BRACKET_TOL."""
+        k, d = self._k, self._d
+        heapq.heappush(self._pending, (float(y[:d * d] @ self._rho_coeffs),
+                                       next(self._arrivals), y.copy()))
+        # 2 unembed(D) = D11 + D22 + i (D21 - D12) for the symmetric D = X_P - X_{1-P}
+        diff = np.array(x_blocks[0::4]) - np.array(x_blocks[1::4])
+        split = np.matmul(_UNEMBED_WEIGHTS,
+                          np.take(diff.reshape(k, -1), self._structure["unembed"], axis=1))
+        split[0] += self._rho.ravel() - split.sum(axis=0)
+        eigs = np.linalg.eigvalsh(np.take(split, self._split_entries).reshape(2 * k, d, d))
+        e_hi = -float(np.minimum(eigs, 0).sum())
+        if e_hi < self.e_hi:
+            self.e_hi, self._split = e_hi, split.reshape(k, d, d)
+        # a witness with Tr(W rho) = t has E_lo <= max(0, -t)
+        need = self.e_hi - BRACKET_TOL
+        while self.e_lo < need and self._pending and -self._pending[0][0] >= need:
+            self._repair(heapq.heappop(self._pending)[2])
+        return self.e_hi - self.e_lo <= BRACKET_TOL
+
+    def _repair(self, y: np.ndarray) -> None:
+        """The repaired witness of one iterate; kept if it lowers the objective."""
+        k, d = self._k, self._d
+        mats = _hermitian(y.reshape(1 + k, d * d), self._structure)
+        w, q = mats[0], mats[1:]
+        p = w - np.take(q, self._structure["transpose"]).reshape(k, d, d)
+        eigs = np.linalg.eigvalsh(np.concatenate([p, q]))
+        eps = max(0.0, -float(eigs[:, 0].min()), float(eigs[:, -1].max()) - 1)
+        objective = ((float(y[:d * d] @ self._rho_coeffs) + 2 * eps * self._trace)
+                     / (1 + 2 * eps))
+        if objective < self.objective:
+            self.objective, self._witness = objective, (w, p, q, eps)
+
+    def result(self, solver: sdp.SdpSolution) -> GmnResult:
+        """The bracket as a result, with W', every (P'_M, Q'_M) and the split."""
+        while self._pending and self._pending[0][0] < self.objective:
+            self._repair(heapq.heappop(self._pending)[2])
+        w, p, q, eps = self._witness
+        shift = eps * np.eye(len(w))
+        parts = self._structure["parts"]
+        result = GmnResult(
+            nqubits=self._structure["nqubits"], value=math.nan, objective=self.objective,
+            witness=(w + 2 * shift) / (1 + 2 * eps),
+            decompositions={part: ((p_m + shift) / (1 + 2 * eps), (q_m + shift) / (1 + 2 * eps))
+                            for part, p_m, q_m in zip(parts, p, q)},
+            certificate_ok=False, solver=solver, e_hi=self.e_hi,
+            split=dict(zip(parts, self._split)))
+        if result.solved:
+            result.value = 0.0 if self.e_hi <= BRACKET_TOL else self.e_lo
+        return result
+
+
 def genuine_negativity(rho: np.ndarray, nqubits: int | None = None,
                        options: sdp.SdpOptions | None = None) -> GmnResult:
-    """Compute the genuine multiparticle negativity E(ρ) with certificate.
+    """Compute the genuine multiparticle negativity E(ρ) with its certified bracket.
 
-    An unusable solver outcome yields an explicit failed result (NaN value,
-    ``certificate_ok`` False) rather than a silent zero.  Stalled solves whose
-    best iterate is still accurate to :data:`STALL_ACCEPT_ACCURACY` are used.
+    The solve stops at the first iterate where the best bounds so far satisfy
+    E_hi - E_lo <= :data:`BRACKET_TOL` (see :class:`_Bracket`), and reports
+    E = E_lo.  When the bracket never closes, whatever the solver status, the
+    result is an explicit failure (NaN value, ``certificate_ok`` False) that
+    still carries its bracket, rather than a silent zero.
     """
     rho = np.asarray(rho, dtype=complex)
     n = check_density_matrix(rho, nqubits)
     structure = _program_structure(n)
     problem = structure["skeleton"].with_rhs(_rhs_for(rho, structure))
-    solution = sdp.solve(problem, options)
-
-    witness = _witness_from_y(solution.y, structure)
-    decompositions = {}
-    for mi, part in enumerate(structure["parts"]):
-        p_m = unembed_hermitian(solution.s_blocks[4 * mi + 0])
-        q_m = unembed_hermitian(solution.s_blocks[4 * mi + 2])
-        decompositions[part] = (p_m, q_m)
-    accuracy = max(solution.relative_gap, solution.primal_residual, solution.dual_residual)
-
-    result = GmnResult(nqubits=n, value=math.nan, objective=math.nan, witness=witness,
-                       decompositions=decompositions, certificate_ok=False, solver=solution,
-                       accuracy=accuracy)
-    if not result.solved:
-        return result
-
-    result.objective = -solution.dual_objective
-    result.value = max(0.0, -result.objective)
-    if result.value < DETECTION_FLOOR:
-        result.value = 0.0
-    result.certificate_ok = verify_certificate(result, rho)
+    bracket = _Bracket(rho, structure)
+    result = bracket.result(sdp.solve(problem, options, stop=bracket.closed))
+    if result.solved:
+        result.certificate_ok = verify_certificate(result, rho)
     return result
 
 
-def certificate_diagnostics(result: GmnResult, rho: np.ndarray,
-                            decomposition_tol: float = 1e-6,
-                            eig_tol: float = 1e-7,
-                            objective_tol: float = 1e-6) -> list:
-    """Recheck the witness decomposition with plain linear algebra.
+def certificate_diagnostics(result: GmnResult, rho: np.ndarray) -> list:
+    """Recheck both ends of the bracket with plain linear algebra.
 
-    Verifies, for every bipartition, that W = P_M + Q_M^{T_M} holds entrywise,
-    that the eigenvalues of P_M and Q_M lie in [0, 1] up to ``eig_tol``, and
-    that Tr(W ρ) reproduces the reported objective.  Returns a list of
-    human-readable violations (empty when the certificate stands).  Nothing
-    here trusts the solver beyond the values being checked.
+    Lower end: for every bipartition W' = P'_M + Q'_M^{T_M} entrywise, the
+    eigenvalues of P'_M and Q'_M lie in [0, 1], and Tr(W' rho) reproduces the
+    reported objective, hence E_lo.  Upper end: the split is Hermitian and
+    sums to rho, and sum_M neg(rho_M) + neg(rho_M^{T_M}) reproduces E_hi (a
+    result without a split claims no upper bound, E_hi = inf).  Every check is
+    absolute, at :data:`CERTIFICATE_TOL`.  Returns a list of human-readable
+    violations (empty when the certificate stands).  Nothing here trusts the
+    solver beyond the values being checked.
     """
+    tol = CERTIFICATE_TOL
     issues = []
     w = result.witness
     n = result.nqubits
     for part, (p_m, q_m) in result.decompositions.items():
         resid = float(np.max(np.abs(w - p_m - partial_transpose(q_m, part.members, n))))
-        if resid > decomposition_tol:
-            issues.append(f"decomposition residual {resid:.3e} > {decomposition_tol:.0e} "
+        if resid > tol:
+            issues.append(f"decomposition residual {resid:.3e} > {tol:.0e} "
                           f"for bipartition {part}")
         for name, block in (("P", p_m), ("Q", q_m)):
             eigs = eig_hermitian(block)
-            if eigs[0] < -eig_tol or eigs[-1] > 1 + eig_tol:
+            if eigs[0] < -tol or eigs[-1] > 1 + tol:
                 issues.append(f"{name}_{part} eigenvalues [{eigs[0]:.3e}, {eigs[-1]:.3e}] "
-                              f"outside [0, 1] beyond {eig_tol:.0e}")
+                              f"outside [0, 1] beyond {tol:.0e}")
     trace_val = float(np.trace(w @ rho).real)
-    if abs(trace_val - result.objective) > objective_tol:
-        issues.append(f"Tr(W rho) = {trace_val:.9f} differs from objective "
-                      f"{result.objective:.9f} by more than {objective_tol:.0e}")
+    if abs(trace_val - result.objective) > tol:
+        issues.append(f"Tr(W rho) = {trace_val:.12f} differs from objective "
+                      f"{result.objective:.12f} by more than {tol:.0e}")
+    if result.split is None:
+        if math.isfinite(result.e_hi):
+            issues.append(f"E_hi = {result.e_hi:.12f} is claimed without a split")
+        return issues
+    resid = float(np.max(np.abs(sum(result.split.values()) - rho)))
+    if resid > tol:
+        issues.append(f"split residual |sum_M rho_M - rho| = {resid:.3e} > {tol:.0e}")
+    e_hi = 0.0
+    for part, rho_m in result.split.items():
+        asym = float(np.max(np.abs(rho_m - rho_m.conj().T)))
+        if asym > tol:
+            issues.append(f"rho_{part} is not Hermitian: max |rho_M - rho_M^dagger| = {asym:.3e}")
+            rho_m = hermitian_part(rho_m)
+        e_hi += bipartite_negativity(rho_m, (), n) + bipartite_negativity(rho_m, part.members, n)
+    if abs(e_hi - result.e_hi) > tol:
+        issues.append(f"the split gives E_hi = {e_hi:.12f}, not the reported "
+                      f"{result.e_hi:.12f}")
     return issues
 
 

@@ -46,6 +46,18 @@ double precision somewhere around 1e-7; the solver detects the stall and
 returns its best iterate with an explanatory message instead of burning the
 iteration budget.
 
+A caller that can judge an iterate itself passes ``stop(x_blocks, y,
+s_blocks)`` to :func:`solve`.  It sees every iterate, the start point first,
+before the solver's own tests, and a True return ends the solve there with
+status ``OPTIMAL`` and a message naming the callback.  The solver knows
+nothing of what the callback checks: ``gmn`` uses it to stop once its
+certified bracket on the monotone is narrow enough.  Without a callback the
+iteration is the same, bit for bit.
+
+Each accepted step is exactly symmetric (iterate and direction both are), and
+the Cholesky factors that prove the trial iterate positive definite are the
+ones the next iteration uses.
+
 Matrices are stored blockwise and batched by block dimension; constraints
 are sparse columns in the scaled svec basis (off-diagonal entries carry a
 factor sqrt(2), so svec(A)·svec(B) = <A, B>).  Intended problem sizes are
@@ -208,19 +220,13 @@ class SdpProblem:
     """
 
     def __init__(self, block_dims, objective_blocks, constraints):
-        self.block_dims = tuple(int(d) for d in block_dims)
-        if any(d < 1 for d in self.block_dims):
-            raise ValueError(f"block dimensions must be positive, got {self.block_dims}")
-        self._geom = [_geometry(d) for d in self.block_dims]
-        offsets = np.cumsum([0] + [g.L for g in self._geom])
-        self._svec_offsets = offsets
-        self.svec_length = int(offsets[-1])
-
-        self.c_blocks = []
-        for k, c in enumerate(objective_blocks):
-            c = self._check_block(c, k, "objective")
-            self.c_blocks.append(c)
-        if len(self.c_blocks) != len(self.block_dims):
+        block_dims = tuple(int(d) for d in block_dims)
+        if any(d < 1 for d in block_dims):
+            raise ValueError(f"block dimensions must be positive, got {block_dims}")
+        self._init_blocks(block_dims)
+        offsets = self._svec_offsets
+        c_blocks = [self._check_block(c, k, "objective") for k, c in enumerate(objective_blocks)]
+        if len(c_blocks) != len(self.block_dims):
             raise ValueError("one objective block per block dimension is required")
 
         rows, cols, vals, b = [], [], [], []
@@ -242,33 +248,38 @@ class SdpProblem:
             b.append(float(bi))
         if not b:
             raise ValueError("at least one constraint is required")
-        self.b = np.array(b)
-        self.a_csc = sp.csc_matrix(
+        a_csc = sp.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.svec_length, len(b)))
-        self.a_t = self.a_csc.T
-        self._prep_holder = {"prep": None}
-        self.schur_factory = DenseSchur
+        self._init_data(c_blocks, a_csc, np.array(b))
 
     @classmethod
     def from_svec_columns(cls, block_dims, objective_blocks, a_csc, b) -> "SdpProblem":
         """Construct directly from a stacked scaled-svec constraint matrix."""
         self = cls.__new__(cls)
-        self.block_dims = tuple(int(d) for d in block_dims)
-        self._geom = [_geometry(d) for d in self.block_dims]
-        offsets = np.cumsum([0] + [g.L for g in self._geom])
-        self._svec_offsets = offsets
-        self.svec_length = int(offsets[-1])
+        self._init_blocks(block_dims)
         if a_csc.shape[0] != self.svec_length:
             raise ValueError(f"constraint matrix has {a_csc.shape[0]} rows, "
                              f"expected {self.svec_length}")
-        self.c_blocks = [np.asarray(c, dtype=float) for c in objective_blocks]
-        self.a_csc = a_csc.tocsc()
-        self.a_t = self.a_csc.T
-        self.b = np.asarray(b, dtype=float)
+        self._init_data([np.asarray(c, dtype=float) for c in objective_blocks],
+                        a_csc.tocsc(), np.asarray(b, dtype=float))
+        return self
+
+    def _init_blocks(self, block_dims):
+        """Block dimensions and the svec layout they imply (both constructors)."""
+        self.block_dims = tuple(int(d) for d in block_dims)
+        self._geom = [_geometry(d) for d in self.block_dims]
+        self._svec_offsets = np.cumsum([0] + [g.L for g in self._geom])
+        self.svec_length = int(self._svec_offsets[-1])
+
+    def _init_data(self, c_blocks, a_csc, b):
+        """Objective, constraint columns and right-hand side (both constructors)."""
+        self.c_blocks = c_blocks
+        self.a_csc = a_csc
+        self.a_t = a_csc.T
+        self.b = b
         self._prep_holder = {"prep": None}
         self.schur_factory = DenseSchur
-        return self
 
     def _check_block(self, blk, k, what):
         blk = np.asarray(blk, dtype=float)
@@ -415,21 +426,19 @@ class _Stacks:
         for idx, d in enumerate(self.block_dims):
             groups.setdefault(d, []).append(idx)
         self.groups = [(d, np.array(idxs), _geometry(d)) for d, idxs in groups.items()]
-        self.position = {}
+        position = {}
         for d, idxs, _ in self.groups:
             for row, idx in enumerate(idxs):
-                self.position[int(idx)] = (d, row)
+                position[int(idx)] = (d, row)
+        # (group dimension, row in the group's stack) of each block, in block order
+        self.position = [position[idx] for idx in range(len(self.block_dims))]
 
     def identity(self, factor: float) -> dict:
         return {d: factor * np.broadcast_to(np.eye(d), (len(idxs), d, d)).copy()
                 for d, idxs, _ in self.groups}
 
-    def block(self, stacks: dict, idx: int) -> np.ndarray:
-        d, row = self.position[idx]
-        return stacks[d][row]
-
     def to_blocks(self, stacks: dict) -> list:
-        return [self.block(stacks, idx) for idx in range(len(self.block_dims))]
+        return [stacks[d][row] for d, row in self.position]
 
     def map(self, fn, *stack_dicts) -> dict:
         return {d: fn(*[sd[d] for sd in stack_dicts]) for d, _, _ in self.groups}
@@ -582,20 +591,30 @@ class _Failure(Exception):
         self.message = message
 
 
-def solve(problem: SdpProblem, options: SdpOptions | None = None) -> SdpSolution:
+def solve(problem: SdpProblem, options: SdpOptions | None = None,
+          stop: Callable[[list, np.ndarray, list], bool] | None = None) -> SdpSolution:
     """Run the predictor-corrector interior-point iteration on ``problem``.
 
     Returns an :class:`SdpSolution` whose status is ``OPTIMAL`` once the
     relative gap and both scaled residual norms are below tolerance; weak
     duality then brackets the true optimum between the reported dual and
-    primal objectives.  The iteration runs on one BLAS thread (see the module
-    docstring); the thread counts after the call equal those before it.
+    primal objectives.
+
+    ``stop(x_blocks, y, s_blocks)``, when given, sees every iterate (the
+    start point first) before the solver's own tests.  When it returns True
+    the solve ends there with status ``OPTIMAL``, that iterate, and a message
+    naming ``stop``.  What it raises propagates.  The blocks it receives are
+    the solver's own arrays, to be read and not modified.
+
+    The iteration runs on one BLAS thread (see the module docstring); the
+    thread counts after the call equal those before it, also when ``stop``
+    raises.
     """
     with _ONE_BLAS_THREAD:
-        return _solve(problem, options or SdpOptions())
+        return _solve(problem, options or SdpOptions(), stop)
 
 
-def _solve(problem: SdpProblem, opts: SdpOptions) -> SdpSolution:
+def _solve(problem: SdpProblem, opts: SdpOptions, stop) -> SdpSolution:
     a, a_t = problem.a_csc, problem.a_t
     b = problem.b
     m = problem.num_constraints
@@ -636,29 +655,31 @@ def _solve(problem: SdpProblem, opts: SdpOptions) -> SdpSolution:
         return {d: g.smat_stack(full[svec_pos[d]].reshape(len(idxs), g.L))
                 for d, idxs, g in stacks.groups}
 
-    def inverse_factors(sd: dict, what: str) -> tuple:
-        """The Cholesky factors L and their inverses L^-1, per group."""
+    def inverse_factors(sd: dict, chol: dict | None, what: str) -> tuple:
+        """The Cholesky factors L (factored here unless given) and L^-1, per group."""
         try:
-            chol = stacks.map(np.linalg.cholesky, sd)
+            if chol is None:
+                chol = stacks.map(np.linalg.cholesky, sd)
             return chol, stacks.map(_inverse_factor, chol)
         except np.linalg.LinAlgError as exc:
             raise _Failure(SdpStatus.NUMERICAL_FAILURE,
                            f"{what} left the cone interior: {exc}") from None
 
-    def is_pd(sd: dict) -> bool:
-        try:
-            stacks.map(np.linalg.cholesky, sd)
-            return True
-        except np.linalg.LinAlgError:
-            return False
+    def safe_step(sd: dict, delta: dict, alpha: float, tries: int = 30) -> tuple:
+        """(alpha, sd + alpha*delta, its Cholesky factors) for the first PD trial.
 
-    def safe_step(sd: dict, delta: dict, alpha: float, tries: int = 30) -> float:
-        # the max-step estimate can overshoot once blocks are nearly singular
+        The max-step estimate can overshoot once blocks are nearly singular,
+        so alpha halves until the trial factors; (0, sd, None) if none does.
+        The trial is exactly symmetric (both terms are), and its factors are
+        the next iteration's.
+        """
         for _ in range(tries):
-            if is_pd(stacks.map(lambda blk, d: blk + alpha * d, sd, delta)):
-                return alpha
-            alpha *= 0.5
-        return 0.0
+            trial = stacks.map(lambda blk, d: blk + alpha * d, sd, delta)
+            try:
+                return alpha, trial, stacks.map(np.linalg.cholesky, trial)
+            except np.linalg.LinAlgError:
+                alpha *= 0.5
+        return 0.0, sd, None
 
     def max_step(linv: dict, delta: dict) -> float:
         return min(_step_to_boundary(linv[d], delta[d]) for d, _, _ in stacks.groups)
@@ -691,6 +712,7 @@ def _solve(problem: SdpProblem, opts: SdpOptions) -> SdpSolution:
     best_merit = math.inf
     best_iterate = None
     best_trail = []  # best merit seen up to each iteration
+    x_chol = s_chol = None  # Cholesky factors of the iterate, when already known
 
     try:
         for iterations in range(opts.max_iterations + 1):
@@ -716,6 +738,11 @@ def _solve(problem: SdpProblem, opts: SdpOptions) -> SdpSolution:
                                 stacks.map(np.copy, s_st))
             best_trail.append(best_merit)
 
+            if stop is not None and stop(stacks.to_blocks(x_st), y, stacks.to_blocks(s_st)):
+                status = SdpStatus.OPTIMAL
+                name = getattr(stop, "__qualname__", type(stop).__qualname__)
+                message = f"stopped by the caller's stop ({name}) after {iterations} iterations"
+                break
             if relgap <= opts.gap_tol and rp_norm <= opts.feas_tol and rd_norm <= opts.feas_tol:
                 status = SdpStatus.OPTIMAL
                 break
@@ -740,8 +767,8 @@ def _solve(problem: SdpProblem, opts: SdpOptions) -> SdpSolution:
                 break
 
             mu = float(svec_x @ svec_s) / n_tot
-            s_chol, s_linv = inverse_factors(s_st, "dual iterate")
-            _, x_linv = inverse_factors(x_st, "primal iterate")
+            s_chol, s_linv = inverse_factors(s_st, s_chol, "dual iterate")
+            _, x_linv = inverse_factors(x_st, x_chol, "primal iterate")
             sinv = stacks.map(_inverse_from_factor, s_linv)
 
             schur.assemble(stacks.to_blocks(sinv), stacks.to_blocks(x_st))
@@ -811,13 +838,11 @@ def _solve(problem: SdpProblem, opts: SdpOptions) -> SdpSolution:
 
             alpha_p = min(1.0, opts.step_fraction * max_step(x_linv, dx))
             alpha_d = min(1.0, opts.step_fraction * max_step(s_linv, ds))
-            alpha_p = safe_step(x_st, dx, alpha_p)
-            alpha_d = safe_step(s_st, ds, alpha_d)
+            alpha_p, x_st, x_chol = safe_step(x_st, dx, alpha_p)
+            alpha_d, s_st, s_chol = safe_step(s_st, ds, alpha_d)
             if alpha_p <= 0 or alpha_d <= 0:
                 raise _Failure(SdpStatus.NUMERICAL_FAILURE,
                                "no positive step keeps the iterate inside the cone")
-            x_st = stacks.map(lambda x, d: _herm_stack(x + alpha_p * d), x_st, dx)
-            s_st = stacks.map(lambda s, d: _herm_stack(s + alpha_d * d), s_st, ds)
             y = y + alpha_d * dy
             if not (np.isfinite(y).all()
                     and all(np.isfinite(x_st[d]).all() for d, _, _ in stacks.groups)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import genneg
-from genneg import analysis, cli
+from genneg import analysis, cli, gmn
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -36,6 +36,24 @@ class TestMonotone:
         assert "E = 0.500000" in out
         assert "objective = -0.4999999" in out
         assert "certificate = ok" in out
+
+    def test_prints_the_bracket(self, capsys):
+        assert run_cli(["monotone", "--state", "ghz3"]) == 0
+        out = capsys.readouterr().out
+        line = next(line for line in out.splitlines() if line.startswith("bracket = ["))
+        lo, hi = (float(v) for v in line[len("bracket = ["):-1].split(", "))
+        assert lo <= 0.5 <= hi + 1e-9
+        assert hi - lo <= gmn.BRACKET_TOL
+        assert f"E = {lo:.6f}" in out
+
+    def test_unclosed_bracket_reports_its_width(self, capsys):
+        assert run_cli(["monotone", "--state", "w3", "--max-iterations", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "solver failed for w3: max_iterations" in captured.err
+        width = float(captured.err.split("did not close: width ")[1].split()[0])
+        assert width > gmn.BRACKET_TOL
+        assert f"> {gmn.BRACKET_TOL:.0e}" in captured.err
 
     def test_w3_output(self, capsys):
         assert run_cli(["monotone", "--state", "w3"]) == 0

@@ -12,6 +12,14 @@ from genneg.linalg import partial_transpose, real_embedding
 from genneg.sdp import SdpOptions, SdpStatus
 
 
+ROUNDING = 1e-12  # slack for bounds that hold exactly in exact arithmetic
+
+
+def contains(res, value) -> bool:
+    """True when the certified bracket of ``res`` contains ``value``."""
+    return res.e_lo - ROUNDING <= value <= res.e_hi + ROUNDING
+
+
 def random_pure_density(rng, d):
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     z /= np.linalg.norm(z)
@@ -131,6 +139,7 @@ class TestGenuineNegativity:
             assert abs(res.value - 0.5) < 1e-6
             assert abs(res.objective + 0.5) < 1e-6
             assert res.detected
+            assert contains(res, 0.5)
 
     def test_w3(self):
         rho = states.to_density(states.named_state("w3"))
@@ -144,6 +153,7 @@ class TestGenuineNegativity:
         assert res.solved
         assert res.value == 0.0
         assert not res.detected
+        assert res.e_hi <= gmn.BRACKET_TOL
 
     def test_value_formula_and_bound(self):
         rng = np.random.default_rng(40)
@@ -161,6 +171,20 @@ class TestGenuineNegativity:
         assert math.isnan(res.value)
         assert not res.certificate_ok
         assert res.solver.status is SdpStatus.MAX_ITERATIONS
+        # the failure still carries its (wide, but certified) bracket
+        assert res.e_hi - res.e_lo > gmn.BRACKET_TOL
+        assert contains(res, 0.5)
+        assert gmn.certificate_diagnostics(res, rho) == []
+
+    @pytest.mark.parametrize("status", list(SdpStatus))
+    def test_solved_is_the_bracket_width_alone(self, status):
+        solver = sdp.SdpSolution(status, [], np.zeros(1), [], 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0)
+        narrow = gmn.GmnResult(nqubits=3, value=0.3, objective=-0.3, witness=None,
+                               decompositions={}, certificate_ok=False, solver=solver,
+                               e_hi=0.3 + gmn.BRACKET_TOL / 2)
+        wide = copy.copy(narrow)
+        wide.e_hi = 0.3 + 2 * gmn.BRACKET_TOL
+        assert narrow.solved and not wide.solved
 
 
 class TestNegativityOracle:
@@ -177,6 +201,7 @@ class TestNegativityOracle:
             assert res.solved and res.certificate_ok
             neg = gmn.bipartite_negativity(rho, (0,), 2)
             assert abs(res.value - neg) < 1e-6
+            assert contains(res, neg)
 
 
 class TestBiseparable:
@@ -427,25 +452,215 @@ class TestDenseSchurOracle:
         assert abs(arrow.solver.iterations - dense.solver.iterations) <= 1
 
 
+def n4_density(state, kind=None, s=0.0):
+    psi = states.haar_random_state(4, 1310) if state == "haar" else states.named_state(state)
+    rho = states.to_density(psi)
+    return rho if kind is None else apply_local_channel(rho, kind, s, 4)
+
+
+@pytest.fixture(scope="module")
+def n4_solve():
+    """N=4 solves shared by this module's tests: (state, kind, s) -> (rho, result)."""
+    cache = {}
+
+    def solve(state, kind=None, s=0.0):
+        key = (state, kind, s)
+        if key not in cache:
+            rho = n4_density(state, kind, s)
+            cache[key] = rho, gmn.genuine_negativity(rho, 4)
+        return cache[key]
+
+    return solve
+
+
+# the four states of the benchmark's solve-n4 workload and the iterations each
+# took when the solve ended in the solver's own tests
+SOLVE_N4 = [
+    ("ghz4", ChannelKind.PHASE_DAMPING, 0.2, 9),
+    ("w4", ChannelKind.AMPLITUDE_DAMPING, 0.2, 13),
+    ("cluster4", ChannelKind.DEPOLARIZING, 0.1, 12),
+    ("haar", ChannelKind.AMPLITUDE_DAMPING, 0.2, 16),
+]
+
+
 class TestFourQubits:
     @pytest.mark.parametrize("name", ["ghz4", "cluster4"])
-    def test_pure_state_gives_one_half(self, name):
-        res = gmn.genuine_negativity(states.to_density(states.named_state(name)), 4)
+    def test_pure_state_gives_one_half(self, name, n4_solve):
+        _, res = n4_solve(name)
         assert res.solved and res.certificate_ok
         assert abs(res.value - 0.5) <= 1e-6
+        assert contains(res, 0.5)
 
-    def test_ghz4_dephasing_law(self):
-        rho = apply_local_channel(states.to_density(states.named_state("ghz4")),
-                                  ChannelKind.PHASE_DAMPING, 0.2, 4)
-        res = gmn.genuine_negativity(rho, 4)
+    def test_ghz4_dephasing_law(self, n4_solve):
+        _, res = n4_solve("ghz4", ChannelKind.PHASE_DAMPING, 0.2)
         assert res.solved and res.certificate_ok
         assert abs(res.value - 0.5 * math.exp(-0.4)) <= 1e-6
+        assert contains(res, 0.5 * math.exp(-0.4))
 
-    def test_w4_below_bipartite_negativities(self):
-        rho = apply_local_channel(states.to_density(states.named_state("w4")),
-                                  ChannelKind.AMPLITUDE_DAMPING, 0.2, 4)
-        res = gmn.genuine_negativity(rho, 4)
+    def test_w4_below_bipartite_negativities(self, n4_solve):
+        rho, res = n4_solve("w4", ChannelKind.AMPLITUDE_DAMPING, 0.2)
         assert res.solved and res.value > 0
         bound = min(gmn.bipartite_negativity(rho, part.members, 4)
                     for part in gmn.bipartitions(4))
         assert res.value <= bound + 1e-7
+        assert res.e_hi <= bound + 1e-7
+
+    @pytest.mark.parametrize("state,kind,s,most", SOLVE_N4)
+    def test_solve_n4_states(self, state, kind, s, most, n4_solve):
+        rho, res = n4_solve(state, kind, s)
+        assert res.solved and res.certificate_ok
+        assert res.solver.status is SdpStatus.OPTIMAL
+        assert "_Bracket.closed" in res.solver.message
+        assert res.solver.iterations <= most
+        assert gmn.certificate_diagnostics(res, rho) == []
+
+
+def independent_bracket(res, rho):
+    """(E_lo, E_hi) recomputed from the result's certificate with numpy alone."""
+    n = res.nqubits
+    for part, (p_m, q_m) in res.decompositions.items():
+        assert np.allclose(res.witness, p_m + partial_transpose(q_m, part.members, n),
+                           rtol=0, atol=1e-9)
+        for block in (p_m, q_m):
+            eigs = np.linalg.eigvalsh(block)
+            assert eigs[0] >= -1e-9 and eigs[-1] <= 1 + 1e-9
+    assert np.allclose(sum(res.split.values()), rho, rtol=0, atol=1e-9)
+
+    def neg(mat):
+        eigs = np.linalg.eigvalsh(mat)
+        return -eigs[eigs < 0].sum()
+
+    e_hi = sum(neg(rho_m) + neg(partial_transpose(rho_m, part.members, n))
+               for part, rho_m in res.split.items())
+    return max(0.0, -np.trace(res.witness @ rho).real), e_hi
+
+
+BRACKET_CASES = [
+    ("ghz3", None, 0.0, 0.5),
+    ("ghz3", ChannelKind.PHASE_DAMPING, 0.3, 0.5 * math.exp(-1.5 * 0.3)),
+    ("w3", ChannelKind.AMPLITUDE_DAMPING, 0.2, None),
+    ("haar", ChannelKind.PHASE_DAMPING, 0.26, None),
+]
+
+
+@pytest.fixture(scope="module", params=BRACKET_CASES, ids=lambda c: f"{c[0]}-{c[2]}")
+def n3_case(request):
+    state, kind, s, exact = request.param
+    psi = states.haar_random_state(3, 7) if state == "haar" else states.named_state(state)
+    rho = states.to_density(psi)
+    if kind is not None:
+        rho = apply_local_channel(rho, kind, s, 3)
+    return rho, gmn.genuine_negativity(rho, 3), exact
+
+
+class TestBracket:
+    def test_closes_and_contains_the_closed_form(self, n3_case):
+        _, res, exact = n3_case
+        assert res.solved and res.certificate_ok
+        assert res.e_hi - res.e_lo <= gmn.BRACKET_TOL
+        assert res.value == res.e_lo > 0
+        if exact is not None:
+            assert contains(res, exact)
+
+    def test_independent_recomputation(self, n3_case):
+        rho, res, _ = n3_case
+        e_lo, e_hi = independent_bracket(res, rho)
+        assert abs(e_lo - res.e_lo) <= 1e-9
+        assert abs(e_hi - res.e_hi) <= 1e-9
+
+    def test_n4_independent_recomputation(self, n4_solve):
+        rho, res = n4_solve("haar", ChannelKind.AMPLITUDE_DAMPING, 0.2)
+        e_lo, e_hi = independent_bracket(res, rho)
+        assert abs(e_lo - res.e_lo) <= 1e-9
+        assert abs(e_hi - res.e_hi) <= 1e-9
+
+    def test_split_moved_between_parts_is_rejected(self, n3_case):
+        # the parts still sum to rho, but the first one is now negative definite
+        rho, res, _ = n3_case
+        first, second = list(res.split)[:2]
+        moved = copy.copy(res)
+        moved.split = dict(res.split)
+        shift = 2 * np.eye(len(rho))
+        moved.split[first] = res.split[first] - shift
+        moved.split[second] = res.split[second] + shift
+        issues = gmn.certificate_diagnostics(moved, rho)
+        assert any("the split gives E_hi" in issue for issue in issues)
+
+    def test_split_not_summing_to_rho_is_rejected(self, n3_case):
+        rho, res, _ = n3_case
+        first = next(iter(res.split))
+        broken = copy.copy(res)
+        broken.split = dict(res.split)
+        broken.split[first] = res.split[first] + 1e-6 * np.eye(len(rho))
+        issues = gmn.certificate_diagnostics(broken, rho)
+        assert any("split residual" in issue for issue in issues)
+
+    def test_non_hermitian_split_is_rejected(self, n3_case):
+        rho, res, _ = n3_case
+        first = next(iter(res.split))
+        broken = copy.copy(res)
+        broken.split = dict(res.split)
+        broken.split[first] = res.split[first].copy()
+        broken.split[first][0, 1] += 1e-6
+        issues = gmn.certificate_diagnostics(broken, rho)
+        assert any("is not Hermitian" in issue for issue in issues)
+
+    def test_perturbed_p_is_rejected(self, n3_case):
+        rho, res, _ = n3_case
+        part = next(iter(res.decompositions))
+        p_m, q_m = res.decompositions[part]
+        broken = copy.copy(res)
+        broken.decompositions = dict(res.decompositions)
+        broken.decompositions[part] = (p_m + 1e-6 * np.eye(len(rho)), q_m)
+        issues = gmn.certificate_diagnostics(broken, rho)
+        assert any("decomposition residual" in issue for issue in issues)
+
+    def test_upper_bound_without_a_split_is_rejected(self, n3_case):
+        rho, res, _ = n3_case
+        broken = copy.copy(res)
+        broken.split = None
+        issues = gmn.certificate_diagnostics(broken, rho)
+        assert issues == [f"E_hi = {res.e_hi:.12f} is claimed without a split"]
+
+
+def ghz3_bracket():
+    """A fresh bracket for GHZ3 and the primal start point (X = I)."""
+    rho = states.to_density(states.named_state("ghz3"))
+    structure = gmn._program_structure(3)
+    return rho, gmn._Bracket(rho, structure), [np.eye(16)] * 12
+
+
+def multiples_of_identity(w, q):
+    """y with W = w 1 and every Q_M = q 1 (diagonal coefficients come first)."""
+    y = np.zeros(64 * 4)
+    for block, value in enumerate([w] + [q] * 3):
+        y[64 * block:64 * block + 8] = value
+    return y
+
+
+class TestWitnessRepair:
+    def test_infeasible_witness_is_repaired(self):
+        # W = 2.5, Q_M = 2, so P_M = 0.5 is feasible but Q_M exceeds 1 by
+        # eps = 1: W' = (2.5 + 2)/3 = 1.5, P'_M = 0.5, Q'_M = 1
+        rho, bracket, start = ghz3_bracket()
+        bracket.closed(start, multiples_of_identity(2.5, 2.0), start)
+        res = bracket.result(None)
+        assert res.objective == pytest.approx(1.5, abs=1e-12)
+        assert np.allclose(res.witness, 1.5 * np.eye(8), rtol=0, atol=1e-12)
+        for p_m, q_m in res.decompositions.values():
+            assert np.allclose(p_m, 0.5 * np.eye(8), rtol=0, atol=1e-12)
+            assert np.allclose(q_m, np.eye(8), rtol=0, atol=1e-12)
+        assert gmn.certificate_diagnostics(res, rho) == []
+
+    def test_lower_bound_is_the_best_over_iterates(self):
+        # W = -5 has the lowest Tr(W rho) but repairs to W' = 5/11; the
+        # feasible W = 0 of a later iterate is the better witness
+        rho, bracket, start = ghz3_bracket()
+        bracket.closed(start, multiples_of_identity(-5.0, 0.0), start)
+        bracket.closed(start, multiples_of_identity(0.0, 0.0), start)
+        res = bracket.result(None)
+        assert res.objective == 0.0
+        assert not res.witness.any()
+        # the start point puts rho into the first part: E_hi = neg(rho^{T_A}) = 1/2
+        assert res.e_hi == pytest.approx(0.5, abs=1e-12)
+        assert gmn.certificate_diagnostics(res, rho) == []

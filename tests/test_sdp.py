@@ -422,3 +422,88 @@ class TestOneBlasThread:
         assert sol.status is SdpStatus.OPTIMAL
         assert seen and all(counts == [1] * len(libs) for counts in seen)
         assert thread_counts(libs) == before == [2] * len(libs)
+
+
+def ghz3_program():
+    return build_program(states.to_density(states.named_state("ghz3")), 3)
+
+
+class TestStopCallback:
+    """``solve(problem, options, stop)`` asks ``stop`` at every iterate."""
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_stop_at_iterate_k(self, k):
+        problem = ghz3_program()
+        seen = []
+
+        def stop_at(x_blocks, y, s_blocks):
+            assert [b.shape[0] for b in x_blocks] == list(problem.block_dims)
+            assert [b.shape[0] for b in s_blocks] == list(problem.block_dims)
+            seen.append(([b.copy() for b in x_blocks], y.copy()))
+            return len(seen) > k
+
+        sol = solve(problem, stop=stop_at)
+        assert sol.status is SdpStatus.OPTIMAL
+        assert sol.iterations == k and len(seen) == k + 1
+        assert "stop_at" in sol.message
+        # the solution is the iterate the callback stopped at
+        x_last, y_last = seen[-1]
+        assert np.array_equal(sol.y, y_last)
+        assert all(np.array_equal(a, b) for a, b in zip(sol.x_blocks, x_last))
+
+    def test_a_stop_that_never_fires_changes_nothing(self):
+        problem = ghz3_program()
+        plain = solve(problem)
+        watched = solve(problem, stop=lambda x_blocks, y, s_blocks: False)
+        assert watched.iterations == plain.iterations
+        assert watched.status is plain.status and watched.message == plain.message
+        assert np.array_equal(watched.y, plain.y)
+        assert all(np.array_equal(a, b) for a, b in zip(watched.x_blocks, plain.x_blocks))
+
+    def test_raising_stop_propagates_and_restores_threads(self, blas_at_two_threads):
+        libs = blas_at_two_threads
+
+        def broken(x_blocks, y, s_blocks):
+            assert thread_counts(libs) == [1] * len(libs)
+            raise RuntimeError("stop callback failed")
+
+        with pytest.raises(RuntimeError, match="stop callback failed"):
+            solve(scalar_bound_problem(), stop=broken)
+        assert thread_counts(libs) == [2] * len(libs)
+
+
+class TestFactorReuse:
+    def test_two_cholesky_stacks_per_iteration(self, monkeypatch):
+        # the accepted trial's factors serve the next iteration, so each
+        # iteration factors only its two trial iterates (when they are PD)
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a):
+            calls.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        sol = solve(ghz3_program())
+        assert sol.status is SdpStatus.OPTIMAL
+        assert len(calls) == 2 + 2 * sol.iterations
+
+
+class TestConstructors:
+    def test_svec_columns_build_the_same_problem(self):
+        p1 = SdpProblem(
+            block_dims=[2, 1, 2],
+            objective_blocks=[np.diag([1.0, 2.0]), np.array([[3.0]]),
+                              np.array([[2.0, 1.0], [1.0, 2.0]])],
+            constraints=[([np.eye(2)], 1.0), ({1: np.array([[1.0]]), 2: np.eye(2)}, 1.0)])
+        p2 = SdpProblem.from_svec_columns(p1.block_dims, p1.c_blocks, p1.a_csc, p1.b)
+        assert p2.svec_length == p1.svec_length
+        assert (p2.a_t != p1.a_t).nnz == 0
+        s1, s2 = solve(p1), solve(p2)
+        assert s1.iterations == s2.iterations
+        assert np.array_equal(s1.y, s2.y)
+
+    def test_svec_columns_row_count_is_checked(self):
+        p = scalar_bound_problem()
+        with pytest.raises(ValueError, match="constraint matrix has 1 rows, expected 2"):
+            SdpProblem.from_svec_columns(p.block_dims, p.c_blocks, p.a_csc[:1], p.b)
