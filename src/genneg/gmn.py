@@ -405,7 +405,6 @@ def _program_structure(nqubits: int):
     imag = kind == _IM
     scale = 2 * np.outer(kappa, kappa)
     mixed = imag[:, None] != imag[None, :]
-    a_e, b_e = np.divmod(np.arange(n_basis), d)
     # matrix positions (a, b) in the order diagonal, (a, b) for a < b, (b, a) for a < b
     a = np.concatenate([a_idx[~imag], b_idx[imag]])
     b = np.concatenate([b_idx[~imag], a_idx[imag]])
@@ -416,19 +415,22 @@ def _program_structure(nqubits: int):
         scale_im=np.where(mixed, -scale, 0.0),
         tau=tau, sigma=sigma)
     skeleton.schur_factory = partial(ArrowheadSchur, layout)
+    # flat positions, for entry (a, b) of a d x d matrix, of the entries
+    # (a, b), (d+a, d+b), (d+a, b), (a, d+b) of an embedded 2d x 2d block
+    a_e, b_e = np.divmod(np.arange(n_basis), d)
+    unembed = np.stack([a_e * block_dim + b_e, (d + a_e) * block_dim + d + b_e,
+                        (d + a_e) * block_dim + b_e, a_e * block_dim + d + b_e])
+    # for a stack of K matrices H_M, the flat indices of the entries of H_M^{T_M}
+    transpose = np.stack([partial_transpose(np.arange(n_basis).reshape(d, d),
+                                            part.members, nqubits).ravel() + mi * n_basis
+                          for mi, part in enumerate(parts)])
     return {
         "nqubits": nqubits,
         "dim": d,
         "parts": parts,
         "skeleton": skeleton,
-        # flat positions, for entry (a, b) of a d x d matrix, of the entries
-        # (a, b), (d+a, d+b), (d+a, b), (a, d+b) of an embedded 2d x 2d block
-        "unembed": np.stack([a_e * block_dim + b_e, (d + a_e) * block_dim + d + b_e,
-                             (d + a_e) * block_dim + b_e, a_e * block_dim + d + b_e]),
-        # for a stack of K matrices H_M, the flat indices of the entries of H_M^{T_M}
-        "transpose": np.stack([partial_transpose(np.arange(n_basis).reshape(d, d),
-                                                 part.members, nqubits).ravel() + mi * n_basis
-                               for mi, part in enumerate(parts)]),
+        "unembed": unembed,
+        "transpose": transpose,
         "basis": (a_idx, b_idx, kind),
         "n_basis": n_basis,
     }
