@@ -155,7 +155,7 @@ def _evaluate_point(job):
     rho_s = apply_local_channel(rho0, kind, s, nqubits)
     result = genuine_negativity(rho_s, nqubits, options)
     if not result.solved:
-        return math.nan, False, f"solver status {result.solver.status.value}: {result.solver.message}"
+        return math.nan, False, f"solver status {result.failure()}"
     if not result.certificate_ok:
         return math.nan, False, "witness certificate failed verification"
     return result.value, True, ""

@@ -85,10 +85,7 @@ def _cmd_monotone(args) -> int:
     label, rho, n = _resolve_state(args.state, args.seed)
     result = gmn.genuine_negativity(rho, n, _sdp_options(args))
     if not result.solved:
-        print(f"genneg: solver failed for {label}: {result.solver.status.value} "
-              f"({result.solver.message}); the bracket [{result.e_lo:.9f}, "
-              f"{result.e_hi:.9f}] did not close: width {result.e_hi - result.e_lo:.2e} "
-              f"> {gmn.BRACKET_TOL:.0e}", file=sys.stderr)
+        print(f"genneg: solver failed for {label}: {result.failure()}", file=sys.stderr)
         return 3
     print(f"E = {result.value:.6f}")
     print(f"objective = {result.objective:.9f}")

@@ -69,7 +69,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from . import sdp
 from .linalg import (check_density_matrix, eig_hermitian, hermitian_part,
@@ -241,8 +241,13 @@ class ArrowheadSchur:
     chunk, and N = 4 takes one bipartition per chunk.  M_ww is summed in
     bipartition order whatever c is, so the result does not depend on c.
 
-    Factoring eliminates the K q-blocks (n x n Cholesky each) and factors the
-    n x n Schur complement of the w-block.
+    Factoring eliminates the K q-blocks (n x n Cholesky each, M_qq_M =
+    L_M L_M^T) and factors the n x n Schur complement
+    M_ww - sum_M wq_M^T wq_M of the w-block, with wq_M = L_M^-1 M_{q_M w}.
+    The wq_M are kept as one C-ordered (K, n, n) array, written in place by
+    a right-sided triangular solve on its Fortran-ordered transpose.  Its
+    (K n, n) reshape is then a view, so the Schur complement and every
+    :meth:`solve` (two products with wq per call) read it without a copy.
     """
 
     def __init__(self, layout: _ArrowheadLayout, problem: sdp.SdpProblem):
@@ -315,8 +320,12 @@ class ArrowheadSchur:
         self._lq = [sdp.lapack_checked(lapack.dpotrf(q.T, lower=1, clean=0, overwrite_a=1),
                                        "dpotrf(q_M block)")
                     for q in qq]
-        self._wq = np.stack([sdp.lapack_checked(lapack.dtrtrs(lq, qw, lower=1), "dtrtrs")
-                             for lq, qw in zip(self._lq, self.qw)])
+        # solved in place in a copy, since matvec reads qw: on the Fortran-
+        # ordered view w.T, X L_M^T = qw_M^T gives X = wq_M^T.  A successful
+        # dpotrf leaves a positive diagonal, so L_M needs no singularity check.
+        self._wq = self.qw.copy()
+        for lq, w in zip(self._lq, self._wq):
+            blas.dtrsm(1.0, lq, w.T, side=1, lower=1, trans_a=1, overwrite_b=1)
         wq = self._wq.reshape(-1, self.n)
         sc = self.ww - wq.T @ wq
         sc[diag, diag] += shift
@@ -514,6 +523,12 @@ class GmnResult:
     def detected(self) -> bool:
         """True when genuine multiparticle entanglement is certified."""
         return self.solved and self.value > 0
+
+    def failure(self) -> str:
+        """Why an unsolved result is unusable: the solver's stop and the open bracket."""
+        return (f"{self.solver.status.value} ({self.solver.message}); the bracket "
+                f"[{self.e_lo:.9f}, {self.e_hi:.9f}] did not close: width "
+                f"{self.e_hi - self.e_lo:.2e} > {BRACKET_TOL:.0e}")
 
 
 class _Bracket:

@@ -3,12 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from genneg import analysis, states
+from genneg import analysis, gmn, states
 from genneg.analysis import (GeneratorKind, SweepSeries, default_grid,
                              ensemble_from_densities, ensemble_study,
                              log_derivative, robustness_report, series_csv_rows,
                              summary_csv_rows, sweep, write_csv)
 from genneg.channels import ChannelKind
+from genneg.sdp import SdpOptions
 
 
 class TestLogDerivative:
@@ -133,6 +134,21 @@ class TestSweep:
         assert series.ok
         assert np.all(series.values == 0.0)
         assert np.all(np.isnan(series.eta))
+
+    def test_failed_point_reports_its_bracket(self):
+        rho = states.to_density(states.named_state("ghz3"))
+        grid = np.array([0.1, 0.2, 0.3])
+        series = sweep(rho, ChannelKind.PHASE_DAMPING, grid, 3, workers=1,
+                       options=SdpOptions(max_iterations=2))
+        assert [s for s, _ in series.failures] == list(grid)
+        assert np.all(np.isnan(series.values))
+        for _, note in series.failures:
+            assert note.startswith("solver status max_iterations (no convergence within 2 iterations); ")
+            lo, hi = (float(v) for v in note.split("the bracket [")[1].split("]")[0].split(", "))
+            width = float(note.split("did not close: width ")[1].split()[0])
+            assert width == pytest.approx(hi - lo, rel=1e-2)
+            assert width > gmn.BRACKET_TOL
+            assert note.endswith(f"> {gmn.BRACKET_TOL:.0e}")
 
     def test_rejects_bad_grid(self):
         rho = states.to_density(states.named_state("ghz2"))

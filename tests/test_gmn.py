@@ -397,6 +397,24 @@ class TestArrowheadSchur:
         with pytest.raises(np.linalg.LinAlgError, match="w Schur complement"):
             broken.factor(0.0)
 
+    def test_factor_leaves_blocks_untouched(self, schur_pair):
+        # a regularization ladder retry factors the same blocks again at a
+        # larger shift; the in-place triangular solve must not write into qw
+        n, problem, _, _ = schur_pair
+        sinv, x = random_embedded_iterates(np.random.default_rng(300 + n), problem)
+        retried, fresh = problem.schur_factory(problem), problem.schur_factory(problem)
+        retried.assemble(sinv, x)
+        fresh.assemble(sinv, x)
+        blocks = [b.copy() for b in (retried.ww, retried.qw, retried.qq)]
+        shift = 1e-9 * retried.max_diagonal()
+        retried.factor(shift)
+        retried.factor(10 * shift)
+        for before, after in zip(blocks, (retried.ww, retried.qw, retried.qq)):
+            assert np.array_equal(before, after)
+        fresh.factor(10 * shift)
+        rhs = np.random.default_rng(1).standard_normal(problem.num_constraints)
+        assert np.array_equal(retried.solve(rhs), fresh.solve(rhs))
+
     def test_assembly_does_not_depend_on_chunk_size(self, schur_pair, monkeypatch):
         # the default budget, one bipartition per chunk, and all in one chunk
         n, problem, _, _ = schur_pair
@@ -427,6 +445,25 @@ def test_n4_assembly_memory_stays_near_its_output():
         tracemalloc.stop()
     output = schur.ww.nbytes + schur.qw.nbytes + schur.qq.nbytes
     assert peak <= 3 * output
+
+
+
+def test_n4_solve_memory_stays_near_its_rhs():
+    """One N=4 solve allocates at most eight times the bytes of its right-hand side."""
+    problem = gmn.build_program(np.eye(16) / 16, 4)
+    sinv, x = random_embedded_iterates(np.random.default_rng(405), problem)
+    schur = problem.schur_factory(problem)
+    schur.assemble(sinv, x)
+    schur.factor(1e-9 * schur.max_diagonal())
+    rhs = np.random.default_rng(2).standard_normal(problem.num_constraints)
+    schur.solve(rhs)    # warm call
+    tracemalloc.start()
+    try:
+        schur.solve(rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * rhs.nbytes
 
 
 ORACLE_STATES = [
