@@ -11,21 +11,22 @@ PPT mixtures, so a zero never claims biseparability).  A negative optimum
 makes W a decomposable entanglement witness for every bipartition, which is
 the independently checkable certificate.
 
-The program is handed to the real-symmetric solver in ``sdp`` through the
-complex-to-real embedding: the witness-side variables (W and the Q_M) are the
-solver's free dual vector y, expressed in an orthonormal Hermitian basis, and
-each bipartition contributes four embedded cone blocks (P_M, 1-P_M, Q_M,
-1-Q_M).  The right-hand side is built from complex-convention traces, so all
-reported objective values are already in the complex convention.
+The program is handed to the Hermitian solver in ``sdp`` as it stands: the
+witness-side variables (W and the Q_M) are the solver's free dual vector y,
+expressed in the solver's orthonormal Hermitian basis of the d x d matrices
+(d = 2^N), and each bipartition contributes four d x d cone blocks (P_M,
+1-P_M, Q_M, 1-Q_M).  Coordinate alpha of a block is basis element F_alpha,
+so every constraint column is a +-1 entry per block it reaches, and the
+coefficients of a matrix are its svec.
 
 The coefficients q_M of bipartition M reach only the four blocks of M, so the
 solver's Schur matrix is block-arrowhead: the witness columns w border K
 diagonal q-blocks that never couple to each other (K = 2^(N-1) - 1).  The
 program supplies :class:`ArrowheadSchur` as its ``sdp.SchurSystem``.  It
-assembles each block's contribution from the unembedded d x d complex
-iterates (d = 2^N), eliminates the K q-blocks of size d^2, and factors only
-the d^2 x d^2 Schur complement of the w-block.  The generic dense path would
-instead form and factor a (K + 1) d^2 square matrix, 2048 x 2048 at N = 4.
+assembles each block pair's contribution with the solver's Schur kernel,
+eliminates the K q-blocks of size d^2, and factors only the d^2 x d^2 Schur
+complement of the w-block.  The generic dense path would instead form and
+factor a (K + 1) d^2 square matrix, 2048 x 2048 at N = 4.
 
 Assembly is bound by memory traffic, not arithmetic: every block pair passes
 through a few d^2 x d^2 complex intermediates.  It therefore runs in chunks
@@ -45,9 +46,10 @@ over all iterates:
   largest excursion of an eigenvalue of any P_M or Q_M outside [0, 1],
   W' = (W + 2 eps)/(1 + 2 eps) (Jansson-Chaykin-Keil, SIAM J. Numer. Anal. 46,
   180 (2007));
-* E_hi = sum_M neg(rho_M) + neg(rho_M^{T_M}) for a split rho = sum_M rho_M read
-  from the primal blocks, with the residual put into the first part (the mixed
-  form of Hofmann-Moroder-Guehne, J. Phys. A 47, 155301 (2014)).
+* E_hi = sum_M neg(rho_M) + neg(rho_M^{T_M}) for the split rho_M = X_{P_M} -
+  X_{1-P_M} read from the primal blocks, with the residual of rho = sum_M
+  rho_M put into the first part (the mixed form of Hofmann-Moroder-Guehne,
+  J. Phys. A 47, 155301 (2014)).
 
 The solve stops once E_hi - E_lo <= :data:`BRACKET_TOL`, and a result is
 usable (``solved``) exactly then, whatever the solver status.  It reports
@@ -72,8 +74,7 @@ import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
 from . import sdp
-from .linalg import (check_density_matrix, eig_hermitian, hermitian_part,
-                     partial_transpose, unembed_hermitian)
+from .linalg import check_density_matrix, eig_hermitian, hermitian_part, partial_transpose
 
 QUBIT_BOUND = 0.5         # E <= 1/2 for any number of qubits
 
@@ -153,20 +154,16 @@ def bipartite_negativity(rho: np.ndarray, members, nqubits: int) -> float:
 
 # -- Hermitian basis bookkeeping ---------------------------------------------
 #
-# Basis order for a d-dimensional Hermitian space (d^2 elements):
+# The basis of a d-dimensional Hermitian space is the solver's block basis
+# (sdp._BlockGeometry), d^2 elements in the order
 #   diag(a)       a = 0..d-1          F = e_a e_a'
 #   re(a, b)      a < b (lex)         F = (e_a e_b' + e_b e_a')/sqrt(2)
 #   im(a, b)      a < b (lex)         F = i (e_a e_b' - e_b e_a')/sqrt(2)
-# All F are trace-orthonormal. The partial transpose permutes this basis up
-# to a sign, and the real embedding of every element occupies exactly two
-# scaled-svec coordinates with values +-1.  Keeping the three kinds in
-# contiguous runs lets the Schur assembly combine them with slices.
+# so the coefficients of a matrix are its svec, and F_alpha is coordinate
+# alpha of a cone block.  The partial transpose permutes this basis up to a
+# sign.
 
 _DIAG, _RE, _IM = 0, 1, 2
-
-
-def _triu_pos(i: int, j: int, n: int) -> int:
-    return i * n - (i * (i - 1)) // 2 + (j - i)
 
 
 @lru_cache(maxsize=None)
@@ -179,15 +176,6 @@ def _basis_enumeration(d: int):
     return a_idx, b_idx, kind, {e: i for i, e in enumerate(elements)}
 
 
-def _embedding_coords(a: int, b: int, kind: int, d: int):
-    """Scaled-svec coordinates (position, value) of the embedded basis element."""
-    if kind == _DIAG:
-        return ((_triu_pos(a, a, 2 * d), 1.0), (_triu_pos(d + a, d + a, 2 * d), 1.0))
-    if kind == _RE:
-        return ((_triu_pos(a, b, 2 * d), 1.0), (_triu_pos(d + a, d + b, 2 * d), 1.0))
-    return ((_triu_pos(a, d + b, 2 * d), -1.0), (_triu_pos(b, d + a, 2 * d), 1.0))
-
-
 def _transpose_action(a: int, b: int, kind: int, mask: int):
     """Index and sign of the basis element after partial transpose over ``mask``."""
     ta = (a & ~mask) | (b & mask)
@@ -197,18 +185,6 @@ def _transpose_action(a: int, b: int, kind: int, mask: int):
     if ta < tb:
         return ta, tb, kind, 1.0
     return tb, ta, kind, (1.0 if kind == _RE else -1.0)
-
-
-@dataclass(frozen=True)
-class _ArrowheadLayout:
-    """What the arrowhead Schur system needs to know about the program."""
-
-    dim: int               # d = 2^N
-    gather: np.ndarray     # (d^2, d^2): V[alpha, beta] = G[a_alpha, b_beta, b_alpha, a_beta]
-    scale_re: np.ndarray   # (d^2, d^2): H = scale_re * Re(V) + scale_im * Im(V)
-    scale_im: np.ndarray
-    tau: np.ndarray        # (K, d^2): F_alpha^{T_M} = sigma[M, alpha] F_{tau[M, alpha]}
-    sigma: np.ndarray      # (K, d^2)
 
 
 class ArrowheadSchur:
@@ -223,23 +199,26 @@ class ArrowheadSchur:
         [ ...             ...         ]
         [ M_qKw   0       ...  M_qKqK ]
 
-    A block with unembedded iterates s = S^-1 and x contributes
-    H[alpha, beta] = 2 Re Tr(F_alpha s F_beta x) = 2 Re (C^T G C) in the
-    Hermitian basis C, with G[(a,b),(c,e)] = s[b,c] x[e,a].  The blocks P_M
-    and 1-P_M (Q_M and 1-Q_M) carry the same columns up to sign, so their G
-    are summed into H01_M (H23_M) before the basis change.  Then
+    A d x d block with iterates s = S^-1 and x contributes the solver's
+    kernel H[alpha, beta] = Re Tr(F_alpha s F_beta x) in the Hermitian basis
+    F (``sdp._BlockGeometry.schur_kernel``, which :class:`sdp.DenseSchur`
+    calls too).  The blocks P_M and 1-P_M (Q_M and 1-Q_M) carry the same
+    columns up to sign, so each pair is one kernel group summed over its two
+    blocks, H01_M (H23_M).  With F_alpha^{T_M} = sigma_M[alpha]
+    F_{tau_M[alpha]},
 
         M_ww = sum_M H01_M,   M_wq_M = -H01_M[:, tau_M] sigma_M,
         M_qq_M = sigma_M H01_M[tau_M, tau_M] sigma_M + H23_M.
 
     :meth:`assemble` runs over chunks of c bipartitions.  A chunk forms the H
-    of its 2c block pairs in one batch.  Then, bipartition by bipartition, it
-    adds H01_M to M_ww and writes M_q_Mw and the symmetrized M_q_Mq_M while
-    H01_M and H23_M are still in cache.  c = max(1, ASSEMBLY_CHUNK_BYTES //
-    (2 * 16 n^2)), the bipartitions whose two pairs' complex n x n
-    intermediates fit :data:`ASSEMBLY_CHUNK_BYTES`: all of N <= 3 share one
-    chunk, and N = 4 takes one bipartition per chunk.  M_ww is summed in
-    bipartition order whatever c is, so the result does not depend on c.
+    of its 2c block pairs in one kernel call.  Then, bipartition by
+    bipartition, it adds H01_M to M_ww and writes M_q_Mw and the symmetrized
+    M_q_Mq_M while H01_M and H23_M are still in cache.  c = max(1,
+    ASSEMBLY_CHUNK_BYTES // (2 * 16 n^2)), the bipartitions whose two pairs'
+    complex n x n intermediates fit :data:`ASSEMBLY_CHUNK_BYTES`: all of
+    N <= 3 share one chunk, and N = 4 takes one bipartition per chunk.  M_ww
+    is summed in bipartition order whatever c is, so the result does not
+    depend on c.
 
     Factoring eliminates the K q-blocks (n x n Cholesky each, M_qq_M =
     L_M L_M^T) and factors the n x n Schur complement
@@ -250,39 +229,32 @@ class ArrowheadSchur:
     :meth:`solve` (two products with wq per call) read it without a copy.
     """
 
-    def __init__(self, layout: _ArrowheadLayout, problem: sdp.SdpProblem):
-        self._layout = layout
-        self.n = layout.dim ** 2
-        self.nparts = layout.tau.shape[0]
+    def __init__(self, tau: np.ndarray, sigma: np.ndarray, problem: sdp.SdpProblem):
+        self._tau, self._sigma = tau, sigma
+        self._geom = problem._geom[0]
+        self.n = self._geom.L
+        self.nparts = len(tau)
         if problem.num_constraints != self.n * (1 + self.nparts):
             raise ValueError(f"program has {problem.num_constraints} constraints, "
-                             f"layout expects {self.n * (1 + self.nparts)}")
+                             f"the arrowhead system expects {self.n * (1 + self.nparts)}")
         self.ww = self.qw = self.qq = None       # M_ww, M_{q_M w} and M_{q_M q_M}
         self._chunk = max(1, ASSEMBLY_CHUNK_BYTES // (2 * 16 * self.n ** 2))
         self._lq = self._wq = self._lw = None    # factors, set by factor()
 
     def assemble(self, sinv_blocks, x_blocks):
-        lay, d, n, k = self._layout, self._layout.dim, self.n, self.nparts
-        s = unembed_hermitian(np.stack(sinv_blocks)).reshape(2 * k, 2, n)
-        xt = unembed_hermitian(np.stack(x_blocks)).transpose(0, 2, 1).reshape(2 * k, 2, n)
+        n, k, d = self.n, self.nparts, self._geom.n
+        # (pair, block of the pair, d, d) for the pairs (P_M, 1-P_M), (Q_M, 1-Q_M)
+        s = np.stack(sinv_blocks).reshape(2 * k, 2, d, d)
+        x = np.stack(x_blocks).reshape(2 * k, 2, d, d)
         ww = None
         self.qw = np.empty((k, n, n))
         self.qq = np.empty((k, n, n))
         for m0 in range(0, k, self._chunk):
             m = slice(m0, m0 + self._chunk)
             pairs = slice(2 * m0, 2 * m.stop)
-            # G summed over the two blocks of each pair, in the order G[pair, a, e, b, c]
-            g = np.matmul(xt[pairs].transpose(0, 2, 1), s[pairs]).reshape(-1, n * n)
-            # V: G gathered into the basis order, then its rows and columns (a, b),
-            # (b, a) turned into their sum and difference, which is C^T G C up to
-            # the factors in scale_re/scale_im
-            v = np.take(g, lay.gather, axis=1)
-            self._fold(v[:, d:].transpose(1, 0, 2))
-            self._fold(v[:, :, d:].transpose(2, 0, 1))
-            h = v.real * lay.scale_re
-            h += v.imag * lay.scale_im
-            for h01, h23, tau, sigma, qw, qq in zip(h[0::2], h[1::2], lay.tau[m], lay.sigma[m],
-                                                    self.qw[m], self.qq[m]):
+            h = self._geom.schur_kernel(s[pairs], x[pairs])
+            for h01, h23, tau, sigma, qw, qq in zip(h[0::2], h[1::2], self._tau[m],
+                                                    self._sigma[m], self.qw[m], self.qq[m]):
                 # summed in bipartition order from the first term on, as one
                 # reduction over the whole stack would
                 if ww is None:
@@ -296,14 +268,6 @@ class ArrowheadSchur:
                 np.add(qq_m, qq_m.T, out=qq)
                 qq /= 2
         self.ww = (ww + ww.T) / 2
-
-    @staticmethod
-    def _fold(v):
-        """Entries (a, b), (b, a) of each pair become their sum and difference."""
-        ab, ba = np.split(v, 2)
-        np.subtract(ab, ba, out=ba)
-        ab *= 2
-        ab -= ba
 
     def max_diagonal(self):
         return float(max(np.max(np.abs(self.ww.diagonal())),
@@ -363,72 +327,48 @@ def _program_structure(nqubits: int):
     n_basis = d * d
     parts = bipartitions(nqubits)
     n_parts = len(parts)
-    block_dim = 2 * d
-    block_dims = tuple([block_dim] * (4 * n_parts))
+    block_dims = (d,) * (4 * n_parts)
     a_idx, b_idx, kind, index = _basis_enumeration(d)
-    svec_len_block = block_dim * (block_dim + 1) // 2
 
     c_blocks = []
     for _ in parts:
-        c_blocks += [np.zeros((block_dim, block_dim)), np.eye(block_dim),
-                     np.zeros((block_dim, block_dim)), np.eye(block_dim)]
+        c_blocks += [np.zeros((d, d)), np.eye(d), np.zeros((d, d)), np.eye(d)]
 
-    # constraint columns: y = (w coefficients, then q coefficients per bipartition)
-    rows, cols, vals = [], [], []
-
-    def add(col, block, coords, factor):
-        for pos, val in coords:
-            rows.append(block * svec_len_block + pos)
-            cols.append(col)
-            vals.append(factor * val)
-
-    for alpha in range(n_basis):
-        coords = _embedding_coords(int(a_idx[alpha]), int(b_idx[alpha]), int(kind[alpha]), d)
-        for mi in range(n_parts):
-            add(alpha, 4 * mi + 0, coords, -1.0)   # P_M block:   S = W - Q^{T_M}
-            add(alpha, 4 * mi + 1, coords, +1.0)   # 1-P_M block: S = 1 - W + Q^{T_M}
+    # F_alpha^{T_M} = sigma[M, alpha] F_{tau[M, alpha]}
     tau = np.empty((n_parts, n_basis), dtype=np.intp)
     sigma = np.empty((n_parts, n_basis))
     for mi, part in enumerate(parts):
-        mask = part.mask
         for alpha in range(n_basis):
-            col = n_basis * (1 + mi) + alpha
             ta, tb, tk, sign = _transpose_action(int(a_idx[alpha]), int(b_idx[alpha]),
-                                                 int(kind[alpha]), mask)
+                                                 int(kind[alpha]), part.mask)
             tau[mi, alpha] = index[(ta, tb, tk)]
             sigma[mi, alpha] = sign
-            tcoords = _embedding_coords(ta, tb, tk, d)
-            coords = _embedding_coords(int(a_idx[alpha]), int(b_idx[alpha]), int(kind[alpha]), d)
-            add(col, 4 * mi + 0, tcoords, +sign)   # ... - Q^{T_M} inside the P_M slack
-            add(col, 4 * mi + 1, tcoords, -sign)
-            add(col, 4 * mi + 2, coords, -1.0)     # Q_M >= 0 slack is Q itself
-            add(col, 4 * mi + 3, coords, +1.0)
+
+    # constraint columns: y = (w coefficients, then q coefficients per
+    # bipartition).  Coordinate alpha of a cone block is F_alpha, so a column
+    # has one entry +-1 in each block it reaches.
+    alpha = np.arange(n_basis)
+    rows, cols, vals = [], [], []
+
+    def add(block, coords, col, val):
+        rows.append(block * n_basis + coords)
+        cols.append(col)
+        vals.append(np.broadcast_to(val, n_basis))
+
+    for mi in range(n_parts):
+        q_col = n_basis * (1 + mi) + alpha
+        add(4 * mi + 0, alpha, alpha, -1.0)          # P_M block:   S = W - Q^{T_M}
+        add(4 * mi + 1, alpha, alpha, +1.0)          # 1-P_M block: S = 1 - W + Q^{T_M}
+        add(4 * mi + 0, tau[mi], q_col, sigma[mi])   # ... - Q^{T_M} inside the P_M slack
+        add(4 * mi + 1, tau[mi], q_col, -sigma[mi])
+        add(4 * mi + 2, alpha, q_col, -1.0)          # Q_M >= 0 slack is Q itself
+        add(4 * mi + 3, alpha, q_col, +1.0)
 
     m = n_basis * (1 + n_parts)
-    a_csc = sp.csc_matrix((np.array(vals), (np.array(rows), np.array(cols))),
-                          shape=(len(block_dims) * svec_len_block, m))
+    a_csc = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                          shape=(len(block_dims) * n_basis, m))
     skeleton = sdp.SdpProblem.from_svec_columns(block_dims, c_blocks, a_csc, np.zeros(m))
-    # 2 Re of the complex coefficient products of F_alpha and F_beta, applied to
-    # the sums and differences that assemble() forms (see ArrowheadSchur)
-    kappa = np.where(kind == _DIAG, 1.0, 1 / math.sqrt(2))
-    imag = kind == _IM
-    scale = 2 * np.outer(kappa, kappa)
-    mixed = imag[:, None] != imag[None, :]
-    # matrix positions (a, b) in the order diagonal, (a, b) for a < b, (b, a) for a < b
-    a = np.concatenate([a_idx[~imag], b_idx[imag]])
-    b = np.concatenate([b_idx[~imag], a_idx[imag]])
-    layout = _ArrowheadLayout(
-        dim=d,
-        gather=((a[:, None] * d + b[None, :]) * d + b[:, None]) * d + a[None, :],
-        scale_re=np.where(mixed, 0.0, np.where(imag[:, None], -scale, scale)),
-        scale_im=np.where(mixed, -scale, 0.0),
-        tau=tau, sigma=sigma)
-    skeleton.schur_factory = partial(ArrowheadSchur, layout)
-    # flat positions, for entry (a, b) of a d x d matrix, of the entries
-    # (a, b), (d+a, d+b), (d+a, b), (a, d+b) of an embedded 2d x 2d block
-    a_e, b_e = np.divmod(np.arange(n_basis), d)
-    unembed = np.stack([a_e * block_dim + b_e, (d + a_e) * block_dim + d + b_e,
-                        (d + a_e) * block_dim + b_e, a_e * block_dim + d + b_e])
+    skeleton.schur_factory = partial(ArrowheadSchur, tau, sigma)
     # for a stack of K matrices H_M, the flat indices of the entries of H_M^{T_M}
     transpose = np.stack([partial_transpose(np.arange(n_basis).reshape(d, d),
                                             part.members, nqubits).ravel() + mi * n_basis
@@ -438,43 +378,15 @@ def _program_structure(nqubits: int):
         "dim": d,
         "parts": parts,
         "skeleton": skeleton,
-        "unembed": unembed,
+        "geom": skeleton._geom[0],
         "transpose": transpose,
-        "basis": (a_idx, b_idx, kind),
         "n_basis": n_basis,
     }
 
 
-def _coefficients(mats: np.ndarray, structure) -> np.ndarray:
-    """Coefficients Tr(F_alpha H) of Hermitian H (stacked along the last two axes)."""
-    a_idx, b_idx, kind = structure["basis"]
-    vals = mats[..., a_idx, b_idx]
-    return np.where(kind == _DIAG, vals.real,
-                    np.where(kind == _RE, math.sqrt(2) * vals.real,
-                             math.sqrt(2) * vals.imag))
-
-
-def _hermitian(coeffs: np.ndarray, structure) -> np.ndarray:
-    """The matrices sum_alpha c_alpha F_alpha of coefficient vectors along the last axis."""
-    d = structure["dim"]
-    a_idx, b_idx, _ = structure["basis"]
-    npairs = (structure["n_basis"] - d) // 2
-    a, b = a_idx[d:d + npairs], b_idx[d:d + npairs]
-    out = np.zeros(coeffs.shape[:-1] + (d * d,), dtype=complex)
-    out[..., a_idx[:d] * (d + 1)] = coeffs[..., :d]
-    upper = (coeffs[..., d:d + npairs] + 1j * coeffs[..., d + npairs:]) / math.sqrt(2)
-    out[..., a * d + b] = upper
-    out[..., b * d + a] = upper.conj()
-    return out.reshape(coeffs.shape[:-1] + (d, d))
-
-
-# weights of the four gathered entries in 2 unembed(D)[a, b]
-_UNEMBED_WEIGHTS = np.array([1.0, 1.0, 1j, -1j])
-
-
 def _rhs_for(rho: np.ndarray, structure) -> np.ndarray:
     b = np.zeros(structure["skeleton"].num_constraints)
-    b[:structure["n_basis"]] = -_coefficients(rho, structure)
+    b[:structure["n_basis"]] = -structure["geom"].svec(rho)
     return b
 
 
@@ -536,8 +448,8 @@ class _Bracket:
 
     :meth:`closed` is the solve's stop callback.
 
-    Upper bound, at every iterate: the primal blocks give rho_M = 2
-    unembed(X_{P_M} - X_{1-P_M}); the residual rho - sum_M rho_M goes into
+    Upper bound, at every iterate: the primal blocks give rho_M = X_{P_M} -
+    X_{1-P_M}; the residual rho - sum_M rho_M goes into
     the first, which makes the split exact at any iterate, feasible or not,
     and E <= sum_M neg(rho_M) + neg(rho_M^{T_M}).
 
@@ -562,7 +474,7 @@ class _Bracket:
         self._structure = structure
         self._k, self._d = len(structure["parts"]), structure["dim"]
         self._rho = rho
-        self._rho_coeffs = _coefficients(rho, structure)
+        self._rho_coeffs = structure["geom"].svec(rho)
         self._trace = float(np.trace(rho).real)
         transpose = structure["transpose"]
         # the entries of rho_M, then of rho_M^{T_M}, in a stack of the rho_M
@@ -584,10 +496,7 @@ class _Bracket:
         k, d = self._k, self._d
         heapq.heappush(self._pending, (float(y[:d * d] @ self._rho_coeffs),
                                        next(self._arrivals), y.copy()))
-        # 2 unembed(D) = D11 + D22 + i (D21 - D12) for the symmetric D = X_P - X_{1-P}
-        diff = np.array(x_blocks[0::4]) - np.array(x_blocks[1::4])
-        split = np.matmul(_UNEMBED_WEIGHTS,
-                          np.take(diff.reshape(k, -1), self._structure["unembed"], axis=1))
+        split = (np.array(x_blocks[0::4]) - np.array(x_blocks[1::4])).reshape(k, d * d)
         split[0] += self._rho.ravel() - split.sum(axis=0)
         eigs = np.linalg.eigvalsh(np.take(split, self._split_entries).reshape(2 * k, d, d))
         e_hi = -float(np.minimum(eigs, 0).sum())
@@ -602,7 +511,7 @@ class _Bracket:
     def _repair(self, y: np.ndarray) -> None:
         """The repaired witness of one iterate; kept if it lowers the objective."""
         k, d = self._k, self._d
-        mats = _hermitian(y.reshape(1 + k, d * d), self._structure)
+        mats = self._structure["geom"].smat(y.reshape(1 + k, d * d))
         w, q = mats[0], mats[1:]
         p = w - np.take(q, self._structure["transpose"]).reshape(k, d, d)
         eigs = np.linalg.eigvalsh(np.concatenate([p, q]))

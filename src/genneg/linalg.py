@@ -87,35 +87,6 @@ def eig_hermitian(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(hermitian_part(m))
 
 
-def real_embedding(m: np.ndarray) -> np.ndarray:
-    """Real symmetric embedding [[Re m, -Im m], [Im m, Re m]] of a Hermitian matrix.
-
-    The embedding doubles the multiplicity of every eigenvalue and maps the
-    PSD cone of Hermitian matrices onto (a section of) the real PSD cone,
-    which lets a real-arithmetic SDP solver handle Hermitian variables.
-    """
-    require_hermitian(m)
-    h = hermitian_part(m)
-    re, im = h.real, h.imag
-    return np.block([[re, -im], [im, re]])
-
-
-def unembed_hermitian(r: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`real_embedding` for (possibly perturbed) symmetric input.
-
-    Averages the two real blocks and antisymmetrizes the imaginary blocks, so
-    small symmetric noise maps to small Hermitian noise.  A stack of embedded
-    matrices (along the last two axes) is unembedded matrix by matrix.
-    """
-    n2 = r.shape[-1]
-    if n2 % 2:
-        raise ValueError("embedded matrix must have even dimension")
-    d = n2 // 2
-    re = (r[..., :d, :d] + r[..., d:, d:]) / 2
-    im = (r[..., d:, :d] - r[..., :d, d:]) / 2
-    return hermitian_part(re + 1j * im)
-
-
 def check_density_matrix(rho: np.ndarray, nqubits: int | None = None,
                          trace_tol: float = 1e-9, eig_tol: float = 1e-9) -> int:
     """Validate a density matrix and return its qubit count.

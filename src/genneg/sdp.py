@@ -1,35 +1,41 @@
 """Primal-dual interior-point solver for small dense semidefinite programs.
 
-Solves the standard equality form over a product of real symmetric blocks
+Solves the standard equality form over a product of complex Hermitian blocks
 
     minimize    <C, X>
     subject to  <A_i, X> = b_i   (i = 1..m),    X >= 0 (PSD, blockwise)
 
-together with its dual  max b'y  s.t.  C - sum_i y_i A_i = S >= 0.
+with <A, X> = Re Tr(A X), together with its dual  max b'y  s.t.
+C - sum_i y_i A_i = S >= 0.  The data, iterates and directions are complex
+Hermitian; the dual vector y and the Schur matrix are real.  Real symmetric
+data is the special case with zero imaginary parts.
 
 Algorithm: infeasible-start path following with the HKM symmetrized search
-direction and a Mehrotra predictor-corrector step.  Each iteration assembles
-and factors the (symmetric positive definite) Schur complement
+direction (Helmberg-Rendl-Vanderbei-Wolkowicz, unchanged over the complex
+field) and a Mehrotra predictor-corrector step.  Each iteration assembles and
+factors the (real symmetric positive definite) Schur complement
 
-    M_ij = Tr(A_i S^{-1} A_j X)
+    M_ij = Re Tr(A_i S^{-1} A_j X)
 
 behind the small :class:`SchurSystem` interface (assemble, factor with a
-diagonal shift, solve, matvec).  A problem supplies its implementation through
-``SdpProblem.schur_factory``; the default :class:`DenseSchur` forms the whole
-m x m matrix and factors it by dense Cholesky, while structured programs (the
-PPT-mixture program in ``gmn``) keep M in a sparser block form.  The solver
-owns the regularization ladder: the shift is reg times max(1, the largest
-diagonal entry of M), with reg escalating by factors of ten from ``min_regularization``
-to ``max_regularization``.  Each solve gets one step of iterative refinement
-against the unshifted M, and a pure centering step is taken whenever the
-smallest complementarity pairs drift far below their mean (which is what
-stalls plain Mehrotra steps on degenerate optima).  Step lengths are 0.98 of
+diagonal shift, solve, matvec).  Both implementations form M from one
+kernel, ``_BlockGeometry.schur_kernel``: H[alpha, beta] = Re Tr(F_alpha S^-1
+F_beta X) over the basis F of a block.  A problem supplies its implementation
+through ``SdpProblem.schur_factory``; the default :class:`DenseSchur` forms
+the whole m x m matrix and factors it by dense Cholesky, while structured
+programs (the PPT-mixture program in ``gmn``) keep M in a sparser block form.
+The solver owns the regularization ladder: the shift is reg times max(1, the
+largest diagonal entry of M), with reg escalating by factors of ten from
+``min_regularization`` to ``max_regularization``.  Each solve gets one step
+of iterative refinement against the unshifted M, and a pure centering step
+is taken whenever the smallest complementarity pairs drift far below their
+mean (which is what stalls plain Mehrotra steps on degenerate optima).  Step lengths are 0.98 of
 the distance to the cone boundary, capped at 1.
 
-Each iteration factors S = L_S L_S^T and X = L_X L_X^T once and inverts each
-factor once.  The inverse factors serve both S^-1 = L_S^-T L_S^-1 and the four
-step lengths, which come from the eigenvalues of L^-1 D L^-T for a direction
-D: a symmetric eigenproblem formed with matrix products, no further solves.
+Each iteration factors S = L_S L_S^H and X = L_X L_X^H once and inverts each
+factor once.  The inverse factors serve both S^-1 = L_S^-H L_S^-1 and the four
+step lengths, which come from the eigenvalues of L^-1 D L^-H for a direction
+D: a Hermitian eigenproblem formed with matrix products, no further solves.
 
 Every solve runs on one BLAS thread: :func:`solve` lowers the thread count of
 each loaded OpenBLAS (numpy's and scipy's bundled copies, or a system build)
@@ -54,15 +60,16 @@ nothing of what the callback checks: ``gmn`` uses it to stop once its
 certified bracket on the monotone is narrow enough.  Without a callback the
 iteration is the same, bit for bit.
 
-Each accepted step is exactly symmetric (iterate and direction both are), and
+Each accepted step is exactly Hermitian (iterate and direction both are), and
 the Cholesky factors that prove the trial iterate positive definite are the
 ones the next iteration uses.
 
 Matrices are stored blockwise and batched by block dimension; constraints
-are sparse columns in the scaled svec basis (off-diagonal entries carry a
-factor sqrt(2), so svec(A)·svec(B) = <A, B>).  Intended problem sizes are
-tiny by SDP standards (blocks up to ~64, a few thousand constraints), which
-is why everything is dense per block.
+are sparse columns over the n^2 real coordinates of each n x n block in a
+trace-orthonormal Hermitian basis (see :class:`_BlockGeometry`), so
+svec(A)·svec(B) = <A, B>.  Intended problem sizes are tiny by SDP standards
+(blocks up to ~16, a few thousand constraints), which is why everything is
+dense per block.
 """
 
 from __future__ import annotations
@@ -81,9 +88,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from ._kernels import skron_into
-
-SYMMETRY_TOL = 1e-12
+HERMITICITY_TOL = 1e-12
 
 
 class SdpStatus(Enum):
@@ -109,6 +114,8 @@ class SdpOptions:
 
 @dataclass
 class SdpSolution:
+    """The returned iterate: complex Hermitian X and S blocks and the real y."""
+
     status: SdpStatus
     x_blocks: list
     y: np.ndarray
@@ -130,73 +137,106 @@ class SdpSolution:
 
 
 class _BlockGeometry:
-    """svec indexing and gather tables for one block dimension."""
+    """Real coordinates of an n x n Hermitian block, and the Schur kernel over them.
+
+    ``svec(A)`` lists the n^2 coefficients Re Tr(F_alpha A) of A in the
+    trace-orthonormal basis
+
+        diag(a)    a = 0..n-1       F = e_a e_a'
+        re(a, b)   a < b (lex)      F = (e_a e_b' + e_b e_a')/sqrt(2)
+        im(a, b)   a < b (lex)      F = i (e_a e_b' - e_b e_a')/sqrt(2)
+
+    that is diag(A), then sqrt(2) Re A[a, b], then sqrt(2) Im A[a, b], so
+    svec(A)·svec(B) = Re Tr(AB) and F_alpha is coordinate alpha.  ``svec`` and
+    ``smat`` act on the last two axes (last axis) of a stack, each as one
+    gather from the float view of the complex entries and one multiply.
+    """
 
     def __init__(self, n: int):
         self.n = n
-        iu, ju = np.triu_indices(n)
-        self.iu, self.ju = iu, ju
-        self.L = len(iu)
-        self.scale = np.where(iu == ju, 1.0, math.sqrt(2.0))
-        self.inv_scale = 1.0 / self.scale
-
-    # Gather tables of the symmetrized Kronecker product, built on the first
-    # skron call: only DenseSchur reads them, and at block size 32 they hold 8.5 MB.
-
-    @cached_property
-    def flat_ii(self) -> np.ndarray:
-        return (self.iu[:, None] * self.n + self.iu[None, :]).astype(np.intp)
-
-    @cached_property
-    def flat_jj(self) -> np.ndarray:
-        return (self.ju[:, None] * self.n + self.ju[None, :]).astype(np.intp)
-
-    @cached_property
-    def flat_ij(self) -> np.ndarray:
-        return (self.iu[:, None] * self.n + self.ju[None, :]).astype(np.intp)
-
-    @cached_property
-    def cc(self) -> np.ndarray:
-        c = np.where(self.iu == self.ju, 0.5, 1.0 / math.sqrt(2.0))
-        return np.outer(c, c)
+        self.L = n * n
+        a, b = np.triu_indices(n, 1)
+        npairs = len(a)
+        diag = np.arange(n)
+        self.scale = np.repeat([1.0, math.sqrt(2.0)], [n, 2 * npairs])
+        # coordinate alpha reads the real or imaginary part of entry (a, b)
+        # of the matrix, at position 2 (a n + b) + part of its float view
+        upper = 2 * (a * n + b)
+        self._svec_src = np.concatenate([2 * diag * (n + 1), upper, upper + 1])
+        # entry (a, b) of the float view is coordinate _smat_src times _smat_weight;
+        # the imaginary diagonal reads coordinate 0 with weight 0
+        lower = 2 * (b * n + a)
+        re, im = n + np.arange(npairs), n + npairs + np.arange(npairs)
+        self._smat_src = np.zeros(2 * n * n, dtype=np.intp)
+        self._smat_weight = np.zeros(2 * n * n)
+        for pos, src, weight in ((2 * diag * (n + 1), diag, 1.0),
+                                 (upper, re, 1 / math.sqrt(2.0)), (lower, re, 1 / math.sqrt(2.0)),
+                                 (upper + 1, im, 1 / math.sqrt(2.0)),
+                                 (lower + 1, im, -1 / math.sqrt(2.0))):
+            self._smat_src[pos] = src
+            self._smat_weight[pos] = weight
 
     def svec(self, m: np.ndarray) -> np.ndarray:
-        return m[self.iu, self.ju] * self.scale
-
-    def svec_stack(self, stack: np.ndarray) -> np.ndarray:
-        return stack[:, self.iu, self.ju] * self.scale
+        """The coordinates of a Hermitian matrix (or stack) along a new last axis."""
+        m = np.asarray(m, dtype=complex)
+        flat = m.reshape(m.shape[:-2] + (self.L,))
+        return np.take(flat.view(np.float64), self._svec_src, axis=-1) * self.scale
 
     def smat(self, v: np.ndarray) -> np.ndarray:
-        out = np.empty((self.n, self.n))
-        vals = v * self.inv_scale
-        out[self.iu, self.ju] = vals
-        out[self.ju, self.iu] = vals
-        return out
+        """The Hermitian matrices sum_alpha v_alpha F_alpha of coordinates along the last axis."""
+        flat = np.take(v, self._smat_src, axis=-1) * self._smat_weight
+        return flat.view(complex).reshape(v.shape[:-1] + (self.n, self.n))
 
-    def smat_stack(self, rows: np.ndarray) -> np.ndarray:
-        out = np.empty((rows.shape[0], self.n, self.n))
-        vals = rows * self.inv_scale
-        out[:, self.iu, self.ju] = vals
-        out[:, self.ju, self.iu] = vals
-        return out
+    # The Schur kernel's tables: positions (a, b) of the elementary matrices in
+    # the order diagonal, (a, b) for a < b, (b, a) for a < b, and the factors
+    # that turn their traces into those of the basis.  Built on the first
+    # kernel call; at n = 16 they hold 1.5 MB.
 
-    def skron(self, u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """K with svec(A)' K svec(B) = <A, (U B V + V B U)/2> for symmetric U, V."""
-        if out is None:
-            out = np.empty((self.L, self.L))
-        if skron_into is not None:
-            skron_into(np.ascontiguousarray(u), np.ascontiguousarray(v),
-                       self.iu, self.ju, self.cc, out)
-            return out
-        uf, vf = np.ascontiguousarray(u).ravel(), np.ascontiguousarray(v).ravel()
-        u_ij = uf[self.flat_ij]
-        v_ij = vf[self.flat_ij]
-        np.multiply(u_ij.T, v_ij, out=out)
-        out += u_ij * v_ij.T
-        out += uf[self.flat_jj] * vf[self.flat_ii]
-        out += uf[self.flat_ii] * vf[self.flat_jj]
-        out *= self.cc
-        return out
+    @cached_property
+    def _gather(self) -> np.ndarray:
+        n = self.n
+        a, b = np.triu_indices(n, 1)
+        row = np.concatenate([np.arange(n), a, b])
+        col = np.concatenate([np.arange(n), b, a])
+        # V[alpha, beta] = G[row_alpha, col_beta, col_alpha, row_beta]
+        return ((row[:, None] * n + col[None, :]) * n + col[:, None]) * n + row[None, :]
+
+    @cached_property
+    def _scales(self) -> tuple:
+        imag = np.arange(self.L) >= (self.L + self.n) // 2
+        kappa = np.where(np.arange(self.L) < self.n, 1.0, 1 / math.sqrt(2.0))
+        scale = np.outer(kappa, kappa)
+        mixed = imag[:, None] != imag[None, :]
+        return (np.where(mixed, 0.0, np.where(imag[:, None], -scale, scale)),
+                np.where(mixed, -scale, 0.0))
+
+    def schur_kernel(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """H[p, alpha, beta] = sum_r Re Tr(F_alpha s[p, r] F_beta x[p, r]).
+
+        ``s`` and ``x`` are (P, r, n, n) stacks of Hermitian matrices; the r
+        blocks of each group are summed.  With G[(a, b), (c, e)] = sum_r
+        s[b, c] x[e, a], Tr(E_ab s E_ce x) is one entry of G: G is gathered
+        into the basis order, the entries (a, b) and (b, a) of each pair are
+        turned into their sum and difference, and the basis factors applied.
+        """
+        p, r, L = s.shape[0], s.shape[1], self.L
+        xt = x.transpose(0, 1, 3, 2).reshape(p, r, L)
+        g = np.matmul(xt.transpose(0, 2, 1), s.reshape(p, r, L)).reshape(p, L * L)
+        v = np.take(g, self._gather, axis=1)
+        _fold(v[:, self.n:].transpose(1, 0, 2))
+        _fold(v[:, :, self.n:].transpose(2, 0, 1))
+        scale_re, scale_im = self._scales
+        h = v.real * scale_re
+        h += v.imag * scale_im
+        return h
+
+
+def _fold(v: np.ndarray) -> None:
+    """Entries (a, b), (b, a) of each pair become their sum and difference, in place."""
+    ab, ba = np.split(v, 2)
+    np.subtract(ab, ba, out=ba)
+    ab *= 2
+    ab -= ba
 
 
 @lru_cache(maxsize=None)
@@ -208,11 +248,12 @@ class SdpProblem:
     """Block SDP data: dimensions, objective blocks, constraints, right-hand side.
 
     ``constraints`` in the public constructor is a list of ``(blocks, b_i)``
-    where ``blocks`` maps block index -> dense symmetric array (a dict, or a
-    list with ``None`` for untouched blocks).  Internally every constraint is
-    one sparse column in the stacked scaled-svec basis: ``a_csc`` holds the
-    columns and ``a_t`` its CSR transpose, built once because the solver
-    applies A^T several times per iteration.
+    where ``blocks`` maps block index -> dense Hermitian array, real or
+    complex (a dict, or a list with ``None`` for untouched blocks).
+    Internally every constraint is one sparse column over the stacked svec
+    coordinates of the blocks: ``a_csc`` holds the columns and ``a_t`` its
+    CSR transpose, built once because the solver applies A^T several times
+    per iteration.
 
     ``schur_factory`` builds the :class:`SchurSystem` of each solve from the
     problem; it defaults to :class:`DenseSchur` and is shared by
@@ -255,13 +296,13 @@ class SdpProblem:
 
     @classmethod
     def from_svec_columns(cls, block_dims, objective_blocks, a_csc, b) -> "SdpProblem":
-        """Construct directly from a stacked scaled-svec constraint matrix."""
+        """Construct directly from a constraint matrix over the stacked svec coordinates."""
         self = cls.__new__(cls)
         self._init_blocks(block_dims)
         if a_csc.shape[0] != self.svec_length:
             raise ValueError(f"constraint matrix has {a_csc.shape[0]} rows, "
                              f"expected {self.svec_length}")
-        self._init_data([np.asarray(c, dtype=float) for c in objective_blocks],
+        self._init_data([np.asarray(c, dtype=complex) for c in objective_blocks],
                         a_csc.tocsc(), np.asarray(b, dtype=float))
         return self
 
@@ -282,13 +323,13 @@ class SdpProblem:
         self.schur_factory = DenseSchur
 
     def _check_block(self, blk, k, what):
-        blk = np.asarray(blk, dtype=float)
+        blk = np.asarray(blk, dtype=complex)
         d = self.block_dims[k]
         if blk.shape != (d, d):
             raise ValueError(f"{what}: block {k} has shape {blk.shape}, expected {(d, d)}")
-        if np.max(np.abs(blk - blk.T)) > SYMMETRY_TOL:
-            raise ValueError(f"{what}: block {k} is not symmetric within {SYMMETRY_TOL:.0e}")
-        return (blk + blk.T) / 2
+        if np.max(np.abs(blk - blk.conj().T)) > HERMITICITY_TOL:
+            raise ValueError(f"{what}: block {k} is not Hermitian within {HERMITICITY_TOL:.0e}")
+        return (blk + blk.conj().T) / 2
 
     @property
     def num_constraints(self) -> int:
@@ -313,9 +354,8 @@ class SdpProblem:
     def prep(self):
         """Per-block constraint data for the :class:`DenseSchur` assembly (cached, shared).
 
-        For every block: the active constraint columns, their contiguous runs
-        (so the scatter into the Schur matrix is slice arithmetic) and the
-        sparse slice of the constraint matrix that sandwiches skron(S^-1, X).
+        For every block: the active constraint columns and the sparse slice of
+        the constraint matrix that sandwiches the block's Schur kernel.
         """
         if self._prep_holder["prep"] is None:
             a_csr = self.a_csc.tocsr()
@@ -327,15 +367,9 @@ class SdpProblem:
                     prep.append(None)
                     continue
                 phi_act = phi_rows[:, act].tocsc()
-                breaks = np.nonzero(np.diff(act) > 1)[0] + 1
-                starts = np.concatenate([[0], breaks])
-                stops = np.concatenate([breaks, [len(act)]])
-                runs = [(int(act[s0]), int(act[s1 - 1]) + 1, int(s0), int(s1))
-                        for s0, s1 in zip(starts, stops)]
                 prep.append({
                     "geom": self._geom[k],
                     "act": act,
-                    "runs": runs,
                     "phi_act": phi_act,
                     "phi_act_t": sp.csr_matrix(phi_act.T),
                 })
@@ -370,7 +404,7 @@ class SchurSystem(Protocol):
 class DenseSchur:
     """Generic :class:`SchurSystem`: the full m x m matrix and a dense Cholesky.
 
-    Every block contributes the sandwich of skron(S^-1, X) with its active
+    Every block contributes the sandwich of its Schur kernel with its active
     constraint columns, scattered into the rows and columns of those columns.
     """
 
@@ -378,7 +412,6 @@ class DenseSchur:
         self._prep = problem.prep()
         m = problem.num_constraints
         self.matrix = np.zeros((m, m))
-        self._kron_bufs = {g.n: np.empty((g.L, g.L)) for g in problem._geom}
         self._factor = None
 
     def assemble(self, sinv_blocks, x_blocks):
@@ -387,17 +420,9 @@ class DenseSchur:
         for info, sinv, x in zip(self._prep, sinv_blocks, x_blocks):
             if info is None:
                 continue
-            geom = info["geom"]
-            k = geom.skron(sinv, x, out=self._kron_bufs[geom.n])
-            contrib = (info["phi_act_t"] @ k) @ info["phi_act"]
-            runs = info["runs"]
-            if len(runs) <= 8:
-                for a0, a1, c0, c1 in runs:
-                    for b0, b1, d0, d1 in runs:
-                        mmat[a0:a1, b0:b1] += contrib[c0:c1, d0:d1]
-            else:
-                act = info["act"]
-                mmat[np.ix_(act, act)] += contrib
+            h = info["geom"].schur_kernel(sinv[None, None], x[None, None])[0]
+            act = info["act"]
+            mmat[np.ix_(act, act)] += (info["phi_act_t"] @ h) @ info["phi_act"]
         mmat += mmat.T
         mmat *= 0.5
 
@@ -434,7 +459,7 @@ class _Stacks:
         self.position = [position[idx] for idx in range(len(self.block_dims))]
 
     def identity(self, factor: float) -> dict:
-        return {d: factor * np.broadcast_to(np.eye(d), (len(idxs), d, d)).copy()
+        return {d: factor * np.broadcast_to(np.eye(d, dtype=complex), (len(idxs), d, d))
                 for d, idxs, _ in self.groups}
 
     def to_blocks(self, stacks: dict) -> list:
@@ -447,8 +472,13 @@ class _Stacks:
         return float(sum(np.vdot(a[d], b[d]).real for d, _, _ in self.groups))
 
 
+def _adjoint(stack: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix of a (count, n, n) stack."""
+    return stack.conj().transpose(0, 2, 1)
+
+
 def _herm_stack(stack: np.ndarray) -> np.ndarray:
-    return (stack + stack.transpose(0, 2, 1)) / 2
+    return (stack + _adjoint(stack)) / 2
 
 
 def lapack_checked(result, routine: str) -> np.ndarray:
@@ -471,22 +501,22 @@ def _inverse_factor(chol: np.ndarray) -> np.ndarray:
     """L^-1 for each lower-triangular Cholesky factor L of a (count, n, n) stack."""
     out = np.empty_like(chol)
     for blk, low in zip(out, chol):
-        blk[...] = lapack_checked(lapack.dtrtri(low, lower=1), "dtrtri")
+        blk[...] = lapack_checked(lapack.ztrtri(low, lower=1), "ztrtri")
     return out
 
 
 def _inverse_from_factor(linv: np.ndarray) -> np.ndarray:
-    """X^-1 = L^-T L^-1 for each block, given the stacked L^-1 of X = L L^T."""
-    return _herm_stack(np.matmul(linv.transpose(0, 2, 1), linv))
+    """X^-1 = L^-H L^-1 for each block, given the stacked L^-1 of X = L L^H."""
+    return _herm_stack(np.matmul(_adjoint(linv), linv))
 
 
 def _step_to_boundary(linv: np.ndarray, delta: np.ndarray) -> float:
     """Largest alpha keeping every X + alpha*delta PSD, given the stacked L^-1 of X.
 
-    The eigenvalues of L^-1 delta L^-T are those of the pencil (delta, X); the
+    The eigenvalues of L^-1 delta L^-H are those of the pencil (delta, X); the
     step is -1/lambda_min, or inf when no eigenvalue is below -1e-14.
     """
-    z = np.matmul(np.matmul(linv, delta), linv.transpose(0, 2, 1))
+    z = np.matmul(np.matmul(linv, delta), _adjoint(linv))
     lam_min = float(np.linalg.eigvalsh(_herm_stack(z)).min())
     if lam_min >= -1e-14:
         return math.inf
@@ -644,7 +674,7 @@ def _solve(problem: SdpProblem, opts: SdpOptions, stop) -> SdpSolution:
 
     def svec_all(sd: dict) -> np.ndarray:
         for d, _, g in stacks.groups:
-            svec_buf[svec_pos[d]] = g.svec_stack(sd[d]).ravel()
+            svec_buf[svec_pos[d]] = g.svec(sd[d]).ravel()
         return svec_buf
 
     def op_a(sd: dict) -> np.ndarray:
@@ -652,7 +682,7 @@ def _solve(problem: SdpProblem, opts: SdpOptions, stop) -> SdpSolution:
 
     def op_at(vec_y: np.ndarray) -> dict:
         full = a @ vec_y
-        return {d: g.smat_stack(full[svec_pos[d]].reshape(len(idxs), g.L))
+        return {d: g.smat(full[svec_pos[d]].reshape(len(idxs), g.L))
                 for d, idxs, g in stacks.groups}
 
     def inverse_factors(sd: dict, chol: dict | None, what: str) -> tuple:
@@ -670,7 +700,7 @@ def _solve(problem: SdpProblem, opts: SdpOptions, stop) -> SdpSolution:
 
         The max-step estimate can overshoot once blocks are nearly singular,
         so alpha halves until the trial factors; (0, sd, None) if none does.
-        The trial is exactly symmetric (both terms are), and its factors are
+        The trial is exactly Hermitian (both terms are), and its factors are
         the next iteration's.
         """
         for _ in range(tries):
@@ -823,7 +853,7 @@ def _solve(problem: SdpProblem, opts: SdpOptions, stop) -> SdpSolution:
             # below mu the plain Mehrotra step stalls, so re-center first
             lam_floor = math.inf
             for d, _, _ in stacks.groups:
-                w = np.matmul(np.matmul(s_chol[d].transpose(0, 2, 1), x_st[d]), s_chol[d])
+                w = np.matmul(np.matmul(_adjoint(s_chol[d]), x_st[d]), s_chol[d])
                 lam_floor = min(lam_floor, float(np.linalg.eigvalsh(_herm_stack(w)).min()))
             centrality = lam_floor / mu
             if centrality < 1e-4:

@@ -8,7 +8,7 @@ import scipy.linalg as sla
 
 from genneg import gmn, sdp, states
 from genneg.channels import ChannelKind, apply_local_channel
-from genneg.linalg import partial_transpose, real_embedding
+from genneg.linalg import hermitian_part, partial_transpose
 from genneg.sdp import SdpOptions, SdpStatus
 
 
@@ -97,7 +97,7 @@ class TestBuildProgram:
         d = 8
         n_parts = 3
         assert len(problem.block_dims) == 4 * n_parts
-        assert all(dim == 2 * d for dim in problem.block_dims)
+        assert all(dim == d for dim in problem.block_dims)
         # one Hermitian witness variable plus one Q per bipartition
         assert problem.num_constraints == d * d * (1 + n_parts)
 
@@ -303,16 +303,16 @@ class TestTransposeBookkeeping:
                 assert np.allclose(partial_transpose(f, part.members, n), sign * g)
 
 
-def random_embedded_iterates(rng, problem):
-    """Embedded S^-1 and X blocks of random Hermitian positive definite iterates."""
-    d = problem.block_dims[0] // 2
+def random_iterates(rng, problem):
+    """S^-1 and X blocks of random Hermitian positive definite iterates."""
+    d = problem.block_dims[0]
 
     def hermitian_pd():
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         return g @ g.conj().T / d + 0.1 * np.eye(d)
 
-    sinv = [real_embedding(np.linalg.inv(hermitian_pd())) for _ in problem.block_dims]
-    x = [real_embedding(hermitian_pd()) for _ in problem.block_dims]
+    sinv = [hermitian_part(np.linalg.inv(hermitian_pd())) for _ in problem.block_dims]
+    x = [hermitian_pd() for _ in problem.block_dims]
     return sinv, x
 
 
@@ -322,7 +322,7 @@ def schur_pair(request):
     n = request.param
     rng = np.random.default_rng(100 + n)
     problem = gmn.build_program(np.eye(2**n) / 2**n, n)
-    sinv, x = random_embedded_iterates(rng, problem)
+    sinv, x = random_iterates(rng, problem)
     dense = sdp.DenseSchur(problem)
     dense.assemble(sinv, x)
     arrow = problem.schur_factory(problem)
@@ -401,7 +401,7 @@ class TestArrowheadSchur:
         # a regularization ladder retry factors the same blocks again at a
         # larger shift; the in-place triangular solve must not write into qw
         n, problem, _, _ = schur_pair
-        sinv, x = random_embedded_iterates(np.random.default_rng(300 + n), problem)
+        sinv, x = random_iterates(np.random.default_rng(300 + n), problem)
         retried, fresh = problem.schur_factory(problem), problem.schur_factory(problem)
         retried.assemble(sinv, x)
         fresh.assemble(sinv, x)
@@ -418,7 +418,7 @@ class TestArrowheadSchur:
     def test_assembly_does_not_depend_on_chunk_size(self, schur_pair, monkeypatch):
         # the default budget, one bipartition per chunk, and all in one chunk
         n, problem, _, _ = schur_pair
-        sinv, x = random_embedded_iterates(np.random.default_rng(200 + n), problem)
+        sinv, x = random_iterates(np.random.default_rng(200 + n), problem)
         chunks, outputs = [], []
         for budget in (gmn.ASSEMBLY_CHUNK_BYTES, 1, 2**40):
             monkeypatch.setattr(gmn, "ASSEMBLY_CHUNK_BYTES", budget)
@@ -435,7 +435,7 @@ class TestArrowheadSchur:
 def test_n4_assembly_memory_stays_near_its_output():
     """One N=4 assembly allocates at most three times the bytes of its output."""
     problem = gmn.build_program(np.eye(16) / 16, 4)
-    sinv, x = random_embedded_iterates(np.random.default_rng(404), problem)
+    sinv, x = random_iterates(np.random.default_rng(404), problem)
     schur = problem.schur_factory(problem)
     tracemalloc.start()
     try:
@@ -451,7 +451,7 @@ def test_n4_assembly_memory_stays_near_its_output():
 def test_n4_solve_memory_stays_near_its_rhs():
     """One N=4 solve allocates at most eight times the bytes of its right-hand side."""
     problem = gmn.build_program(np.eye(16) / 16, 4)
-    sinv, x = random_embedded_iterates(np.random.default_rng(405), problem)
+    sinv, x = random_iterates(np.random.default_rng(405), problem)
     schur = problem.schur_factory(problem)
     schur.assemble(sinv, x)
     schur.factor(1e-9 * schur.max_diagonal())
@@ -664,7 +664,7 @@ def ghz3_bracket():
     """A fresh bracket for GHZ3 and the primal start point (X = I)."""
     rho = states.to_density(states.named_state("ghz3"))
     structure = gmn._program_structure(3)
-    return rho, gmn._Bracket(rho, structure), [np.eye(16)] * 12
+    return rho, gmn._Bracket(rho, structure), [np.eye(8, dtype=complex)] * 12
 
 
 def multiples_of_identity(w, q):

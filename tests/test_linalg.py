@@ -118,44 +118,6 @@ class TestEigHermitian:
             assert abs(eigs.sum() - np.trace(m).real) < 1e-9
 
 
-class TestRealEmbedding:
-    def test_real_symmetric_input(self):
-        rng = np.random.default_rng(7)
-        m = rng.standard_normal((4, 4))
-        m = (m + m.T) / 2
-        emb = linalg.real_embedding(m.astype(complex))
-        assert np.allclose(emb[:4, :4], m)
-        assert np.allclose(emb[4:, 4:], m)
-        assert np.allclose(emb[:4, 4:], 0)
-        assert np.allclose(emb[4:, :4], 0)
-
-    def test_pauli_y_embedding_spectrum(self):
-        # oracle: direct 4x4 eigendecomposition
-        emb = linalg.real_embedding(linalg.PAULI_Y)
-        oracle = np.sort(np.linalg.eigvalsh(emb))
-        assert np.allclose(oracle, [-1, -1, 1, 1], atol=1e-12)
-
-    def test_identity(self):
-        assert np.array_equal(linalg.real_embedding(np.eye(3, dtype=complex)), np.eye(6))
-
-    def test_doubled_spectrum(self):
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            m = random_hermitian(rng, 8)
-            doubled = np.sort(np.repeat(linalg.eig_hermitian(m), 2))
-            emb_eigs = linalg.eig_hermitian(linalg.real_embedding(m).astype(complex))
-            assert np.max(np.abs(doubled - emb_eigs)) < 1e-9
-
-    def test_unembed_roundtrip(self):
-        rng = np.random.default_rng(9)
-        m = random_hermitian(rng, 8)
-        assert np.allclose(linalg.unembed_hermitian(linalg.real_embedding(m)), m, atol=1e-14)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="not Hermitian"):
-            linalg.real_embedding(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-
-
 class TestDensityValidation:
     def test_accepts_valid(self):
         rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)

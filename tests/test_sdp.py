@@ -60,6 +60,19 @@ class TestSmallProblems:
         assert abs(sol.x_blocks[1][0, 0]) < 1e-5
         assert np.allclose(sol.x_blocks[2], [[0.5, -0.5], [-0.5, 0.5]], atol=1e-5)
 
+    def test_complex_hermitian_objective(self):
+        # min Tr(C X) with Tr X = 1 is lambda_min(C) = 1 (the spectrum is {1, 4}),
+        # attained at X = v v^dagger for the eigenvector v = (1 - i, -1)/sqrt(3)
+        c = np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, 3.0]])
+        sol = solve(SdpProblem(block_dims=[2], objective_blocks=[c],
+                               constraints=[([np.eye(2)], 1.0)]))
+        assert sol.status is SdpStatus.OPTIMAL
+        assert abs(sol.primal_objective - 1.0) < 1e-7
+        assert abs(sol.dual_objective - 1.0) < 1e-7
+        v = np.array([1.0 - 1.0j, -1.0]) / math.sqrt(3)
+        assert np.allclose(sol.x_blocks[0], np.outer(v, v.conj()), rtol=0, atol=1e-5)
+        assert abs(sol.x_blocks[0][0, 1].imag - 1 / 3) < 1e-5
+
     def test_ghz3_instance_objective(self):
         rho = states.to_density(states.named_state("ghz3"))
         sol = solve(build_program(rho, 3))
@@ -198,6 +211,31 @@ class TestSolverInvariants:
         assert np.array_equal(s1.y, s2.y)
 
 
+def random_hermitian(rng, n, count=None):
+    shape = (n, n) if count is None else (count, n, n)
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return (g + np.swapaxes(g.conj(), -1, -2)) / 2
+
+
+def basis_matrices(n):
+    """The basis F_alpha of the n x n Hermitian matrices, written out by definition."""
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    out = []
+    for a in range(n):
+        f = np.zeros((n, n), dtype=complex)
+        f[a, a] = 1.0
+        out.append(f)
+    for a, b in pairs:
+        f = np.zeros((n, n), dtype=complex)
+        f[a, b] = f[b, a] = 1 / math.sqrt(2)
+        out.append(f)
+    for a, b in pairs:
+        f = np.zeros((n, n), dtype=complex)
+        f[a, b], f[b, a] = 1j / math.sqrt(2), -1j / math.sqrt(2)
+        out.append(f)
+    return np.array(out)
+
+
 class TestGeometry:
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_svec_smat_roundtrip(self, n):
@@ -210,34 +248,44 @@ class TestGeometry:
         m2 = rng.standard_normal((n, n))
         m2 = (m2 + m2.T) / 2
         assert abs(v @ g.svec(m2) - np.vdot(m, m2)) < 1e-12
+        # complex Hermitian input, one matrix and a stack
+        a, b = random_hermitian(rng, n), random_hermitian(rng, n)
+        assert np.allclose(g.smat(g.svec(a)), a, rtol=0, atol=1e-15)
+        assert abs(g.svec(a) @ g.svec(b) - np.trace(a @ b).real) < 1e-12
+        stack = random_hermitian(rng, n, count=3)
+        assert np.allclose(g.smat(g.svec(stack)), stack, rtol=0, atol=1e-15)
+        # coordinate alpha is the coefficient Re Tr(F_alpha A) of the basis
+        assert np.allclose(g.svec(a), np.einsum("kij,ji->k", basis_matrices(n), a).real,
+                           rtol=0, atol=1e-14)
 
-    @pytest.mark.parametrize("n", [2, 5, 8])
-    def test_skron_definition(self, n):
-        rng = np.random.default_rng(30 + n)
-        g = _geometry(n)
-        u = rng.standard_normal((n, n)); u = (u + u.T) / 2
-        v = rng.standard_normal((n, n)); v = (v + v.T) / 2
-        w = rng.standard_normal((n, n)); w = (w + w.T) / 2
-        lhs = g.skron(u, v) @ g.svec(w)
-        rhs = g.svec((u @ w @ v + v @ w @ u) / 2)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
-    def test_skron_tables_are_built_on_first_use(self):
-        tables = ("flat_ii", "flat_jj", "flat_ij", "cc")
-        g = sdp._BlockGeometry(32)
-        assert not any(name in vars(g) for name in tables)
-        rng = np.random.default_rng(32)
-        u, v, w = ((m + m.T) / 2 for m in rng.standard_normal((3, 32, 32)))
-        lhs = g.skron(u, v) @ g.svec(w)
-        assert all(name in vars(g) for name in tables)
-        assert np.max(np.abs(lhs - g.svec((u @ w @ v + v @ w @ u) / 2))) < 1e-12
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("group", [1, 2])
+    def test_schur_kernel_matches_basis_traces(self, n, group):
+        # H[p, alpha, beta] = sum_r Re Tr(F_alpha s[p, r] F_beta x[p, r]),
+        # with the basis matrices written out and every trace taken directly
+        rng = np.random.default_rng(10 * n + group)
+        f = basis_matrices(n)
+        s = random_hermitian(rng, n, count=3 * group).reshape(3, group, n, n)
+        x = random_hermitian(rng, n, count=3 * group).reshape(3, group, n, n)
+        g = sdp._BlockGeometry(n)
+        assert "_gather" not in vars(g)   # the kernel's tables are built on first use
+        got = g.schur_kernel(s, x)
+        assert "_gather" in vars(g)
+        want = np.einsum("aij,prjk,bkl,prli->pab", f, s, f, x).real
+        assert got.shape == (3, n * n, n * n)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestProblemApi:
     def test_rejects_asymmetric_block(self):
-        with pytest.raises(ValueError, match="not symmetric"):
+        with pytest.raises(ValueError, match="not Hermitian"):
             SdpProblem([2], [np.array([[0.0, 1.0], [0.0, 0.0]])],
                        [([np.eye(2)], 1.0)])
+
+    def test_rejects_non_hermitian_imaginary_part(self):
+        # symmetric, but its imaginary part is not antisymmetric
+        with pytest.raises(ValueError, match="not Hermitian"):
+            SdpProblem([2], [np.array([[1.0, 1.0j], [1.0j, 1.0]])], [([np.eye(2)], 1.0)])
 
     def test_rejects_zero_constraint(self):
         with pytest.raises(ValueError, match="identically zero"):
@@ -260,13 +308,8 @@ class TestProblemApi:
 
 
 def random_pd_stack(rng, count, n):
-    g = rng.standard_normal((count, n, n))
-    return g @ g.transpose(0, 2, 1) / n + 0.1 * np.eye(n)
-
-
-def random_symmetric_stack(rng, count, n):
-    g = rng.standard_normal((count, n, n))
-    return (g + g.transpose(0, 2, 1)) / 2
+    g = rng.standard_normal((count, n, n)) + 1j * rng.standard_normal((count, n, n))
+    return g @ g.conj().transpose(0, 2, 1) / n + 0.1 * np.eye(n)
 
 
 class TestFactorInverse:
@@ -277,7 +320,7 @@ class TestFactorInverse:
         rng = np.random.default_rng(50 + n)
         x = random_pd_stack(rng, 4, n)
         linv = _inverse_factor(np.linalg.cholesky(x))
-        deltas = [random_symmetric_stack(rng, 4, n),
+        deltas = [random_hermitian(rng, n, count=4),
                   -random_pd_stack(rng, 4, n),
                   random_pd_stack(rng, 4, n)]
         for delta in deltas:
