@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``monotone``  - print E, the objective Tr(W'rho) of the certified witness,
-  the bracket [E_lo, E_hi] and the certificate status for one state.
+  the bracket [E_lo, E_hi], the certificate status and the solver's
+  iteration count for one state.
 * ``sweep``     - evaluate E and eta on a grid of elapsed noise values and
   write the analysis CSV.
 * ``ensemble``  - random-state ensemble statistics (mean eta, CI band) as CSV.
@@ -91,6 +92,7 @@ def _cmd_monotone(args) -> int:
     print(f"objective = {result.objective:.9f}")
     print(f"bracket = [{result.e_lo:.9f}, {result.e_hi:.9f}]")
     print(f"certificate = {'ok' if result.certificate_ok else 'FAILED'}")
+    print(f"iterations = {result.solver.iterations}")
     if not result.certificate_ok:
         for line in gmn.certificate_diagnostics(result, rho):
             print(f"  {line}", file=sys.stderr)

@@ -60,6 +60,15 @@ nothing of what the callback checks: ``gmn`` uses it to stop once its
 certified bracket on the monotone is narrow enough.  Without a callback the
 iteration is the same, bit for bit.
 
+Every solve starts from the scale-aware cold start X = S = tau I, y = 0
+(tau = 1 + max|b_i| + the largest constraint column norm) unless the caller
+passes ``start=(x_blocks, y, s_blocks)``, a point it knows to be better: for
+the PPT-mixture program ``gmn`` builds one that is feasible on both sides.
+The solver refuses a start with a block of the wrong shape, a non-finite
+entry, a block that is not Hermitian, or an X or S block that is not
+positive definite (checked by Cholesky), with a ``ValueError`` naming the
+block; it does not check feasibility, which the iteration does not need.
+
 Each accepted step is exactly Hermitian (iterate and direction both are), and
 the Cholesky factors that prove the trial iterate positive definite are the
 ones the next iteration uses.
@@ -465,6 +474,9 @@ class _Stacks:
     def to_blocks(self, stacks: dict) -> list:
         return [stacks[d][row] for d, row in self.position]
 
+    def from_blocks(self, blocks: list) -> dict:
+        return {d: np.stack([blocks[i] for i in idxs]) for d, idxs, _ in self.groups}
+
     def map(self, fn, *stack_dicts) -> dict:
         return {d: fn(*[sd[d] for sd in stack_dicts]) for d, _, _ in self.groups}
 
@@ -622,7 +634,8 @@ class _Failure(Exception):
 
 
 def solve(problem: SdpProblem, options: SdpOptions | None = None,
-          stop: Callable[[list, np.ndarray, list], bool] | None = None) -> SdpSolution:
+          stop: Callable[[list, np.ndarray, list], bool] | None = None,
+          start: tuple | None = None) -> SdpSolution:
     """Run the predictor-corrector interior-point iteration on ``problem``.
 
     Returns an :class:`SdpSolution` whose status is ``OPTIMAL`` once the
@@ -636,15 +649,72 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None,
     naming ``stop``.  What it raises propagates.  The blocks it receives are
     the solver's own arrays, to be read and not modified.
 
+    ``start = (x_blocks, y, s_blocks)``, when given, is the first iterate in
+    place of the cold start: one d x d array per block for X and for S, in
+    problem block order, and a real y of one entry per constraint.  It need
+    not be feasible.  A wrong count or shape, a non-finite entry, a block that
+    is not Hermitian within ``HERMITICITY_TOL`` or an X or S block that is not
+    positive definite (its Cholesky factorization fails) raises
+    ``ValueError`` naming the block.  The Hermitian parts of the blocks are
+    used, and their Cholesky factors serve the first iteration.  Without a
+    start the iteration is the same, bit for bit.
+
     The iteration runs on one BLAS thread (see the module docstring); the
     thread counts after the call equal those before it, also when ``stop``
     raises.
     """
     with _ONE_BLAS_THREAD:
-        return _solve(problem, options or SdpOptions(), stop)
+        return _solve(problem, options or SdpOptions(), stop, start)
 
 
-def _solve(problem: SdpProblem, opts: SdpOptions, stop) -> SdpSolution:
+def _start_stacks(problem: SdpProblem, stacks: _Stacks, start) -> tuple:
+    """(X stacks, y, S stacks, X factors, S factors) of a caller's start point.
+
+    Raises ``ValueError`` naming the first block (or y) that has the wrong
+    shape, is not finite, is not Hermitian or is not positive definite.
+    """
+    try:
+        x_blocks, y, s_blocks = start
+    except (TypeError, ValueError):
+        raise ValueError("start must be a tuple (x_blocks, y, s_blocks)") from None
+    y = np.array(y, dtype=float)
+    if y.shape != problem.b.shape:
+        raise ValueError(f"start: y has shape {y.shape}, expected {problem.b.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("start: y is not finite")
+    out = []
+    for name, blocks in (("X", x_blocks), ("S", s_blocks)):
+        blocks = [np.asarray(blk, dtype=complex) for blk in blocks]
+        if len(blocks) != len(problem.block_dims):
+            raise ValueError(f"start: {len(blocks)} {name} blocks, expected "
+                             f"{len(problem.block_dims)}")
+        for k, (blk, d) in enumerate(zip(blocks, problem.block_dims)):
+            if blk.shape != (d, d):
+                raise ValueError(f"start {name}: block {k} has shape {blk.shape}, "
+                                 f"expected {(d, d)}")
+        # one batched check per group; only a failure is traced to its block
+        st = stacks.from_blocks(blocks)
+        if all(np.isfinite(g).all() and np.max(np.abs(g - _adjoint(g))) <= HERMITICITY_TOL
+               for g in st.values()):
+            st = stacks.map(_herm_stack, st)
+            try:
+                out += [st, stacks.map(np.linalg.cholesky, st)]
+                continue
+            except np.linalg.LinAlgError:
+                pass
+        for k, blk in enumerate(blocks):
+            if not np.isfinite(blk).all():
+                raise ValueError(f"start {name}: block {k} is not finite")
+            try:
+                np.linalg.cholesky(problem._check_block(blk, k, f"start {name}"))
+            except np.linalg.LinAlgError:
+                raise ValueError(f"start {name}: block {k} is not positive definite "
+                                 "(its Cholesky factorization failed)") from None
+    x_st, x_chol, s_st, s_chol = out
+    return x_st, y, s_st, x_chol, s_chol
+
+
+def _solve(problem: SdpProblem, opts: SdpOptions, stop, start) -> SdpSolution:
     a, a_t = problem.a_csc, problem.a_t
     b = problem.b
     m = problem.num_constraints
@@ -652,20 +722,22 @@ def _solve(problem: SdpProblem, opts: SdpOptions, stop) -> SdpSolution:
     n_tot = sum(dims)
     slices = problem.block_slices()
     stacks = _Stacks(dims)
-    c_stacks = {}
-    for d, idxs, g in stacks.groups:
-        c_stacks[d] = np.stack([problem.c_blocks[i] for i in idxs])
+    c_stacks = stacks.from_blocks(problem.c_blocks)
     c_svec = np.concatenate([problem._geom[k].svec(problem.c_blocks[k])
                              for k in range(len(dims))])
     b_norm = float(np.linalg.norm(b))
     c_norm = float(np.linalg.norm(c_svec))
 
-    # scale-aware cold start: X = S = tau*I, y = 0
-    col_norms = np.sqrt(np.asarray(a.multiply(a).sum(axis=0)).ravel())
-    tau = 1.0 + float(np.max(np.abs(b))) + float(np.max(col_norms))
-    x_st = stacks.identity(tau)
-    s_st = stacks.identity(tau)
-    y = np.zeros(m)
+    x_chol = s_chol = None  # Cholesky factors of the iterate, when already known
+    if start is not None:
+        x_st, y, s_st, x_chol, s_chol = _start_stacks(problem, stacks, start)
+    else:
+        # scale-aware cold start: X = S = tau*I, y = 0
+        col_norms = np.sqrt(np.asarray(a.multiply(a).sum(axis=0)).ravel())
+        tau = 1.0 + float(np.max(np.abs(b))) + float(np.max(col_norms))
+        x_st = stacks.identity(tau)
+        s_st = stacks.identity(tau)
+        y = np.zeros(m)
 
     svec_buf = np.empty(problem.svec_length)
     # positions of each group's stacked svec rows in the full svec vector
@@ -742,7 +814,6 @@ def _solve(problem: SdpProblem, opts: SdpOptions, stop) -> SdpSolution:
     best_merit = math.inf
     best_iterate = None
     best_trail = []  # best merit seen up to each iteration
-    x_chol = s_chol = None  # Cholesky factors of the iterate, when already known
 
     try:
         for iterations in range(opts.max_iterations + 1):

@@ -46,6 +46,13 @@ class TestMonotone:
         assert hi - lo <= gmn.BRACKET_TOL
         assert f"E = {lo:.6f}" in out
 
+    def test_prints_the_iteration_count(self, capsys):
+        assert run_cli(["monotone", "--state", "w3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        after = lines[lines.index("certificate = ok") + 1]
+        rho = genneg.to_density(genneg.named_state("w3"))
+        assert after == f"iterations = {gmn.genuine_negativity(rho, 3).solver.iterations}"
+
     def test_unclosed_bracket_reports_its_width(self, capsys):
         assert run_cli(["monotone", "--state", "w3", "--max-iterations", "3"]) == 3
         captured = capsys.readouterr()

@@ -550,3 +550,98 @@ class TestConstructors:
         p = scalar_bound_problem()
         with pytest.raises(ValueError, match="constraint matrix has 1 rows, expected 2"):
             SdpProblem.from_svec_columns(p.block_dims, p.c_blocks, p.a_csc[:1], p.b)
+
+
+def cold_start(problem):
+    """The solver's own cold start X = S = tau I, y = 0, written out."""
+    a = problem.a_csc
+    col_norms = np.sqrt(np.asarray(a.multiply(a).sum(axis=0)).ravel())
+    tau = 1.0 + float(np.max(np.abs(problem.b))) + float(np.max(col_norms))
+    blocks = [tau * np.eye(d, dtype=complex) for d in problem.block_dims]
+    return blocks, np.zeros(problem.num_constraints), [b.copy() for b in blocks]
+
+
+def interleaved_problem():
+    # blocks of dimensions 2, 1, 2: min Tr(C1 X1) + 3 x2 + Tr(C3 X3)
+    return SdpProblem(
+        block_dims=[2, 1, 2],
+        objective_blocks=[np.diag([1.0, 2.0]), np.array([[3.0]]),
+                          np.array([[2.0, 1.0], [1.0, 2.0]])],
+        constraints=[([np.eye(2)], 1.0), ({1: np.array([[1.0]]), 2: np.eye(2)}, 1.0)])
+
+
+class TestStart:
+    """``solve(problem, start=(x_blocks, y, s_blocks))`` begins at the given point."""
+
+    @pytest.mark.parametrize("make", [scalar_bound_problem, interleaved_problem,
+                                      ghz3_program])
+    def test_no_start_is_the_cold_start(self, make):
+        # start=None and the cold start passed explicitly run the same iterates
+        problem = make()
+        default = solve(problem)
+        none = solve(problem, start=None)
+        explicit = solve(problem, start=cold_start(problem))
+        for sol in (none, explicit):
+            assert sol.iterations == default.iterations
+            assert sol.status is default.status and sol.message == default.message
+            assert sol.history == default.history
+            assert np.array_equal(sol.y, default.y)
+            assert all(np.array_equal(a, b) for a, b in zip(sol.x_blocks, default.x_blocks))
+            assert all(np.array_equal(a, b) for a, b in zip(sol.s_blocks, default.s_blocks))
+
+    def test_the_first_iterate_is_the_start(self):
+        problem = interleaved_problem()
+        x_blocks = [np.array([[0.6, 0.1j], [-0.1j, 0.4]]), np.array([[0.5]]), 0.25 * np.eye(2)]
+        y = np.array([0.5, -0.25])
+        s_blocks = [np.eye(2), np.array([[2.0]]), np.array([[1.0, 0.5], [0.5, 1.0]])]
+        seen = []
+        sol = solve(problem, start=(x_blocks, y, s_blocks),
+                    stop=lambda x, yy, s: seen.append((x, yy.copy(), s)) or True)
+        assert sol.iterations == 0 and len(seen) == 1
+        x_seen, y_seen, s_seen = seen[0]
+        assert np.array_equal(y_seen, y)
+        assert all(np.array_equal(a, b) for a, b in zip(x_seen, x_blocks))
+        assert all(np.array_equal(a, b) for a, b in zip(s_seen, s_blocks))
+        # from there the solve reaches the same optimum as from the cold start
+        started = solve(problem, start=(x_blocks, y, s_blocks))
+        assert started.status is SdpStatus.OPTIMAL
+        assert started.primal_objective == pytest.approx(solve(problem).primal_objective,
+                                                         abs=1e-7)
+
+    @staticmethod
+    def refused(problem, start, match):
+        with pytest.raises(ValueError, match=match):
+            solve(problem, start=start)
+
+    def test_refuses_wrong_shapes(self):
+        problem = interleaved_problem()
+        x, y, s = cold_start(problem)
+        self.refused(problem, (x, y), "tuple")
+        self.refused(problem, (x, np.zeros(3), s), r"y has shape \(3,\), expected \(2,\)")
+        self.refused(problem, (x[:2], y, s), "2 X blocks, expected 3")
+        self.refused(problem, (x, y, s + [np.eye(2)]), "4 S blocks, expected 3")
+        self.refused(problem, (x[:1] + [np.eye(2)] + x[2:], y, s),
+                     r"start X: block 1 has shape \(2, 2\), expected \(1, 1\)")
+
+    def test_refuses_non_hermitian_blocks(self):
+        problem = interleaved_problem()
+        x, y, s = cold_start(problem)
+        skew = np.array([[1.0, 0.5j], [0.5j, 1.0]])
+        self.refused(problem, (x[:2] + [skew], y, s), "start X: block 2 is not Hermitian")
+        self.refused(problem, (x, y, [skew] + s[1:]), "start S: block 0 is not Hermitian")
+
+    def test_refuses_blocks_that_are_not_positive_definite(self):
+        problem = interleaved_problem()
+        x, y, s = cold_start(problem)
+        singular = np.array([[1.0, 1.0], [1.0, 1.0]])
+        self.refused(problem, ([singular] + x[1:], y, s),
+                     "start X: block 0 is not positive definite")
+        self.refused(problem, (x, y, s[:1] + [np.array([[-1.0]])] + s[2:]),
+                     "start S: block 1 is not positive definite")
+
+    def test_refuses_non_finite_entries(self):
+        problem = interleaved_problem()
+        x, y, s = cold_start(problem)
+        self.refused(problem, (x, np.array([0.0, np.nan]), s), "y is not finite")
+        self.refused(problem, (x, y, s[:2] + [np.full((2, 2), np.inf)]),
+                     "start S: block 2 is not finite")
