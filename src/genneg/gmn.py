@@ -28,14 +28,15 @@ eliminates the K q-blocks of size d^2, and factors only the d^2 x d^2 Schur
 complement of the w-block.  The generic dense path would instead form and
 factor a (K + 1) d^2 square matrix, 2048 x 2048 at N = 4.
 
-Assembly is bound by memory traffic, not arithmetic: every block pair passes
-through a few d^2 x d^2 complex intermediates.  It therefore runs in chunks
-of bipartitions.  Each chunk forms its blocks' contributions and writes the
-bipartition's Schur blocks while those are still in cache.  The chunk size
-follows from the d^2 x d^2 complex working set of a pair and the byte budget
-:data:`ASSEMBLY_CHUNK_BYTES`: all three bipartitions of N = 3 share one
-chunk, and at N = 4 each bipartition is its own chunk.  The arithmetic, and
-so every rounding, does not depend on the chunk size.
+Assembly is bound by memory traffic, not arithmetic: the kernel of a block
+pair writes one d^2 x d^2 complex product, gathers half its rows and folds
+them into the real d^2 x d^2 kernel in one pass.  It runs in chunks of
+bipartitions; each chunk forms its blocks' kernels and writes each of the
+bipartition's Schur blocks once, in place, while the kernels are still in
+cache.  The chunk size follows from the complex product of a pair and the
+byte budget :data:`ASSEMBLY_CHUNK_BYTES`: all three bipartitions of N = 3
+share one chunk, and at N = 4 each bipartition is its own chunk.  The
+arithmetic, and so every rounding, does not depend on the chunk size.
 
 Every solve starts from an interior point built from rho alone
 (:func:`_start_point`) and strictly feasible on both sides.  Dual side: W = 1
@@ -100,11 +101,10 @@ BRACKET_TOL = 5e-7
 # witness and the split satisfy their constraints up to rounding alone.
 CERTIFICATE_TOL = 1e-9
 
-# Budget for the complex d^2 x d^2 intermediates of the block pairs that one
-# chunk of the arrowhead assembly holds at once.  The chunk's other arrays
-# take about as much again.  On a Xeon with 2 MB of L2 cache per core, N = 4
-# chunks of one pair or one bipartition assembled equally fast, and a single
-# chunk of all 14 pairs 1.5x slower.
+# Budget for the complex d^2 x d^2 products of the block pairs that one chunk
+# of the arrowhead assembly holds at once; their gathered half rows take half
+# as much again.  On a Xeon with 2 MB of L2 cache per core, an N = 4 assembly
+# took 8.7 ms with one bipartition per chunk and 13-17 ms with two or seven.
 ASSEMBLY_CHUNK_BYTES = 2**20
 
 
@@ -188,13 +188,15 @@ class ArrowheadSchur:
 
     :meth:`assemble` runs over chunks of c bipartitions.  A chunk forms the H
     of its 2c block pairs in one kernel call.  Then, bipartition by
-    bipartition, it adds H01_M to M_ww and writes M_q_Mw and the symmetrized
-    M_q_Mq_M while H01_M and H23_M are still in cache.  c = max(1,
+    bipartition, it adds H01_M to M_ww and writes M_q_Mw and M_q_Mq_M in
+    place while H01_M and H23_M are still in cache.  c = max(1,
     ASSEMBLY_CHUNK_BYTES // (2 * 16 n^2)), the bipartitions whose two pairs'
-    complex n x n intermediates fit :data:`ASSEMBLY_CHUNK_BYTES`: all of
+    complex n x n products fit :data:`ASSEMBLY_CHUNK_BYTES`: all of
     N <= 3 share one chunk, and N = 4 takes one bipartition per chunk.  M_ww
     is summed in bipartition order whatever c is, so the result does not
-    depend on c.
+    depend on c.  The kernel is symmetric to about 1e-16 relative, so
+    M_q_Mq_M is used as assembled: its ``dpotrf`` (lower, on the Fortran-
+    ordered transpose) reads only the upper triangle of the C-ordered block.
 
     Factoring eliminates the K q-blocks (n x n Cholesky each, M_qq_M =
     L_M L_M^T) and factors the n x n Schur complement
@@ -238,11 +240,9 @@ class ArrowheadSchur:
                 else:
                     ww += h01
                 np.multiply(np.take(h01, tau, axis=0), -sigma[:, None], out=qw)
-                qq_m = np.take(qw, tau, axis=1)
-                qq_m *= -sigma
-                qq_m += h23
-                np.add(qq_m, qq_m.T, out=qq)
-                qq /= 2
+                np.take(qw, tau, axis=1, out=qq)
+                qq *= -sigma
+                qq += h23
         self.ww = (ww + ww.T) / 2
 
     def max_diagonal(self):

@@ -20,10 +20,12 @@ factors the (real symmetric positive definite) Schur complement
 behind the small :class:`SchurSystem` interface (assemble, factor with a
 diagonal shift, solve, matvec).  Both implementations form M from one
 kernel, ``_BlockGeometry.schur_kernel``: H[alpha, beta] = Re Tr(F_alpha S^-1
-F_beta X) over the basis F of a block.  A problem supplies its implementation
-through ``SdpProblem.schur_factory``; the default :class:`DenseSchur` forms
-the whole m x m matrix and factors it by dense Cholesky, while structured
-programs (the PPT-mixture program in ``gmn``) keep M in a sparser block form.
+F_beta X) over the basis F of a block, formed from half the rows of one
+product since H(s, x) = H(x, s) = H(s, x)^T for Hermitian s and x.  A problem
+supplies its implementation through ``SdpProblem.schur_factory``; the default
+:class:`DenseSchur` forms the whole m x m matrix and factors it by dense
+Cholesky, while structured programs (the PPT-mixture program in ``gmn``) keep
+M in a sparser block form.
 The solver owns the regularization ladder: the shift is reg times max(1, the
 largest diagonal entry of M), with reg escalating by factors of ten from
 ``min_regularization`` to ``max_regularization``.  Each solve gets one step
@@ -184,6 +186,9 @@ class _BlockGeometry:
                                  (lower + 1, im, -1 / math.sqrt(2.0))):
             self._smat_src[pos] = src
             self._smat_weight[pos] = weight
+        half = 1 / math.sqrt(2.0)  # the Schur kernel's row and column factors
+        self._kernel_row = np.repeat([0.5, half, -half], [n, npairs, npairs])[:, None]
+        self._kernel_col = np.repeat([1.0, half], [n, 2 * npairs])
 
     def svec(self, m: np.ndarray) -> np.ndarray:
         """The coordinates of a Hermitian matrix (or stack) along a new last axis."""
@@ -196,56 +201,51 @@ class _BlockGeometry:
         flat = np.take(v, self._smat_src, axis=-1) * self._smat_weight
         return flat.view(complex).reshape(v.shape[:-1] + (self.n, self.n))
 
-    # The Schur kernel's tables: positions (a, b) of the elementary matrices in
-    # the order diagonal, (a, b) for a < b, (b, a) for a < b, and the factors
-    # that turn their traces into those of the basis.  Built on the first
-    # kernel call; at n = 16 they hold 1.5 MB.
-
     @cached_property
-    def _gather(self) -> np.ndarray:
+    def _half_rows(self) -> np.ndarray:
+        # rows E_aa, E_ab (a < b) of W by columns E_cc, E_ce, E_ec (c < e), as
+        # positions in G: n^2 (n + 1)/2 entries, built on the first kernel call
         n = self.n
         a, b = np.triu_indices(n, 1)
-        row = np.concatenate([np.arange(n), a, b])
-        col = np.concatenate([np.arange(n), b, a])
-        # V[alpha, beta] = G[row_alpha, col_beta, col_alpha, row_beta]
-        return ((row[:, None] * n + col[None, :]) * n + col[:, None]) * n + row[None, :]
-
-    @cached_property
-    def _scales(self) -> tuple:
-        imag = np.arange(self.L) >= (self.L + self.n) // 2
-        kappa = np.where(np.arange(self.L) < self.n, 1.0, 1 / math.sqrt(2.0))
-        scale = np.outer(kappa, kappa)
-        mixed = imag[:, None] != imag[None, :]
-        return (np.where(mixed, 0.0, np.where(imag[:, None], -scale, scale)),
-                np.where(mixed, -scale, 0.0))
+        diag = np.arange(n)
+        ra, rb = np.concatenate([diag, a]), np.concatenate([diag, b])
+        cc, ce = np.concatenate([diag, a, b]), np.concatenate([diag, b, a])
+        return ((ra[:, None] * n + ce[None, :]) * n + rb[:, None]) * n + cc[None, :]
 
     def schur_kernel(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
         """H[p, alpha, beta] = sum_r Re Tr(F_alpha s[p, r] F_beta x[p, r]).
 
         ``s`` and ``x`` are (P, r, n, n) stacks of Hermitian matrices; the r
-        blocks of each group are summed.  With G[(a, b), (c, e)] = sum_r
-        s[b, c] x[e, a], Tr(E_ab s E_ce x) is one entry of G: G is gathered
-        into the basis order, the entries (a, b) and (b, a) of each pair are
-        turned into their sum and difference, and the basis factors applied.
+        blocks of each group are summed.  With V(s, x)[(a, b), (c, e)] =
+        Tr(E_ab s E_ce x) = s[b, c] x[e, a], 2H is the basis image of
+        W = V(s, x) + V(x, s), as H(s, x) = H(x, s) = H(s, x)^T.  One product
+        of inner dimension 2r, [vec x^T, vec s^T] times [vec s, vec x], gives
+        G with W[(a, b), (c, e)] = G[a, e, b, c].  As W[(b, a), (e, c)] =
+        conj W[(a, b), (c, e)], only the rows (a, a) and (a, b), a < b, are
+        gathered and folded into the basis columns (W_cc, (W_ce + W_ec)/sqrt(2),
+        i (W_ce - W_ec)/sqrt(2)) by sums and differences of column blocks: the
+        real parts give the diag(a) and re(a, b) rows of H (times 1/2 and
+        1/sqrt(2)), the imaginary parts the im(a, b) rows (times -1/sqrt(2)).
         """
-        p, r, L = s.shape[0], s.shape[1], self.L
-        xt = x.transpose(0, 1, 3, 2).reshape(p, r, L)
-        g = np.matmul(xt.transpose(0, 2, 1), s.reshape(p, r, L)).reshape(p, L * L)
-        v = np.take(g, self._gather, axis=1)
-        _fold(v[:, self.n:].transpose(1, 0, 2))
-        _fold(v[:, :, self.n:].transpose(2, 0, 1))
-        scale_re, scale_im = self._scales
-        h = v.real * scale_re
-        h += v.imag * scale_im
+        p, r, n, L = s.shape[0], s.shape[1], self.n, self.L
+        rows = (L + n) // 2
+        left = np.concatenate([x, s], axis=1).transpose(0, 1, 3, 2).reshape(p, 2 * r, L)
+        right = np.concatenate([s, x], axis=1).reshape(p, 2 * r, L)
+        # G is released once its half rows are taken: the peak is ~3x the output
+        w = np.take(np.matmul(left.transpose(0, 2, 1), right).reshape(p, L * L),
+                    self._half_rows, axis=1)
+        wr, wi = w.real, w.imag
+        h = np.empty((p, L, L))
+        top, bottom = h[:, :rows], h[:, rows:]
+        np.copyto(top[..., :n], wr[..., :n])
+        np.add(wr[..., n:rows], wr[..., rows:], out=top[..., n:rows])
+        np.subtract(wi[..., rows:], wi[..., n:rows], out=top[..., rows:])
+        np.copyto(bottom[..., :n], wi[:, n:, :n])
+        np.add(wi[:, n:, n:rows], wi[:, n:, rows:], out=bottom[..., n:rows])
+        np.subtract(wr[:, n:, n:rows], wr[:, n:, rows:], out=bottom[..., rows:])
+        h *= self._kernel_row
+        h *= self._kernel_col
         return h
-
-
-def _fold(v: np.ndarray) -> None:
-    """Entries (a, b), (b, a) of each pair become their sum and difference, in place."""
-    ab, ba = np.split(v, 2)
-    np.subtract(ab, ba, out=ba)
-    ab *= 2
-    ab -= ba
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -268,12 +269,50 @@ class TestGeometry:
         s = random_hermitian(rng, n, count=3 * group).reshape(3, group, n, n)
         x = random_hermitian(rng, n, count=3 * group).reshape(3, group, n, n)
         g = sdp._BlockGeometry(n)
-        assert "_gather" not in vars(g)   # the kernel's tables are built on first use
+        assert "_half_rows" not in vars(g)   # the kernel's table is built on first use
         got = g.schur_kernel(s, x)
-        assert "_gather" in vars(g)
+        assert "_half_rows" in vars(g)
         want = np.einsum("aij,prjk,bkl,prli->pab", f, s, f, x).real
         assert got.shape == (3, n * n, n * n)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("group", [1, 2])
+    def test_schur_kernel_is_symmetric_in_its_arguments_and_indices(self, n, group):
+        # the kernel gathers half the rows of W because, for Hermitian s and
+        # x, H(s, x) = H(x, s) = H(s, x)^T
+        rng = np.random.default_rng(20 * n + group)
+        s = random_hermitian(rng, n, count=2 * group).reshape(2, group, n, n)
+        x = random_hermitian(rng, n, count=2 * group).reshape(2, group, n, n)
+        g = _geometry(n)
+        h = g.schur_kernel(s, x)
+        scale = np.max(np.abs(h))
+        assert np.max(np.abs(g.schur_kernel(x, s) - h)) <= 1e-13 * scale
+        assert np.max(np.abs(h.transpose(0, 2, 1) - h)) <= 1e-13 * scale
+
+    def test_schur_kernel_tables_stay_small(self):
+        # one n^2 (n + 1)/2 gather table, not n^4-sized ones: 4.4 MB at n = 32
+        g = sdp._BlockGeometry(32)
+        s = random_hermitian(np.random.default_rng(32), 32, count=2).reshape(1, 2, 32, 32)
+        g.schur_kernel(s, s)
+        tables = sum(a.nbytes for v in vars(g).values()
+                     for a in (v if isinstance(v, tuple) else (v,)) if isinstance(a, np.ndarray))
+        assert tables <= 5e6
+
+    def test_schur_kernel_working_memory(self):
+        # one N = 4 bipartition: two pairs of 16 x 16 blocks
+        rng = np.random.default_rng(16)
+        s = random_hermitian(rng, 16, count=4).reshape(2, 2, 16, 16)
+        x = random_hermitian(rng, 16, count=4).reshape(2, 2, 16, 16)
+        g = sdp._BlockGeometry(16)
+        g.schur_kernel(s, x)   # builds the gather table
+        tracemalloc.start()
+        try:
+            h = g.schur_kernel(s, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * h.nbytes
 
 
 class TestProblemApi:
