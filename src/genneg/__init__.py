@@ -16,7 +16,7 @@ from .channels import (ChannelKind, KrausSet, apply_local_channel,
 from .gmn import (Bipartition, GmnResult, bipartite_negativity, bipartitions,
                   build_program, genuine_negativity, verify_certificate)
 from .linalg import eig_hermitian, partial_transpose, tensor_product
-from .sdp import SdpOptions, SdpProblem, SdpSolution, SdpStatus, solve
+from .sdp import SdpProblem, SdpSolution, SdpStatus, solve
 from .states import (NAMED_STATE_NAMES, WeightedGraph, haar_random_state,
                      named_state, random_weighted_graph, to_density,
                      weighted_graph_state)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Bipartition", "ChannelKind", "EnsembleSummary", "GeneratorKind",
     "GmnResult", "KrausSet", "NAMED_STATE_NAMES", "RobustnessReport",
-    "SdpOptions", "SdpProblem", "SdpSolution", "SdpStatus", "SweepSeries",
+    "SdpProblem", "SdpSolution", "SdpStatus", "SweepSeries",
     "WeightedGraph", "apply_local_channel", "bipartite_negativity",
     "bipartitions", "build_program", "default_grid", "eig_hermitian",
     "ensemble_study", "evolved_single_qubit_oracle", "genuine_negativity",

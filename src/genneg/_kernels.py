@@ -1,10 +1,9 @@
-"""Optional numba kernel for the symmetrized Kronecker product.
+"""Optional numba kernel for the symmetrized Kronecker product (not used by the solver).
 
-The generic Schur complement assembly (``sdp.DenseSchur``) evaluates
-skron(S^{-1}, X) once per cone block per interior-point iteration; the
-scalar-indexed loop is ~15x faster under numba than the vectorized gather
-version.  numba is not a dependency: without it ``skron_into`` is None and
-``sdp`` uses the numpy gather version.
+Nothing in the package calls ``skron_into``: the Schur assembly in ``sdp``
+and ``gmn`` forms every block from ``_BlockGeometry.schur_kernel``.  The
+module is kept only because perfbench's host record reads
+``genneg._kernels.skron_into`` (a numba kernel, or None without numba).
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ import numpy as np
 
 from .channels import ChannelKind, apply_local_channel
 from .gmn import genuine_negativity
-from .sdp import SdpOptions
 from .states import (derive_seed, haar_random_state, random_weighted_graph,
                      to_density, weighted_graph_state)
 
@@ -151,9 +150,9 @@ class EnsembleSummary:
 
 def _evaluate_point(job):
     """E(ρ(s)) for one grid point; returns (value, ok, note)."""
-    rho0, kind, s, nqubits, options = job
+    rho0, kind, s, nqubits = job
     rho_s = apply_local_channel(rho0, kind, s, nqubits)
-    result = genuine_negativity(rho_s, nqubits, options)
+    result = genuine_negativity(rho_s, nqubits)
     if not result.solved:
         return math.nan, False, f"solver status {result.failure()}"
     if not result.certificate_ok:
@@ -237,8 +236,7 @@ def _one_sided_kinks(grid, values) -> list:
 
 
 def sweep(rho0: np.ndarray, kind: ChannelKind, grid, nqubits: int,
-          label: str = "", options: SdpOptions | None = None,
-          workers: int | None = None) -> SweepSeries:
+          label: str = "", workers: int | None = None) -> SweepSeries:
     """Evaluate E and η along a grid of elapsed noise values.
 
     Solver failures are flagged on the returned series (NaN at the failing
@@ -247,7 +245,7 @@ def sweep(rho0: np.ndarray, kind: ChannelKind, grid, nqubits: int,
     is applied.
     """
     grid = _check_grid(grid)
-    jobs = [(rho0, kind, float(s), nqubits, options) for s in grid]
+    jobs = [(rho0, kind, float(s), nqubits) for s in grid]
     outcomes = _run_jobs(jobs, workers)
     values = np.array([v for v, _, _ in outcomes])
     failures = [(float(s), note) for s, (_, ok, note) in zip(grid, outcomes) if not ok]
@@ -259,7 +257,6 @@ def sweep(rho0: np.ndarray, kind: ChannelKind, grid, nqubits: int,
 
 def ensemble_from_densities(rhos, generator: GeneratorKind, kind: ChannelKind,
                             grid, nqubits: int, seed: int = 0,
-                            options: SdpOptions | None = None,
                             workers: int | None = None,
                             keep_members: bool = False,
                             member_labels: list | None = None) -> EnsembleSummary:
@@ -268,7 +265,7 @@ def ensemble_from_densities(rhos, generator: GeneratorKind, kind: ChannelKind,
     count = len(rhos)
     if count < 2:
         raise ValueError(f"ensemble needs at least 2 members, got {count}")
-    jobs = [(rho, kind, float(s), nqubits, options) for rho in rhos for s in grid]
+    jobs = [(rho, kind, float(s), nqubits) for rho in rhos for s in grid]
     outcomes = _run_jobs(jobs, workers)
     npts = len(grid)
     values = np.empty((count, npts))
@@ -309,8 +306,7 @@ def ensemble_from_densities(rhos, generator: GeneratorKind, kind: ChannelKind,
 
 
 def ensemble_study(generator, count: int, kind: ChannelKind, grid, seed: int,
-                   nqubits: int, options: SdpOptions | None = None,
-                   workers: int | None = None,
+                   nqubits: int, workers: int | None = None,
                    keep_members: bool = False) -> EnsembleSummary:
     """Random-state ensemble study; deterministic for a fixed (seed, count, grid).
 
@@ -318,8 +314,6 @@ def ensemble_study(generator, count: int, kind: ChannelKind, grid, seed: int,
     seed reproduces the whole ensemble bit for bit.
     """
     generator = generator if isinstance(generator, GeneratorKind) else GeneratorKind.parse(generator)
-    if count < 2:
-        raise ValueError(f"ensemble needs at least 2 members, got {count}")
     rhos = []
     labels = []
     for i in range(count):
@@ -331,8 +325,8 @@ def ensemble_study(generator, count: int, kind: ChannelKind, grid, seed: int,
         rhos.append(to_density(psi))
         labels.append(f"{generator.value}{nqubits}-r{i:03d}")
     summary = ensemble_from_densities(rhos, generator, kind, grid, nqubits, seed=seed,
-                                      options=options, workers=workers,
-                                      keep_members=keep_members, member_labels=labels)
+                                      workers=workers, keep_members=keep_members,
+                                      member_labels=labels)
     return summary
 
 
@@ -431,9 +425,10 @@ def series_csv_rows(series: SweepSeries) -> list:
     return rows
 
 
-def summary_csv_rows(summary: EnsembleSummary, include_members: bool = False) -> list:
+def summary_csv_rows(summary: EnsembleSummary) -> list:
+    """The rows of every kept member (see ``keep_members``), then the mean rows."""
     rows = []
-    if include_members and summary.members:
+    if summary.members:
         for member in summary.members:
             rows.extend(series_csv_rows(member))
     ch = summary.channel.value

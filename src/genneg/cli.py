@@ -30,8 +30,6 @@ import numpy as np
 
 from . import analysis, gmn, states
 from .channels import ChannelKind
-from .sdp import SdpOptions
-from .states import StateFileError
 
 
 def _resolve_state(selector: str, seed: int):
@@ -65,11 +63,6 @@ def _parse_qubits(text: str, selector: str) -> int:
     return n
 
 
-def _sdp_options(args) -> SdpOptions:
-    return SdpOptions(gap_tol=args.gap_tol, feas_tol=args.feas_tol,
-                      max_iterations=args.max_iterations)
-
-
 def _grid(args) -> np.ndarray:
     kind = ChannelKind.parse(args.channel)
     try:
@@ -78,13 +71,9 @@ def _grid(args) -> np.ndarray:
         raise ValueError(f"invalid grid: {exc}") from None
 
 
-def _workers(args) -> int:
-    return analysis.resolve_workers(args.workers)
-
-
 def _cmd_monotone(args) -> int:
     label, rho, n = _resolve_state(args.state, args.seed)
-    result = gmn.genuine_negativity(rho, n, _sdp_options(args))
+    result = gmn.genuine_negativity(rho, n)
     if not result.solved:
         print(f"genneg: solver failed for {label}: {result.failure()}", file=sys.stderr)
         return 3
@@ -105,7 +94,7 @@ def _cmd_sweep(args) -> int:
     kind = ChannelKind.parse(args.channel)
     grid = _grid(args)
     series = analysis.sweep(rho, kind, grid, n, label=args.label or label,
-                            options=_sdp_options(args), workers=_workers(args))
+                            workers=args.workers)
     if series.failures:
         s0, note = series.failures[0]
         print(f"genneg: solver failure at s = {s0:g}: {note} "
@@ -122,16 +111,13 @@ def _cmd_ensemble(args) -> int:
     kind = ChannelKind.parse(args.channel)
     generator = analysis.GeneratorKind.parse(args.generator)
     grid = _grid(args)
-    if args.count < 2:
-        raise ValueError(f"ensemble count must be at least 2, got {args.count}")
     summary = analysis.ensemble_study(generator, args.count, kind, grid, args.seed,
-                                      args.n, options=_sdp_options(args),
-                                      workers=_workers(args),
+                                      args.n, workers=args.workers,
                                       keep_members=args.members)
     if summary.excluded:
         print(f"genneg: note: excluded {summary.excluded} of {summary.count} "
               f"realizations (E fell below {analysis.LIFETIME_FLOOR:g})", file=sys.stderr)
-    analysis.write_csv(args.out, analysis.summary_csv_rows(summary, include_members=args.members))
+    analysis.write_csv(args.out, analysis.summary_csv_rows(summary))
     return 0
 
 
@@ -152,9 +138,6 @@ def _cmd_genstate(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="base seed for any randomness")
-    parser.add_argument("--gap-tol", type=float, default=1e-8)
-    parser.add_argument("--feas-tol", type=float, default=1e-8)
-    parser.add_argument("--max-iterations", type=int, default=200)
 
 
 def _add_grid(parser: argparse.ArgumentParser) -> None:
@@ -212,9 +195,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except StateFileError as exc:
-        print(f"genneg: error: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"genneg: error: {exc}", file=sys.stderr)
         return 1

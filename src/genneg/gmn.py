@@ -557,8 +557,7 @@ class _Bracket:
         return result
 
 
-def genuine_negativity(rho: np.ndarray, nqubits: int | None = None,
-                       options: sdp.SdpOptions | None = None) -> GmnResult:
+def genuine_negativity(rho: np.ndarray, nqubits: int | None = None) -> GmnResult:
     """Compute the genuine multiparticle negativity E(ρ) with its certified bracket.
 
     The solve starts from :func:`_start_point`, feasible on both sides, and
@@ -573,7 +572,7 @@ def genuine_negativity(rho: np.ndarray, nqubits: int | None = None,
     structure = _program_structure(n)
     problem = structure["skeleton"].with_rhs(_rhs_for(rho, structure))
     bracket = _Bracket(rho, structure)
-    result = bracket.result(sdp.solve(problem, options, stop=bracket.closed,
+    result = bracket.result(sdp.solve(problem, stop=bracket.closed,
                                       start=_start_point(rho, structure)))
     if result.solved:
         result.certificate_ok = verify_certificate(result, rho)

@@ -25,11 +25,6 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + np.swapaxes(m.conj(), -1, -2)) / 2
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    """True if max |m - m†| entry is below ``tol``."""
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
 def require_hermitian(m: np.ndarray, what: str = "matrix", tol: float = HERMITICITY_TOL) -> None:
     dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > tol:

@@ -28,11 +28,12 @@ Cholesky, while structured programs (the PPT-mixture program in ``gmn``) keep
 M in a sparser block form.
 The solver owns the regularization ladder: the shift is reg times max(1, the
 largest diagonal entry of M), with reg escalating by factors of ten from
-``min_regularization`` to ``max_regularization``.  Each solve gets one step
-of iterative refinement against the unshifted M, and a pure centering step
-is taken whenever the smallest complementarity pairs drift far below their
-mean (which is what stalls plain Mehrotra steps on degenerate optima).  Step lengths are 0.98 of
-the distance to the cone boundary, capped at 1.
+:data:`MIN_REGULARIZATION` to :data:`MAX_REGULARIZATION`.  Each solve gets
+one step of iterative refinement against the unshifted M, and a pure
+centering step is taken whenever the smallest complementarity pairs drift far
+below their mean (which is what stalls plain Mehrotra steps on degenerate
+optima).  Step lengths are :data:`STEP_FRACTION` of the distance to the cone
+boundary, capped at 1.
 
 Each iteration factors S = L_S L_S^H and X = L_X L_X^H once and inverts each
 factor once.  The inverse factors serve both S^-1 = L_S^-H L_S^-1 and the four
@@ -50,9 +51,14 @@ one, at the same iteration count.  One thread also makes a solve's rounding
 the same in-process and in a pool worker.  Other BLAS vendors are left alone.
 
 Problems without a strictly complementary optimum hit an accuracy floor in
-double precision somewhere around 1e-7; the solver detects the stall and
-returns its best iterate with an explanatory message instead of burning the
-iteration budget.
+double precision somewhere around 1e-7; the solver detects the stall
+(:data:`STALL_ITERATIONS`, :data:`STALL_ACCURACY`) and returns its best
+iterate with an explanatory message instead of burning the iteration budget.
+
+The solver has one configuration: the module constants below, read at call
+time.  ``gmn`` stops every solve through ``stop`` once its certified bracket
+closes, so looser tolerances could only end a solve before that, and tighter
+ones cannot make a closed bracket more exact.
 
 A caller that can judge an iterate itself passes ``stop(x_blocks, y,
 s_blocks)`` to :func:`solve`.  It sees every iterate, the start point first,
@@ -89,7 +95,7 @@ import ctypes
 import math
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Callable, Protocol
@@ -101,26 +107,22 @@ from scipy.linalg import lapack
 
 HERMITICITY_TOL = 1e-12
 
+GAP_TOL = 1e-8                # relative duality gap
+FEAS_TOL = 1e-8               # scaled primal/dual residual norms
+MAX_ITERATIONS = 200
+STEP_FRACTION = 0.98          # fraction of the distance to the boundary
+MIN_REGULARIZATION = 1e-12
+MAX_REGULARIZATION = 1e-6
+DIVERGENCE_BOUND = 1e12       # |objective| beyond which we declare infeasibility
+STALL_ITERATIONS = 12         # stop when this many iterations fail to halve the error
+STALL_ACCURACY = 1e-6         # error level where a short plateau already stops
+
 
 class SdpStatus(Enum):
     OPTIMAL = "optimal"
     MAX_ITERATIONS = "max_iterations"
     NUMERICAL_FAILURE = "numerical_failure"
     INFEASIBLE = "infeasible"
-
-
-@dataclass
-class SdpOptions:
-    gap_tol: float = 1e-8            # relative duality gap
-    feas_tol: float = 1e-8           # scaled primal/dual residual norms
-    max_iterations: int = 200
-    step_fraction: float = 0.98      # fraction of the distance to the boundary
-    min_regularization: float = 1e-12
-    max_regularization: float = 1e-6
-    divergence_bound: float = 1e12   # |objective| beyond which we declare infeasibility
-    stall_iterations: int = 12       # stop when this many iterations fail to halve the error
-    stall_accuracy: float = 1e-6     # error level where a short plateau already stops
-    trace_path: str | None = None    # per-iteration CSV dump when set
 
 
 @dataclass
@@ -139,8 +141,6 @@ class SdpSolution:
     dual_residual: float
     iterations: int
     message: str = ""
-    # (primal, dual, relgap, rp, rd) per iterate, first entry is the start point
-    history: list = field(default_factory=list, repr=False)
 
     @property
     def complementarity(self) -> float:
@@ -633,15 +633,15 @@ class _Failure(Exception):
         self.message = message
 
 
-def solve(problem: SdpProblem, options: SdpOptions | None = None,
+def solve(problem: SdpProblem,
           stop: Callable[[list, np.ndarray, list], bool] | None = None,
           start: tuple | None = None) -> SdpSolution:
     """Run the predictor-corrector interior-point iteration on ``problem``.
 
     Returns an :class:`SdpSolution` whose status is ``OPTIMAL`` once the
-    relative gap and both scaled residual norms are below tolerance; weak
-    duality then brackets the true optimum between the reported dual and
-    primal objectives.
+    relative gap and both scaled residual norms are below :data:`GAP_TOL` and
+    :data:`FEAS_TOL`; weak duality then brackets the true optimum between the
+    reported dual and primal objectives.
 
     ``stop(x_blocks, y, s_blocks)``, when given, sees every iterate (the
     start point first) before the solver's own tests.  When it returns True
@@ -664,7 +664,7 @@ def solve(problem: SdpProblem, options: SdpOptions | None = None,
     raises.
     """
     with _ONE_BLAS_THREAD:
-        return _solve(problem, options or SdpOptions(), stop, start)
+        return _solve(problem, stop, start)
 
 
 def _start_stacks(problem: SdpProblem, stacks: _Stacks, start) -> tuple:
@@ -714,7 +714,7 @@ def _start_stacks(problem: SdpProblem, stacks: _Stacks, start) -> tuple:
     return x_st, y, s_st, x_chol, s_chol
 
 
-def _solve(problem: SdpProblem, opts: SdpOptions, stop, start) -> SdpSolution:
+def _solve(problem: SdpProblem, stop, start) -> SdpSolution:
     a, a_t = problem.a_csc, problem.a_t
     b = problem.b
     m = problem.num_constraints
@@ -793,8 +793,8 @@ def _solve(problem: SdpProblem, opts: SdpOptions, stop, start) -> SdpSolution:
         # Schur entries grow like 1/mu and an absolute shift would vanish in
         # the rounding noise of the factorization
         scale = max(1.0, schur.max_diagonal())
-        reg = opts.min_regularization
-        while reg <= opts.max_regularization * (1 + 1e-12):
+        reg = MIN_REGULARIZATION
+        while reg <= MAX_REGULARIZATION * (1 + 1e-12):
             try:
                 schur.factor(reg * scale)
                 return
@@ -802,21 +802,17 @@ def _solve(problem: SdpProblem, opts: SdpOptions, stop, start) -> SdpSolution:
                 reg *= 10
         raise _Failure(SdpStatus.NUMERICAL_FAILURE,
                        "Schur complement not positive definite up to regularization "
-                       f"{opts.max_regularization:.0e} (linearly dependent constraints?)")
+                       f"{MAX_REGULARIZATION:.0e} (linearly dependent constraints?)")
 
-    history = []
-    trace_rows = []
     status = SdpStatus.MAX_ITERATIONS
     message = ""
     iterations = 0
-    sigma = 0.0
-    alpha_p = alpha_d = 0.0
     best_merit = math.inf
     best_iterate = None
     best_trail = []  # best merit seen up to each iteration
 
     try:
-        for iterations in range(opts.max_iterations + 1):
+        for iterations in range(MAX_ITERATIONS + 1):
             svec_x = svec_all(x_st).copy()
             svec_s = svec_all(s_st).copy()
             pobj = float(c_svec @ svec_x)
@@ -827,10 +823,6 @@ def _solve(problem: SdpProblem, opts: SdpOptions, stop, start) -> SdpSolution:
             rd_st = stacks.map(lambda c, s, aty: c - s - aty, c_stacks, s_st, op_at(y))
             rp_norm = float(np.linalg.norm(rp_vec)) / (1 + b_norm)
             rd_norm = float(np.linalg.norm(svec_all(rd_st))) / (1 + c_norm)
-            history.append((pobj, dobj, relgap, rp_norm, rd_norm))
-            if opts.trace_path is not None:
-                trace_rows.append((iterations, pobj, dobj, relgap, rp_norm, rd_norm,
-                                   sigma, alpha_p, alpha_d))
 
             merit = max(relgap, rp_norm, rd_norm)
             if merit < best_merit:
@@ -844,20 +836,20 @@ def _solve(problem: SdpProblem, opts: SdpOptions, stop, start) -> SdpSolution:
                 name = getattr(stop, "__qualname__", type(stop).__qualname__)
                 message = f"stopped by the caller's stop ({name}) after {iterations} iterations"
                 break
-            if relgap <= opts.gap_tol and rp_norm <= opts.feas_tol and rd_norm <= opts.feas_tol:
+            if relgap <= GAP_TOL and rp_norm <= FEAS_TOL and rd_norm <= FEAS_TOL:
                 status = SdpStatus.OPTIMAL
                 break
-            if dobj > opts.divergence_bound:
+            if dobj > DIVERGENCE_BOUND:
                 raise _Failure(SdpStatus.INFEASIBLE,
                                "dual objective diverged: the primal problem is infeasible")
-            if pobj < -opts.divergence_bound:
+            if pobj < -DIVERGENCE_BOUND:
                 raise _Failure(SdpStatus.INFEASIBLE,
                                "primal objective diverged: the dual problem is infeasible")
-            if iterations == opts.max_iterations:
+            if iterations == MAX_ITERATIONS:
                 break
-            stalled_long = (opts.stall_iterations > 0 and iterations > opts.stall_iterations
-                            and best_merit > 0.5 * best_trail[-1 - opts.stall_iterations])
-            stalled_short = (best_merit <= opts.stall_accuracy and iterations > 4
+            stalled_long = (iterations > STALL_ITERATIONS
+                            and best_merit > 0.5 * best_trail[-1 - STALL_ITERATIONS])
+            stalled_short = (best_merit <= STALL_ACCURACY and iterations > 4
                              and best_merit > 0.7 * best_trail[-5])
             if stalled_long or stalled_short:
                 # degenerate optima (no strictly complementary solution) hit an
@@ -937,8 +929,8 @@ def _solve(problem: SdpProblem, opts: SdpOptions, stop, start) -> SdpSolution:
                               sinv, ds_aff, dx_aff)
             dy, ds, dx = direction(sigma * mu, corr)
 
-            alpha_p = min(1.0, opts.step_fraction * max_step(x_linv, dx))
-            alpha_d = min(1.0, opts.step_fraction * max_step(s_linv, ds))
+            alpha_p = min(1.0, STEP_FRACTION * max_step(x_linv, dx))
+            alpha_d = min(1.0, STEP_FRACTION * max_step(s_linv, ds))
             alpha_p, x_st, x_chol = safe_step(x_st, dx, alpha_p)
             alpha_d, s_st, s_chol = safe_step(s_st, ds, alpha_d)
             if alpha_p <= 0 or alpha_d <= 0:
@@ -954,7 +946,7 @@ def _solve(problem: SdpProblem, opts: SdpOptions, stop, start) -> SdpSolution:
         message = failure.message
 
     if status is SdpStatus.MAX_ITERATIONS and not message:
-        message = f"no convergence within {opts.max_iterations} iterations"
+        message = f"no convergence within {MAX_ITERATIONS} iterations"
         if best_iterate is not None:
             x_st, y, s_st = best_iterate
 
@@ -966,13 +958,6 @@ def _solve(problem: SdpProblem, opts: SdpOptions, stop, start) -> SdpSolution:
     rp_norm = float(np.linalg.norm(b - a_t @ svec_x)) / (1 + b_norm)
     rd_final = stacks.map(lambda c, s, aty: c - s - aty, c_stacks, s_st, op_at(y))
     rd_norm = float(np.linalg.norm(svec_all(rd_final))) / (1 + c_norm)
-
-    if opts.trace_path is not None:
-        lines = ["iter,primal,dual,relgap,primal_residual,dual_residual,sigma,alpha_p,alpha_d"]
-        lines += [",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row)
-                  for row in trace_rows]
-        with open(opts.trace_path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
 
     return SdpSolution(
         status=status,
@@ -987,5 +972,4 @@ def _solve(problem: SdpProblem, opts: SdpOptions, stop, start) -> SdpSolution:
         dual_residual=rd_norm,
         iterations=iterations,
         message=message,
-        history=history,
     )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import genneg
-from genneg import analysis, cli, gmn
+from genneg import analysis, cli, gmn, sdp
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -53,8 +53,9 @@ class TestMonotone:
         rho = genneg.to_density(genneg.named_state("w3"))
         assert after == f"iterations = {gmn.genuine_negativity(rho, 3).solver.iterations}"
 
-    def test_unclosed_bracket_reports_its_width(self, capsys):
-        assert run_cli(["monotone", "--state", "w3", "--max-iterations", "3"]) == 3
+    def test_unclosed_bracket_reports_its_width(self, monkeypatch, capsys):
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 3)
+        assert run_cli(["monotone", "--state", "w3"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "solver failed for w3: max_iterations" in captured.err
@@ -165,6 +166,16 @@ class TestEnsemble:
         mean_rows = [l for l in lines[1:] if l.startswith("haar2-mean")]
         assert all(row.split(",")[5] != "" for row in mean_rows)  # CI bounds present
 
+    def test_mean_only_without_members(self, tmp_path):
+        out = tmp_path / "ens.csv"
+        assert run_cli(["ensemble", "--generator", "haar", "--n", "2",
+                        "--count", "2", "--channel", "ad",
+                        "--smin", "0.02", "--smax", "0.3", "--steps", "3",
+                        "--seed", "4", "--workers", "1", "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == analysis.CSV_HEADER
+        assert [line.split(",")[0] for line in lines[1:]] == ["haar2-mean"] * 3
+
     def test_count_validation(self, capsys):
         assert run_cli(["ensemble", "--generator", "haar", "--n", "2",
                         "--count", "1", "--channel", "ad",
@@ -176,15 +187,23 @@ class TestEnsemble:
     ["sweep", "--state", "ghz3"],
     ["ensemble", "--generator", "haar", "--n", "3"],
 ])
-def test_worker_default_matches_library(monkeypatch, command):
-    parse = cli.build_parser().parse_args
-    args = parse(command + ["--channel", "pd", "--out", "x.csv"])
+def test_worker_default_matches_library(monkeypatch, tmp_path, command):
+    # record what the library resolves, then stop the command before any solve
+    resolved = []
+    resolve_workers = analysis.resolve_workers
+
+    def recording(workers):
+        resolved.append(resolve_workers(workers))
+        raise RuntimeError("worker count resolved")
+
+    monkeypatch.setattr(analysis, "resolve_workers", recording)
+    argv = command + ["--channel", "pd", "--steps", "3", "--out", str(tmp_path / "x.csv")]
     monkeypatch.delenv(analysis.WORKERS_ENV, raising=False)
-    assert cli._workers(args) == analysis.resolve_workers(None) == 1
+    assert cli.main(argv) == 1
     monkeypatch.setenv(analysis.WORKERS_ENV, "3")
-    assert cli._workers(args) == analysis.resolve_workers(None) == 3
-    assert cli._workers(parse(command + ["--channel", "pd", "--out", "x.csv",
-                                         "--workers", "2"])) == 2
+    assert cli.main(argv) == 1
+    assert cli.main(argv + ["--workers", "2"]) == 1
+    assert resolved == [1, 3, 2]
 
 
 def test_non_integer_workers_variable_is_named(monkeypatch, tmp_path, capsys):

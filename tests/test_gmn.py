@@ -9,7 +9,7 @@ import scipy.linalg as sla
 from genneg import gmn, sdp, states
 from genneg.channels import ChannelKind, apply_local_channel
 from genneg.linalg import hermitian_part, partial_transpose
-from genneg.sdp import SdpOptions, SdpStatus
+from genneg.sdp import SdpStatus
 
 
 ROUNDING = 1e-12  # slack for bounds that hold exactly in exact arithmetic
@@ -164,9 +164,10 @@ class TestGenuineNegativity:
             assert res.value == max(0.0, -res.objective) or res.value == 0.0
             assert res.value <= 0.5 + 1e-7
 
-    def test_failed_solve_is_explicit(self):
+    def test_failed_solve_is_explicit(self, monkeypatch):
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 1)
         rho = states.to_density(states.named_state("ghz3"))
-        res = gmn.genuine_negativity(rho, 3, SdpOptions(max_iterations=1, stall_iterations=0))
+        res = gmn.genuine_negativity(rho, 3)
         assert not res.solved
         assert math.isnan(res.value)
         assert not res.certificate_ok

@@ -11,7 +11,7 @@ import scipy.linalg as sla
 
 from genneg import sdp, states
 from genneg.gmn import build_program
-from genneg.sdp import (SdpOptions, SdpProblem, SdpStatus, _geometry, _inverse_factor,
+from genneg.sdp import (SdpProblem, SdpStatus, _geometry, _inverse_factor,
                         _inverse_from_factor, _step_to_boundary, solve)
 
 
@@ -22,6 +22,21 @@ def scalar_bound_problem():
         objective_blocks=[np.array([[1.0]]), np.array([[0.0]])],
         constraints=[([np.array([[1.0]]), np.array([[-1.0]])], 1.0)],
     )
+
+
+def solve_recording(problem, **kwargs):
+    """``solve(problem)`` and a copy of every iterate (X blocks, y, S blocks), start first.
+
+    The iterates are read through a ``stop`` that never fires, which leaves
+    the solve unchanged bit for bit.
+    """
+    iterates = []
+
+    def record(x_blocks, y, s_blocks):
+        iterates.append(([x.copy() for x in x_blocks], y.copy(), [s.copy() for s in s_blocks]))
+        return False
+
+    return solve(problem, stop=record, **kwargs), iterates
 
 
 class TestSmallProblems:
@@ -82,9 +97,9 @@ class TestSmallProblems:
 
 
 class TestStatuses:
-    def test_max_iterations(self):
-        opts = SdpOptions(max_iterations=2, stall_iterations=0)
-        sol = solve(scalar_bound_problem(), opts)
+    def test_max_iterations(self, monkeypatch):
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+        sol = solve(scalar_bound_problem())
         assert sol.status is SdpStatus.MAX_ITERATIONS
         assert sol.iterations == 2
 
@@ -177,23 +192,26 @@ def solutions():
         problems.append(build_program(states.to_density(states.named_state(name))))
     psi = states.haar_random_state(2, 11)
     problems.append(build_program(states.to_density(psi), 2))
-    return [(p, solve(p)) for p in problems]
+    return [(p, *solve_recording(p)) for p in problems]
 
 
 class TestSolverInvariants:
 
     def test_weak_duality_along_iterates(self, solutions):
-        for _, sol in solutions:
+        for problem, sol, iterates in solutions:
             assert sol.status is SdpStatus.OPTIMAL
-            for pobj, dobj, *_ in sol.history:
+            assert len(iterates) == sol.iterations + 1
+            for x_blocks, y, _ in iterates:
+                pobj = sum(np.vdot(c, x).real for c, x in zip(problem.c_blocks, x_blocks))
+                dobj = float(problem.b @ y)
                 assert dobj <= pobj + 1e-7
 
     def test_complementarity_at_optimum(self, solutions):
-        for problem, sol in solutions:
+        for problem, sol, _ in solutions:
             assert abs(sol.complementarity) <= 1e-7 * len(problem.block_dims)
 
     def test_solution_invariants(self, solutions):
-        for problem, sol in solutions:
+        for problem, sol, _ in solutions:
             assert abs(sol.gap) <= 1e-8 * (1 + abs(sol.primal_objective))
             assert sol.primal_residual <= 1e-8
             assert sol.dual_residual <= 1e-8
@@ -337,13 +355,6 @@ class TestProblemApi:
         assert p2.a_t is p1.a_t
         sol = solve(p2)
         assert abs(sol.primal_objective - 2.0) < 1e-6
-
-    def test_trace_dump(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        sol = solve(scalar_bound_problem(), SdpOptions(trace_path=str(path)))
-        lines = path.read_text().strip().split("\n")
-        assert lines[0].startswith("iter,primal,dual,relgap")
-        assert len(lines) == sol.iterations + 2  # header + iterates incl. start
 
 
 def random_pd_stack(rng, count, n):
@@ -511,7 +522,7 @@ def ghz3_program():
 
 
 class TestStopCallback:
-    """``solve(problem, options, stop)`` asks ``stop`` at every iterate."""
+    """``solve(problem, stop)`` asks ``stop`` at every iterate."""
 
     @pytest.mark.parametrize("k", [0, 1, 4])
     def test_stop_at_iterate_k(self, k):
@@ -617,13 +628,15 @@ class TestStart:
     def test_no_start_is_the_cold_start(self, make):
         # start=None and the cold start passed explicitly run the same iterates
         problem = make()
-        default = solve(problem)
-        none = solve(problem, start=None)
-        explicit = solve(problem, start=cold_start(problem))
-        for sol in (none, explicit):
+        default, default_iterates = solve_recording(problem)
+        for start in (None, cold_start(problem)):
+            sol, iterates = solve_recording(problem, start=start)
             assert sol.iterations == default.iterations
             assert sol.status is default.status and sol.message == default.message
-            assert sol.history == default.history
+            assert len(iterates) == len(default_iterates)
+            for (x, y, s), (x0, y0, s0) in zip(iterates, default_iterates):
+                assert np.array_equal(y, y0)
+                assert all(np.array_equal(a, b) for a, b in zip(x + s, x0 + s0))
             assert np.array_equal(sol.y, default.y)
             assert all(np.array_equal(a, b) for a, b in zip(sol.x_blocks, default.x_blocks))
             assert all(np.array_equal(a, b) for a, b in zip(sol.s_blocks, default.s_blocks))
