@@ -39,7 +39,7 @@ from .states import (derive_seed, haar_random_state, random_weighted_graph,
 ETA_FLOOR = 1e-5         # E below this leaves eta undefined at that point
 LIFETIME_FLOOR = 1e-4    # ensemble members dipping below this are excluded
 MAX_EXCLUDED_FRACTION = 0.05
-KINK_FACTOR = 10.0       # one-sided slopes differing by > 10*h mark a kink
+KINK_FACTOR = 10.0       # a kink's slope jump exceeds 10*h and 10x the jumps 2 points away
 
 WORKERS_ENV = "GENNEG_WORKERS"
 
@@ -222,16 +222,27 @@ def _run_jobs(jobs, workers: int | None):
 
 
 def _one_sided_kinks(grid, values) -> list:
+    """(s, left slope, right slope) of ln E at each interior point that looks like a corner.
+
+    The jump between the one-sided slopes at s_k is |(ln E)''| h for a smooth
+    curve, so an absolute threshold flags every point where ln E bends hard,
+    as it does near entanglement death.  A jump marks a kink only when it
+    exceeds both ``KINK_FACTOR * h`` and ``KINK_FACTOR`` times the jumps two
+    grid points away, which a corner (at or between grid points) disturbs
+    only at the one or two points next to it.
+    """
     h = float(grid[1] - grid[0])
     lnv = np.full(len(values), np.nan)
     ok = np.isfinite(values) & (values >= ETA_FLOOR)
     lnv[ok] = np.log(values[ok])
+    slopes = np.diff(lnv) / h
+    jumps = np.full(len(values), np.nan)
+    jumps[1:-1] = np.abs(np.diff(slopes))
     kinks = []
     for k in range(1, len(grid) - 1):
-        left = (lnv[k] - lnv[k - 1]) / h
-        right = (lnv[k + 1] - lnv[k]) / h
-        if np.isfinite(left) and np.isfinite(right) and abs(right - left) > KINK_FACTOR * h:
-            kinks.append((float(grid[k]), float(left), float(right)))
+        near = [jumps[j] for j in (k - 2, k + 2) if 0 <= j < len(jumps) and np.isfinite(jumps[j])]
+        if jumps[k] > KINK_FACTOR * max([h] + near):
+            kinks.append((float(grid[k]), float(slopes[k - 1]), float(slopes[k])))
     return kinks
 
 

@@ -46,12 +46,14 @@ every block, the partial transpose of rho/K split into its positive and
 negative parts across Q_M and 1-Q_M, meets every equality constraint up to
 rounding.  From the solver's generic cold start X = S = tau 1, y = 0, which
 is infeasible on both sides, the bracket of an N = 4 solve can sit still for
-the first four iterations; the benchmark's four N = 4 solves take 4/8/7/10
-iterations from this start against 7/10/11/14 from the cold one.
+the first four iterations; the benchmark's four N = 4 solves take 3/8/7/10
+iterations from this start against 6/10/10/13 from the cold one.
 
-Every result is a certified bracket E_lo <= E <= E_hi, taken at each
-interior-point iterate through the solver's stop callback and kept as the best
-over all iterates:
+Every result is a certified bracket E_lo <= E <= E_hi, taken through the
+solver's stop callback at every interior-point iterate and at every full
+Newton point (X + dX, y + dy, S + dS) before the step is cut back into the
+cone, and kept as the best over all of them.  Neither bound needs its point
+inside the cone or on the constraints:
 
 * E_lo = max(0, -Tr(W' rho)) for a witness repaired to exact feasibility: W
   and the Q_M come from the dual vector, P_M = W - Q_M^{T_M}, and with eps the
@@ -273,15 +275,19 @@ class ArrowheadSchur:
                                       "dpotrf(w Schur complement)")
 
     def solve(self, rhs):
+        # every block solve writes straight into its slice of z or of the output
         n, k = self.n, self.nparts
         r = rhs.reshape(len(rhs), -1)
-        z = np.stack([sdp.lapack_checked(lapack.dtrtrs(lq, rq, lower=1), "dtrtrs")
-                      for lq, rq in zip(self._lq, r[n:].reshape(k, n, -1))])
+        z = np.empty((k, n, r.shape[1]))
+        for lq, rq, zq in zip(self._lq, r[n:].reshape(k, n, -1), z):
+            zq[...] = sdp.lapack_checked(lapack.dtrtrs(lq, rq, lower=1), "dtrtrs")
         rw = r[:n] - self._wq.reshape(-1, n).T @ z.reshape(k * n, -1)
-        dw = sdp.lapack_checked(lapack.dpotrs(self._lw, rw, lower=1), "dpotrs")
-        dq = np.stack([sdp.lapack_checked(lapack.dtrtrs(lq, zq, lower=1, trans=1), "dtrtrs")
-                       for lq, zq in zip(self._lq, z - self._wq @ dw)])
-        return np.concatenate([dw, dq.reshape(k * n, -1)]).reshape(rhs.shape)
+        out = np.empty(((k + 1) * n, r.shape[1]))
+        dw = out[:n]
+        dw[...] = sdp.lapack_checked(lapack.dpotrs(self._lw, rw, lower=1), "dpotrs")
+        for lq, zq, dq in zip(self._lq, z - self._wq @ dw, out[n:].reshape(k, n, -1)):
+            dq[...] = sdp.lapack_checked(lapack.dtrtrs(lq, zq, lower=1, trans=1), "dtrtrs")
+        return out.reshape(rhs.shape)
 
     def matvec(self, v):
         n, k = self.n, self.nparts
@@ -461,13 +467,15 @@ class GmnResult:
 
 
 class _Bracket:
-    """The best certified bounds on E over the iterates of one solve.
+    """The best certified bounds on E over the points of one solve.
 
-    :meth:`closed` is the solve's stop callback.
+    :meth:`closed` is the solve's stop callback, so it sees every iterate and
+    every full Newton point; the Newton points meet the equality constraints
+    but may lie outside the cone, which neither bound needs.
 
-    Upper bound, at every iterate: the primal blocks give rho_M = X_{P_M} -
+    Upper bound, at every point: the primal blocks give rho_M = X_{P_M} -
     X_{1-P_M}; the residual rho - sum_M rho_M goes into
-    the first, which makes the split exact at any iterate, feasible or not,
+    the first, which makes the split exact at any point, feasible or not,
     and E <= sum_M neg(rho_M) + neg(rho_M^{T_M}).
 
     Lower bound: W and every Q_M come from y, and P_M = W - Q_M^{T_M}.  With
@@ -478,9 +486,9 @@ class _Bracket:
     can only beat the best so far, or close the bracket, when Tr(W rho) does.
     Witnesses therefore wait in a heap ordered by Tr(W rho) and are repaired
     only when one of them could close the bracket, and at the end while one
-    could still improve E_lo.  The lower bound is the best over all iterates
-    all the same, and the solve stops at the same iterate as if every
-    witness were repaired at once, for a fraction of the eigendecompositions.
+    could still improve E_lo.  The lower bound is the best over all points
+    all the same, and the solve stops at the same point as if every witness
+    were repaired at once, for a fraction of the eigendecompositions.
 
     Partial transposes permute matrix entries through the structure's
     ``transpose`` table.  Each bound takes one batched eigvalsh of 2K
@@ -509,7 +517,7 @@ class _Bracket:
         return max(0.0, -self.objective)
 
     def closed(self, x_blocks, y, s_blocks) -> bool:
-        """Update both bounds from one iterate; True once E_hi - E_lo <= BRACKET_TOL."""
+        """Update both bounds from one point; True once E_hi - E_lo <= BRACKET_TOL."""
         k, d = self._k, self._d
         heapq.heappush(self._pending, (float(y[:d * d] @ self._rho_coeffs),
                                        next(self._arrivals), y.copy()))
@@ -561,11 +569,11 @@ def genuine_negativity(rho: np.ndarray, nqubits: int | None = None) -> GmnResult
     """Compute the genuine multiparticle negativity E(ρ) with its certified bracket.
 
     The solve starts from :func:`_start_point`, feasible on both sides, and
-    stops at the first iterate where the best bounds so far satisfy
-    E_hi - E_lo <= :data:`BRACKET_TOL` (see :class:`_Bracket`), and reports
-    E = E_lo.  When the bracket never closes, whatever the solver status, the
-    result is an explicit failure (NaN value, ``certificate_ok`` False) that
-    still carries its bracket, rather than a silent zero.
+    stops at the first iterate or full Newton point where the best bounds so
+    far satisfy E_hi - E_lo <= :data:`BRACKET_TOL` (see :class:`_Bracket`),
+    and reports E = E_lo.  When the bracket never closes, whatever the solver
+    status, the result is an explicit failure (NaN value, ``certificate_ok``
+    False) that still carries its bracket, rather than a silent zero.
     """
     rho = np.asarray(rho, dtype=complex)
     n = check_density_matrix(rho, nqubits)

@@ -39,6 +39,9 @@ Each iteration factors S = L_S L_S^H and X = L_X L_X^H once and inverts each
 factor once.  The inverse factors serve both S^-1 = L_S^-H L_S^-1 and the four
 step lengths, which come from the eigenvalues of L^-1 D L^-H for a direction
 D: a Hermitian eigenproblem formed with matrix products, no further solves.
+The predictor's two step lengths and the centrality floor (the eigenvalues of
+L_S^H X L_S) take one batched ``eigvalsh`` per block group, and the
+corrector's two take one more.
 
 Every solve runs on one BLAS thread: :func:`solve` lowers the thread count of
 each loaded OpenBLAS (numpy's and scipy's bundled copies, or a system build)
@@ -60,13 +63,20 @@ time.  ``gmn`` stops every solve through ``stop`` once its certified bracket
 closes, so looser tolerances could only end a solve before that, and tighter
 ones cannot make a closed bracket more exact.
 
-A caller that can judge an iterate itself passes ``stop(x_blocks, y,
-s_blocks)`` to :func:`solve`.  It sees every iterate, the start point first,
-before the solver's own tests, and a True return ends the solve there with
-status ``OPTIMAL`` and a message naming the callback.  The solver knows
-nothing of what the callback checks: ``gmn`` uses it to stop once its
-certified bracket on the monotone is narrow enough.  Without a callback the
-iteration is the same, bit for bit.
+A caller that can judge a point itself passes ``stop(x_blocks, y, s_blocks)``
+to :func:`solve`.  It sees two points per iteration, in turn: the iterate
+(the start point first) before the solver's own tests, then the full Newton
+point (X + dX, y + dy, S + dS) of the corrector direction before the step
+length cuts it back into the cone.  The direction solves the linearized
+equations, so the Newton point meets A(X) = b and C - A^T y = S up to the
+rounding of the Schur solve, but it may lie outside the cone.  A True return
+ends the solve with status ``OPTIMAL`` and a message naming the callback.  At
+an iterate, that iterate is returned.  At the Newton point of iteration k,
+iterate k (the last interior point) is returned with ``iterations`` k + 1:
+``iterations`` counts the Schur systems factored.  The solver knows nothing
+of what the callback checks: ``gmn`` uses it to stop once its certified
+bracket on the monotone, which holds at any such point, is narrow enough.
+Without a callback the iteration is the same, bit for bit.
 
 Every solve starts from the scale-aware cold start X = S = tau I, y = 0
 (tau = 1 + max|b_i| + the largest constraint column norm) unless the caller
@@ -522,14 +532,33 @@ def _inverse_from_factor(linv: np.ndarray) -> np.ndarray:
     return _herm_stack(np.matmul(_adjoint(linv), linv))
 
 
-def _step_to_boundary(linv: np.ndarray, delta: np.ndarray) -> float:
-    """Largest alpha keeping every X + alpha*delta PSD, given the stacked L^-1 of X.
+def _congruence(linv: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """L^-1 delta L^-H for each block, whose eigenvalues are those of the pencil (delta, X)."""
+    return np.matmul(np.matmul(linv, delta), _adjoint(linv))
 
-    The eigenvalues of L^-1 delta L^-H are those of the pencil (delta, X); the
-    step is -1/lambda_min, or inf when no eigenvalue is below -1e-14.
+
+def _smallest_eigenvalues(parts: list) -> np.ndarray:
+    """The smallest eigenvalue of each (count, n, n) stack in ``parts``, from one eigvalsh.
+
+    The stacks share n.  Their Hermitian parts are written into one joint
+    stack, and ``eigvalsh`` treats each matrix of it alone, so every minimum
+    is bit for bit that of a separate call per stack.
     """
-    z = np.matmul(np.matmul(linv, delta), _adjoint(linv))
-    lam_min = float(np.linalg.eigvalsh(_herm_stack(z)).min())
+    sizes = [len(part) for part in parts]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    joint = np.empty((ends[-1],) + parts[0].shape[1:], dtype=complex)
+    for part, start, stop in zip(parts, starts, ends):
+        np.add(part, _adjoint(part), out=joint[start:stop])
+    joint /= 2
+    return np.minimum.reduceat(np.linalg.eigvalsh(joint)[:, 0], starts)
+
+
+def _boundary_step(lam_min: float) -> float:
+    """Largest alpha keeping X + alpha*delta PSD, from the smallest eigenvalue of L^-1 delta L^-H.
+
+    That is -1/lam_min, or inf when lam_min is not below -1e-14.
+    """
     if lam_min >= -1e-14:
         return math.inf
     return -1.0 / lam_min
@@ -643,11 +672,18 @@ def solve(problem: SdpProblem,
     :data:`FEAS_TOL`; weak duality then brackets the true optimum between the
     reported dual and primal objectives.
 
-    ``stop(x_blocks, y, s_blocks)``, when given, sees every iterate (the
-    start point first) before the solver's own tests.  When it returns True
-    the solve ends there with status ``OPTIMAL``, that iterate, and a message
-    naming ``stop``.  What it raises propagates.  The blocks it receives are
-    the solver's own arrays, to be read and not modified.
+    ``stop(x_blocks, y, s_blocks)``, when given, is called twice per
+    iteration, alternating: on the iterate (the start point first) before the
+    solver's own tests, and on the full Newton point (X + dX, y + dy, S + dS),
+    which meets both equality constraints up to rounding but may lie outside
+    the cone, before the step length is cut.  When it returns True the solve
+    ends with status ``OPTIMAL`` and a message naming ``stop``.  At an
+    iterate k the solution is that iterate, with ``iterations`` k.  At the
+    Newton point of iteration k it is iterate k, the last interior point, with
+    ``iterations`` k + 1 and the Newton point named in the message:
+    ``iterations`` counts the Schur systems factored.  What ``stop`` raises
+    propagates.  The blocks it receives are the solver's own arrays or fresh
+    sums, to be read and not modified.
 
     ``start = (x_blocks, y, s_blocks)``, when given, is the first iterate in
     place of the cold start: one d x d array per block for X and for S, in
@@ -783,8 +819,11 @@ def _solve(problem: SdpProblem, stop, start) -> SdpSolution:
                 alpha *= 0.5
         return 0.0, sd, None
 
-    def max_step(linv: dict, delta: dict) -> float:
-        return min(_step_to_boundary(linv[d], delta[d]) for d, _, _ in stacks.groups)
+    def smallest_eigenvalues(*parts: dict) -> list:
+        """The smallest eigenvalue of each part (stacks by group), one eigvalsh per group."""
+        lowest = [_smallest_eigenvalues([part[d] for part in parts])
+                  for d, _, _ in stacks.groups]
+        return [float(v) for v in np.min(lowest, axis=0)]
 
     schur = problem.schur_factory(problem)
 
@@ -804,6 +843,7 @@ def _solve(problem: SdpProblem, stop, start) -> SdpSolution:
                        "Schur complement not positive definite up to regularization "
                        f"{MAX_REGULARIZATION:.0e} (linearly dependent constraints?)")
 
+    stop_name = getattr(stop, "__qualname__", type(stop).__qualname__)
     status = SdpStatus.MAX_ITERATIONS
     message = ""
     iterations = 0
@@ -833,8 +873,8 @@ def _solve(problem: SdpProblem, stop, start) -> SdpSolution:
 
             if stop is not None and stop(stacks.to_blocks(x_st), y, stacks.to_blocks(s_st)):
                 status = SdpStatus.OPTIMAL
-                name = getattr(stop, "__qualname__", type(stop).__qualname__)
-                message = f"stopped by the caller's stop ({name}) after {iterations} iterations"
+                message = (f"stopped by the caller's stop ({stop_name}) after {iterations} "
+                           "iterations")
                 break
             if relgap <= GAP_TOL and rp_norm <= FEAS_TOL and rd_norm <= FEAS_TOL:
                 status = SdpStatus.OPTIMAL
@@ -905,19 +945,20 @@ def _solve(problem: SdpProblem, stop, start) -> SdpSolution:
 
             # predictor (affine scaling, sigma = 0)
             dy_aff, ds_aff, dx_aff = direction(0.0, None)
-            ap_aff = min(1.0, max_step(x_linv, dx_aff))
-            ad_aff = min(1.0, max_step(s_linv, ds_aff))
+            # its two step lengths and the centrality floor, one eigvalsh per group
+            lam_p, lam_d, lam_floor = smallest_eigenvalues(
+                stacks.map(_congruence, x_linv, dx_aff), stacks.map(_congruence, s_linv, ds_aff),
+                stacks.map(lambda lo, x: np.matmul(np.matmul(_adjoint(lo), x), lo), s_chol, x_st))
+            ap_aff = min(1.0, _boundary_step(lam_p))
+            ad_aff = min(1.0, _boundary_step(lam_d))
             mu_aff = stacks.inner(
                 stacks.map(lambda x, dx: x + ap_aff * dx, x_st, dx_aff),
                 stacks.map(lambda s, ds: s + ad_aff * ds, s_st, ds_aff)) / n_tot
             sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
 
-            # centrality guard: when the smallest complementarity pairs fall far
-            # below mu the plain Mehrotra step stalls, so re-center first
-            lam_floor = math.inf
-            for d, _, _ in stacks.groups:
-                w = np.matmul(np.matmul(_adjoint(s_chol[d]), x_st[d]), s_chol[d])
-                lam_floor = min(lam_floor, float(np.linalg.eigvalsh(_herm_stack(w)).min()))
+            # centrality guard: when the smallest complementarity pairs (the
+            # eigenvalues of L_S^H X L_S) fall far below mu the plain Mehrotra
+            # step stalls, so re-center first
             centrality = lam_floor / mu
             if centrality < 1e-4:
                 sigma = 1.0
@@ -929,8 +970,21 @@ def _solve(problem: SdpProblem, stop, start) -> SdpSolution:
                               sinv, ds_aff, dx_aff)
             dy, ds, dx = direction(sigma * mu, corr)
 
-            alpha_p = min(1.0, STEP_FRACTION * max_step(x_linv, dx))
-            alpha_d = min(1.0, STEP_FRACTION * max_step(s_linv, ds))
+            # the full Newton point meets A(X) = b and C - A^T y = S to rounding
+            # but may lie outside the cone; when the caller's stop takes it,
+            # this iterate (the last interior one) is returned
+            if stop is not None and stop(stacks.to_blocks(stacks.map(np.add, x_st, dx)), y + dy,
+                                         stacks.to_blocks(stacks.map(np.add, s_st, ds))):
+                status = SdpStatus.OPTIMAL
+                message = (f"stopped by the caller's stop ({stop_name}) at the Newton point of "
+                           f"iteration {iterations}; iterate {iterations} returned")
+                iterations += 1  # count this iteration's Schur factorization too
+                break
+
+            lam_p, lam_d = smallest_eigenvalues(stacks.map(_congruence, x_linv, dx),
+                                                stacks.map(_congruence, s_linv, ds))
+            alpha_p = min(1.0, STEP_FRACTION * _boundary_step(lam_p))
+            alpha_d = min(1.0, STEP_FRACTION * _boundary_step(lam_d))
             alpha_p, x_st, x_chol = safe_step(x_st, dx, alpha_p)
             alpha_d, s_st, s_chol = safe_step(s_st, ds, alpha_d)
             if alpha_p <= 0 or alpha_d <= 0:

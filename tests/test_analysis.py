@@ -268,17 +268,39 @@ class TestRobustnessReport:
 
 class TestKinkDetection:
     def test_corner_is_reported(self):
+        self.check_corner(0.5)
+
+    @pytest.mark.parametrize("corner", [0.51, 0.525])
+    def test_off_grid_corner_is_reported(self, corner):
+        self.check_corner(corner)
+
+    @staticmethod
+    def check_corner(corner):
+        # on the grid or between two grid points, the kink is named next to it
         grid = np.linspace(0.0, 1.0, 21)
         h = grid[1] - grid[0]
-        values = np.where(grid < 0.5, np.exp(-grid), np.exp(-0.5) * np.exp(-9 * (grid - 0.5)))
+        values = np.where(grid < corner, np.exp(-grid),
+                          np.exp(-corner) * np.exp(-9 * (grid - corner)))
         kinks = analysis._one_sided_kinks(grid, values)
         assert kinks
-        s_kink = kinks[0][0]
-        assert abs(s_kink - 0.5) <= h + 1e-12
+        assert all(abs(s_kink - corner) <= h + 1e-12 for s_kink, _, _ in kinks)
+        s_kink, left, right = kinks[0]
+        assert left == pytest.approx(-1, abs=0.5) and right < -5
 
     def test_smooth_curve_has_none(self):
         grid = np.linspace(0.0, 1.0, 21)
         values = np.exp(-2 * grid)
+        assert analysis._one_sided_kinks(grid, values) == []
+
+    def test_growing_curvature_has_none(self):
+        # E = (1.05 - s)^2 dies just past the grid: (ln E)'' = 2/(1.05 - s)^2
+        # rises to 200, so the slope jumps exceed KINK_FACTOR * h at the end,
+        # but smoothly
+        grid = np.linspace(0.0, 1.0, 21)
+        h = grid[1] - grid[0]
+        values = (1.05 - grid) ** 2
+        jumps = np.abs(np.diff(np.log(values), 2)) / h
+        assert jumps.max() > analysis.KINK_FACTOR * h
         assert analysis._one_sided_kinks(grid, values) == []
 
 

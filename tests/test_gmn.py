@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from genneg import gmn, sdp, states
+from genneg import analysis, gmn, sdp, states
 from genneg.channels import ChannelKind, apply_local_channel
 from genneg.linalg import hermitian_part, partial_transpose
 from genneg.sdp import SdpStatus
@@ -560,8 +560,8 @@ def n4_solve():
 
 
 # the four states of the benchmark's solve-n4 workload and at most how many
-# iterations each may take: one more than the 4/8/7/10 it takes from the
-# feasible start (the cold start took 7/10/11/14)
+# iterations each may take; they take 3/8/7/10 from the feasible start (the
+# cold start takes 6/10/10/13)
 SOLVE_N4 = [
     ("ghz4", ChannelKind.PHASE_DAMPING, 0.2, 5),
     ("w4", ChannelKind.AMPLITUDE_DAMPING, 0.2, 9),
@@ -624,6 +624,31 @@ def test_feasible_start_saves_iterations(monkeypatch):
         assert abs(a.value - b.value) <= gmn.BRACKET_TOL
     assert (sum(r.solver.iterations for r in started)
             < sum(r.solver.iterations for r in cold))
+
+
+SWEEP_N3 = [
+    ("ghz3", ChannelKind.PHASE_DAMPING),
+    ("w3", ChannelKind.AMPLITUDE_DAMPING),
+    ("w3b", ChannelKind.DEPOLARIZING),
+]
+
+
+def test_newton_points_close_brackets_sooner():
+    """The bench's N=3 sweeps on 5-point default grids factor at most 77 Schur systems.
+
+    The bracket is tested at every full Newton point as well as at every
+    iterate; with the iterates alone these 15 solves took 91 iterations.
+    """
+    total = at_newton_point = 0
+    for state, kind in SWEEP_N3:
+        rho0 = states.to_density(states.named_state(state))
+        for s in analysis.default_grid(kind, steps=5):
+            res = gmn.genuine_negativity(apply_local_channel(rho0, kind, s, 3), 3)
+            assert res.solved and res.certificate_ok
+            total += res.solver.iterations
+            at_newton_point += "Newton point" in res.solver.message
+    assert total <= 77
+    assert at_newton_point > 0
 
 
 def independent_bracket(res, rho):

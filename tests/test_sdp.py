@@ -11,8 +11,8 @@ import scipy.linalg as sla
 
 from genneg import sdp, states
 from genneg.gmn import build_program
-from genneg.sdp import (SdpProblem, SdpStatus, _geometry, _inverse_factor,
-                        _inverse_from_factor, _step_to_boundary, solve)
+from genneg.sdp import (SdpProblem, SdpStatus, _boundary_step, _congruence, _geometry,
+                        _inverse_factor, _inverse_from_factor, _smallest_eigenvalues, solve)
 
 
 def scalar_bound_problem():
@@ -24,19 +24,26 @@ def scalar_bound_problem():
     )
 
 
-def solve_recording(problem, **kwargs):
-    """``solve(problem)`` and a copy of every iterate (X blocks, y, S blocks), start first.
+def solve_watching(problem, **kwargs):
+    """``solve(problem)`` and a copy (X blocks, y, S blocks) of every point ``stop`` saw.
 
-    The iterates are read through a ``stop`` that never fires, which leaves
-    the solve unchanged bit for bit.
+    The calls alternate: the start, the Newton point of iteration 0, iterate
+    1, the Newton point of iteration 1, ...  The ``stop`` never fires, which
+    leaves the solve unchanged bit for bit.
     """
-    iterates = []
+    seen = []
 
     def record(x_blocks, y, s_blocks):
-        iterates.append(([x.copy() for x in x_blocks], y.copy(), [s.copy() for s in s_blocks]))
+        seen.append(([x.copy() for x in x_blocks], y.copy(), [s.copy() for s in s_blocks]))
         return False
 
-    return solve(problem, stop=record, **kwargs), iterates
+    return solve(problem, stop=record, **kwargs), seen
+
+
+def solve_recording(problem, **kwargs):
+    """``solve(problem)`` and a copy of every iterate (X blocks, y, S blocks), start first."""
+    sol, seen = solve_watching(problem, **kwargs)
+    return sol, seen[0::2]
 
 
 class TestSmallProblems:
@@ -367,17 +374,26 @@ class TestFactorInverse:
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_step_matches_generalized_eigenproblem(self, n):
+        # one eigvalsh over parts of 4, 3 and 5 blocks gives each part's
+        # smallest eigenvalue of the pencil (delta, X), as scipy's
+        # generalized eigh does, and the same bits as a call per part
         rng = np.random.default_rng(50 + n)
-        x = random_pd_stack(rng, 4, n)
+        x = random_pd_stack(rng, 5, n)
         linv = _inverse_factor(np.linalg.cholesky(x))
         deltas = [random_hermitian(rng, n, count=4),
-                  -random_pd_stack(rng, 4, n),
-                  random_pd_stack(rng, 4, n)]
-        for delta in deltas:
+                  -random_pd_stack(rng, 3, n),
+                  random_pd_stack(rng, 5, n)]
+        parts = [_congruence(linv[:len(delta)], delta) for delta in deltas]
+        lowest = _smallest_eigenvalues(parts)
+        assert lowest.shape == (3,)
+        for part, delta, lam in zip(parts, deltas, lowest):
             lam_min = min(sla.eigh(dd, xx, eigvals_only=True)[0] for dd, xx in zip(delta, x))
+            assert lam == pytest.approx(lam_min, rel=1e-10)
+            assert lam == _smallest_eigenvalues([part])[0]
             expected = math.inf if lam_min >= -1e-14 else -1.0 / lam_min
-            assert _step_to_boundary(linv, delta) == pytest.approx(expected, rel=1e-10)
-        assert _step_to_boundary(linv, deltas[2]) == math.inf
+            assert _boundary_step(lam) == pytest.approx(expected, rel=1e-10)
+        assert lowest[1] < 0 < lowest[2]
+        assert _boundary_step(lowest[2]) == math.inf
 
     @pytest.mark.parametrize("n", [16, 32])
     def test_inverse_matches_numpy(self, n):
@@ -521,8 +537,34 @@ def ghz3_program():
     return build_program(states.to_density(states.named_state("ghz3")), 3)
 
 
+def w3_program():
+    return build_program(states.to_density(states.named_state("w3")), 3)
+
+
+def interleaved_problem():
+    # blocks of dimensions 2, 1, 2: min Tr(C1 X1) + 3 x2 + Tr(C3 X3)
+    return SdpProblem(
+        block_dims=[2, 1, 2],
+        objective_blocks=[np.diag([1.0, 2.0]), np.array([[3.0]]),
+                          np.array([[2.0, 1.0], [1.0, 2.0]])],
+        constraints=[([np.eye(2)], 1.0), ({1: np.array([[1.0]]), 2: np.eye(2)}, 1.0)])
+
+
+def program_residuals(problem, x_blocks, y, s_blocks) -> tuple:
+    """The scaled norms of b - A(X) and C - A^T y - S, written out block by block."""
+    svec_x = np.concatenate([problem._geom[k].svec(x) for k, x in enumerate(x_blocks)])
+    primal = problem.b - problem.a_t @ svec_x
+    aty = problem.a_csc @ y
+    dual = np.concatenate([problem._geom[k].svec(c - s) - aty[sl] for k, (c, s, sl) in
+                           enumerate(zip(problem.c_blocks, s_blocks, problem.block_slices()))])
+    c_norm = np.linalg.norm(np.concatenate([problem._geom[k].svec(c)
+                                            for k, c in enumerate(problem.c_blocks)]))
+    return (float(np.linalg.norm(primal)) / (1 + float(np.linalg.norm(problem.b))),
+            float(np.linalg.norm(dual)) / (1 + float(c_norm)))
+
+
 class TestStopCallback:
-    """``solve(problem, stop)`` asks ``stop`` at every iterate."""
+    """``solve(problem, stop)`` asks ``stop`` at every iterate and every Newton point."""
 
     @pytest.mark.parametrize("k", [0, 1, 4])
     def test_stop_at_iterate_k(self, k):
@@ -533,16 +575,60 @@ class TestStopCallback:
             assert [b.shape[0] for b in x_blocks] == list(problem.block_dims)
             assert [b.shape[0] for b in s_blocks] == list(problem.block_dims)
             seen.append(([b.copy() for b in x_blocks], y.copy()))
-            return len(seen) > k
+            return len(seen) > 2 * k  # call 2k is iterate k
 
         sol = solve(problem, stop=stop_at)
         assert sol.status is SdpStatus.OPTIMAL
-        assert sol.iterations == k and len(seen) == k + 1
-        assert "stop_at" in sol.message
+        assert sol.iterations == k and len(seen) == 2 * k + 1
+        assert "stop_at" in sol.message and "Newton" not in sol.message
         # the solution is the iterate the callback stopped at
         x_last, y_last = seen[-1]
         assert np.array_equal(sol.y, y_last)
         assert all(np.array_equal(a, b) for a, b in zip(sol.x_blocks, x_last))
+
+    @pytest.mark.parametrize("make", [interleaved_problem, ghz3_program, w3_program])
+    def test_newton_points_meet_both_equality_constraints(self, make):
+        problem = make()
+        sol, seen = solve_watching(problem)
+        iterates, newton = seen[0::2], seen[1::2]
+        assert sol.status is SdpStatus.OPTIMAL
+        assert len(iterates) == sol.iterations + 1 and len(newton) == sol.iterations
+        # from the infeasible cold start, every Newton point is feasible
+        assert max(program_residuals(problem, *iterates[0])) > 0.1
+        outside = 0
+        for (x, y, _), (xn, yn, sn), (x1, y1, _) in zip(iterates, newton, iterates[1:]):
+            primal, dual = program_residuals(problem, xn, yn, sn)
+            assert primal <= 1e-10 and dual <= 1e-12
+            outside += min(np.linalg.eigvalsh(blk)[0] for blk in xn + sn) < 0
+            # the next iterate lies on the way from this one to its Newton point
+            for now, full, after in ((x, xn, x1), ([y], [yn], [y1])):
+                step = np.concatenate([(b - a).ravel() for a, b in zip(now, full)])
+                taken = np.concatenate([(c - a).ravel() for a, c in zip(now, after)])
+                alpha = np.vdot(step, taken).real / np.vdot(step, step).real
+                assert 0 < alpha <= 1 + 1e-12
+                scale = sum(np.linalg.norm(a) + np.linalg.norm(b) for a, b in zip(now, full))
+                assert np.linalg.norm(taken - alpha * step) <= 1e-13 * scale
+        assert outside > 0  # the cone is what the step length cuts for
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_stop_at_newton_point_k(self, k):
+        problem = ghz3_program()
+        seen = []
+
+        def stop_at_newton(x_blocks, y, s_blocks):
+            seen.append(([b.copy() for b in x_blocks], y.copy(), [b.copy() for b in s_blocks]))
+            return len(seen) == 2 * k + 2  # call 2k + 1 is the Newton point of iteration k
+
+        sol = solve(problem, stop=stop_at_newton)
+        assert sol.status is SdpStatus.OPTIMAL
+        # iterate k is returned, and the k + 1 Schur systems factored are counted
+        assert sol.iterations == k + 1 and len(seen) == 2 * k + 2
+        assert "stop_at_newton" in sol.message and "Newton point" in sol.message
+        x_k, y_k, s_k = seen[2 * k]
+        assert np.array_equal(sol.y, y_k)
+        assert all(np.array_equal(a, b) for a, b in zip(sol.x_blocks + sol.s_blocks, x_k + s_k))
+        for blk in sol.x_blocks + sol.s_blocks:
+            np.linalg.cholesky(blk)  # raises unless positive definite
 
     def test_a_stop_that_never_fires_changes_nothing(self):
         problem = ghz3_program()
@@ -609,15 +695,6 @@ def cold_start(problem):
     tau = 1.0 + float(np.max(np.abs(problem.b))) + float(np.max(col_norms))
     blocks = [tau * np.eye(d, dtype=complex) for d in problem.block_dims]
     return blocks, np.zeros(problem.num_constraints), [b.copy() for b in blocks]
-
-
-def interleaved_problem():
-    # blocks of dimensions 2, 1, 2: min Tr(C1 X1) + 3 x2 + Tr(C3 X3)
-    return SdpProblem(
-        block_dims=[2, 1, 2],
-        objective_blocks=[np.diag([1.0, 2.0]), np.array([[3.0]]),
-                          np.array([[2.0, 1.0], [1.0, 2.0]])],
-        constraints=[([np.eye(2)], 1.0), ({1: np.array([[1.0]]), 2: np.eye(2)}, 1.0)])
 
 
 class TestStart:
