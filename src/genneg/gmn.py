@@ -482,13 +482,18 @@ class _Bracket:
     eps >= 0 the largest distance of an eigenvalue of any P_M or Q_M outside
     [0, 1], W' = (W + 2 eps)/(1 + 2 eps) = P'_M + Q'_M^{T_M} with P'_M =
     (P_M + eps)/(1 + 2 eps) and Q'_M likewise is feasible, so E >= -Tr(W'
-    rho).  Tr(W' rho) is a mean of Tr(W rho) and Tr(rho) = 1, so a witness
-    can only beat the best so far, or close the bracket, when Tr(W rho) does.
-    Witnesses therefore wait in a heap ordered by Tr(W rho) and are repaired
-    only when one of them could close the bracket, and at the end while one
-    could still improve E_lo.  The lower bound is the best over all points
-    all the same, and the solve stops at the same point as if every witness
-    were repaired at once, for a fraction of the eigendecompositions.
+    rho).  Tr(W' rho) is the mean of Tr(W rho) and Tr(rho) = 1 with weights
+    1 and 2 eps, and a partial transpose keeps the diagonal, so diag P_M =
+    diag W - diag Q_M and eps is at least the largest excursion of these
+    diagonals outside [0, 1].  That excursion, read from y without an
+    eigendecomposition, bounds Tr(W' rho) from below before the repair, and
+    a witness with a low Tr(W rho) whose diagonals leave their boxes (as at
+    some Newton points) is passed over unrepaired.  Witnesses therefore wait
+    in a heap ordered by this bound and are repaired only when one of them
+    could close the bracket, and at the end while one could still improve
+    E_lo.  The lower bound is the best over all points all the same, and the
+    solve stops at the same point as if every witness were repaired at once,
+    for a fraction of the eigendecompositions.
 
     Partial transposes permute matrix entries through the structure's
     ``transpose`` table.  Each bound takes one batched eigvalsh of 2K
@@ -509,25 +514,35 @@ class _Bracket:
         self.e_hi = math.inf           # the smallest upper bound so far
         self._witness = None           # (W, P_M stack, Q_M stack, eps) behind self.objective
         self._split = None             # rho_M stack behind self.e_hi
-        self._pending = []             # heap of (Tr(W rho), arrival, y) not yet repaired
+        self._pending = []             # heap of (bound on Tr(W' rho), arrival, y) not yet repaired
         self._arrivals = itertools.count()
 
     @property
     def e_lo(self) -> float:
         return max(0.0, -self.objective)
 
+    def _objective_bound(self, y: np.ndarray) -> float:
+        """A lower bound on Tr(W' rho) of the witness from y, from its diagonals alone."""
+        k, d = self._k, self._d
+        diagonals = y.reshape(1 + k, d * d)[:, :d]      # diag W, then every diag Q_M
+        boxed = np.concatenate([diagonals[0] - diagonals[1:], diagonals[1:]])
+        # eigvalsh may round the true excursion eps down by ~1e-16; the bound
+        # gives up 1e-12 of it so it never exceeds the repaired objective
+        eps = max(0.0, -float(boxed.min()) - 1e-12, float(boxed.max()) - 1 - 1e-12)
+        t = float(y[:d * d] @ self._rho_coeffs)       # Tr(W rho)
+        return min(self._trace, (t + 2 * eps * self._trace) / (1 + 2 * eps))
+
     def closed(self, x_blocks, y, s_blocks) -> bool:
         """Update both bounds from one point; True once E_hi - E_lo <= BRACKET_TOL."""
         k, d = self._k, self._d
-        heapq.heappush(self._pending, (float(y[:d * d] @ self._rho_coeffs),
-                                       next(self._arrivals), y.copy()))
+        heapq.heappush(self._pending, (self._objective_bound(y), next(self._arrivals), y.copy()))
         split = (np.array(x_blocks[0::4]) - np.array(x_blocks[1::4])).reshape(k, d * d)
         split[0] += self._rho.ravel() - split.sum(axis=0)
         eigs = np.linalg.eigvalsh(np.take(split, self._split_entries).reshape(2 * k, d, d))
         e_hi = -float(np.minimum(eigs, 0).sum())
         if e_hi < self.e_hi:
             self.e_hi, self._split = e_hi, split.reshape(k, d, d)
-        # a witness with Tr(W rho) = t has E_lo <= max(0, -t)
+        # a witness whose key is t has E_lo <= max(0, -t)
         need = self.e_hi - BRACKET_TOL
         while self.e_lo < need and self._pending and -self._pending[0][0] >= need:
             self._repair(heapq.heappop(self._pending)[2])

@@ -30,6 +30,20 @@ def global_kraus_evolution(rho, kind, s, nqubits):
     return out
 
 
+def kronecker_evolution(rho, kind, s, nqubits):
+    """The qubit-by-qubit Kronecker formula: (1 ⊗ w ⊗ 1) ρ (1 ⊗ w ⊗ 1)† summed over w."""
+    out = rho
+    for q in range(nqubits):
+        left = np.eye(2**q, dtype=complex)
+        right = np.eye(2 ** (nqubits - q - 1), dtype=complex)
+        acc = np.zeros_like(out)
+        for w in single_qubit_kraus(kind, s).operators:
+            k = linalg.tensor_product(left, w, right)
+            acc += k @ out @ k.conj().T
+        out = acc
+    return linalg.hermitian_part(out)
+
+
 class TestKrausSets:
     def test_amplitude_damping_at_zero_noise(self):
         ks = single_qubit_kraus(ChannelKind.AMPLITUDE_DAMPING, 0.0)
@@ -123,6 +137,30 @@ class TestApplyLocalChannel:
             got = apply_local_channel(rho, kind, s, nqubits)
             want = global_kraus_evolution(rho, kind, s, nqubits)
             assert np.max(np.abs(got - want)) < 1e-10
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("nqubits", [2, 3, 4])
+    def test_matches_kronecker_formula(self, kind, nqubits):
+        rng = np.random.default_rng(18)
+        for _ in range(5):
+            rho = random_density(rng, 2**nqubits)
+            s = float(rng.random() * 3)
+            got = apply_local_channel(rho, kind, s, nqubits)
+            assert np.max(np.abs(got - kronecker_evolution(rho, kind, s, nqubits))) < 1e-14
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("nqubits", [2, 3, 4])
+    def test_product_states_match_single_qubit_oracle(self, kind, nqubits):
+        # independent noise maps a product state to the product of the
+        # closed-form single-qubit evolutions
+        rng = np.random.default_rng(19)
+        for _ in range(5):
+            factors = [random_density(rng, 2) for _ in range(nqubits)]
+            s = float(rng.random() * 3)
+            got = apply_local_channel(linalg.tensor_product(*factors), kind, s, nqubits)
+            want = linalg.tensor_product(*[evolved_single_qubit_oracle(f, kind, s)
+                                           for f in factors])
+            assert np.max(np.abs(got - want)) < 1e-14
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_identity_at_zero(self, kind):

@@ -601,6 +601,67 @@ class TestFourQubits:
         assert res.solver.iterations <= most
         assert gmn.certificate_diagnostics(res, rho) == []
 
+    def test_near_pure_ghz4_closes(self, n4_solve):
+        # the bracket of this near-pure point is about 4.7e-7 wide when it
+        # closes; it stays open when every Schur solve goes unrefined
+        rho, res = n4_solve("ghz4", ChannelKind.AMPLITUDE_DAMPING, 0.01)
+        assert res.solved and res.certificate_ok
+        assert gmn.certificate_diagnostics(res, rho) == []
+
+
+class CountingSchur:
+    """A Schur system that counts the solve and matvec calls of each assembly."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.calls = []  # [solves, matvecs] per assembled system
+
+    def assemble(self, sinv_blocks, x_blocks):
+        self.calls.append([0, 0])
+        self._inner.assemble(sinv_blocks, x_blocks)
+
+    def max_diagonal(self):
+        return self._inner.max_diagonal()
+
+    def factor(self, shift):
+        self._inner.factor(shift)
+
+    def solve(self, rhs):
+        self.calls[-1][0] += 1
+        return self._inner.solve(rhs)
+
+    def matvec(self, v):
+        self.calls[-1][1] += 1
+        return self._inner.matvec(v)
+
+
+def test_solves_are_refined_only_in_the_end_game():
+    """Before the relative gap falls below 1e-3 each direction takes one Schur solve.
+
+    An iteration there makes 2 solves (predictor and corrector) and no
+    matvec; one below it refines both solves of each direction and corrects
+    each direction's primal residual: 8 solves and 4 matvecs.
+    """
+    rho = apply_local_channel(states.to_density(states.named_state("w3")),
+                              ChannelKind.AMPLITUDE_DAMPING, 0.2, 3)
+    structure = gmn._program_structure(3)
+    problem = gmn.build_program(rho, 3)
+    counting = CountingSchur(problem.schur_factory(problem))
+    problem.schur_factory = lambda prob: counting
+    gaps = []  # relative gap at each point stop sees: iterate, Newton point, iterate, ...
+
+    def record_gap(x_blocks, y, s_blocks):
+        pobj = sum(np.vdot(c, x).real for c, x in zip(problem.c_blocks, x_blocks))
+        gaps.append(abs(pobj - problem.b @ y) / (1 + abs(pobj)))
+        return False
+
+    sol = sdp.solve(problem, stop=record_gap, start=gmn._start_point(rho, structure))
+    assert sol.status is SdpStatus.OPTIMAL
+    assert len(counting.calls) == sol.iterations
+    at_iterates = gaps[0::2][:sol.iterations]
+    assert counting.calls == [[2, 0] if gap >= 1e-3 else [8, 4] for gap in at_iterates]
+    assert [2, 0] in counting.calls and [8, 4] in counting.calls
+
 
 START_CASES = [
     ("w3", ChannelKind.AMPLITUDE_DAMPING),
@@ -800,3 +861,34 @@ class TestWitnessRepair:
         # the start point puts rho into the first part: E_hi = neg(rho^{T_A}) = 1/2
         assert res.e_hi == pytest.approx(0.5, abs=1e-12)
         assert gmn.certificate_diagnostics(res, rho) == []
+
+    def test_witness_outside_its_diagonal_box_is_not_repaired(self, monkeypatch):
+        # W = -5 has Tr(W rho) = -5, yet diag P_M = -5 puts eps >= 5, so its
+        # repaired objective is at least (-5 + 10)/11 > 0 and cannot close
+        # the bracket [0, 1/2]: no eigendecomposition is spent on it
+        rho, bracket, start = ghz3_bracket()
+        repaired = []
+        monkeypatch.setattr(bracket, "_repair", repaired.append)
+        assert not bracket.closed(start, multiples_of_identity(-5.0, 0.0), start)
+        assert repaired == []
+        assert bracket._pending[0][0] == pytest.approx(5 / 11, abs=1e-11)
+
+    def test_heap_key_bounds_every_repaired_objective(self):
+        # every iterate and Newton point of two solves: the key never exceeds
+        # the repaired objective, and it is tighter than Tr(W rho) somewhere
+        structure = gmn._program_structure(3)
+        tighter = 0
+        for state, kind in (("w3", ChannelKind.AMPLITUDE_DAMPING),
+                            ("w3b", ChannelKind.DEPOLARIZING)):
+            rho = apply_local_channel(states.to_density(states.named_state(state)), kind, 0.3, 3)
+            points = []
+            sdp.solve(gmn.build_program(rho, 3),
+                      stop=lambda x_blocks, y, s_blocks: points.append(y.copy()) or False,
+                      start=gmn._start_point(rho, structure))
+            for y in points:
+                alone = gmn._Bracket(rho, structure)
+                key = alone._objective_bound(y)
+                alone._repair(y)
+                assert key <= alone.objective
+                tighter += key > float(y[:64] @ alone._rho_coeffs)
+        assert tighter > 0
