@@ -41,8 +41,6 @@ LIFETIME_FLOOR = 1e-4    # ensemble members dipping below this are excluded
 MAX_EXCLUDED_FRACTION = 0.05
 KINK_FACTOR = 10.0       # a kink's slope jump exceeds 10*h and 10x the jumps 2 points away
 
-WORKERS_ENV = "GENNEG_WORKERS"
-
 
 class GeneratorKind(Enum):
     HAAR_RANDOM = "haar"
@@ -72,13 +70,20 @@ def default_grid(kind: ChannelKind, smin: float = 0.02, smax: float | None = Non
 
 
 def _check_grid(grid: np.ndarray) -> np.ndarray:
+    """The grid as floats, or ``ValueError`` unless η can be taken on it.
+
+    Sweeps and ensembles check their grid here before any solve.
+    """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 3:
         raise ValueError("grid must be a 1-D array with at least 3 points")
-    if np.any(np.diff(grid) <= 0):
+    h = np.diff(grid)
+    if np.any(h <= 0):
         raise ValueError("grid must be strictly increasing")
     if grid[0] < 0:
         raise ValueError("grid values must be nonnegative")
+    if np.max(np.abs(h - h[0])) > 1e-9 * h[0]:
+        raise ValueError("the finite-difference eta requires a uniformly spaced grid")
     return grid
 
 
@@ -93,10 +98,7 @@ def log_derivative(grid, values, floor: float = ETA_FLOOR) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.shape != grid.shape:
         raise ValueError(f"values shape {values.shape} does not match grid {grid.shape}")
-    h = np.diff(grid)
-    if np.max(np.abs(h - h[0])) > 1e-9 * h[0]:
-        raise ValueError("log_derivative requires a uniformly spaced grid")
-    h = float(h[0])
+    h = float(grid[1] - grid[0])
     lnv = np.full_like(values, np.nan)
     ok = np.isfinite(values) & (values >= floor)
     lnv[ok] = np.log(values[ok])
@@ -164,22 +166,15 @@ _EXECUTORS: dict = {}
 
 
 def resolve_workers(workers: int | None) -> int:
-    """The worker count: ``workers``, else ``GENNEG_WORKERS``, else 1.
+    """The worker count: ``workers``, else 1.
 
-    A count below 1 raises ``ValueError`` naming where it came from.
+    A count below 1 raises ``ValueError``.
     """
-    if workers is not None:
-        count, source = int(workers), "--workers/workers"
-    else:
-        env = os.environ.get(WORKERS_ENV)
-        if not env:
-            return 1
-        try:
-            count, source = int(env), WORKERS_ENV
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+    if workers is None:
+        return 1
+    count = int(workers)
     if count < 1:
-        raise ValueError(f"{source} must be at least 1, got {count}")
+        raise ValueError(f"--workers/workers must be at least 1, got {count}")
     return count
 
 

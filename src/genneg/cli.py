@@ -16,8 +16,7 @@ State selectors: ghz2 ghz3 ghz4 ghz3b w2 w3 w4 w3b d24 singlet4 cluster4 chi4,
 Channels: ``ad`` (amplitude damping), ``pd`` (phase damping), ``dp``
 (depolarizing).  Times are the dimensionless s = Γt.  All randomness derives
 from ``--seed``.  ``sweep`` and ``ensemble`` run in one process unless
-``--workers`` or the ``GENNEG_WORKERS`` environment variable sets the number
-of worker processes (the flag wins).
+``--workers`` sets the number of worker processes.
 """
 
 from __future__ import annotations
@@ -147,7 +146,7 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
                         help="default 1.0 (0.5 for the depolarizing channel)")
     parser.add_argument("--steps", type=int, default=50, help="number of grid points")
     parser.add_argument("--workers", type=int, default=None,
-                        help="parallel worker processes (default: GENNEG_WORKERS, else 1)")
+                        help="parallel worker processes (default: 1)")
     parser.add_argument("--out", required=True, help="output CSV path")
 
 

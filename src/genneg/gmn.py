@@ -90,8 +90,6 @@ from scipy.linalg import blas, lapack
 from . import sdp
 from .linalg import check_density_matrix, eig_hermitian, hermitian_part, partial_transpose
 
-QUBIT_BOUND = 0.5         # E <= 1/2 for any number of qubits
-
 # A solve ends, and its result is usable, once E_hi - E_lo is at most this.
 # Generic states give programs without a strictly complementary optimum,
 # where the solver's own gap and residual tests stall near 1e-8 while the
@@ -131,14 +129,6 @@ class Bipartition:
     @property
     def complement(self) -> tuple:
         return tuple(q for q in range(self.nqubits) if q not in self.members)
-
-    @property
-    def mask(self) -> int:
-        """Bit mask of the members with qubit 0 as the most significant bit."""
-        m = 0
-        for q in self.members:
-            m |= 1 << (self.nqubits - 1 - q)
-        return m
 
     def __str__(self):
         left = "".join(str(q) for q in self.members)
@@ -188,10 +178,12 @@ class ArrowheadSchur:
         M_ww = sum_M H01_M,   M_wq_M = -H01_M[:, tau_M] sigma_M,
         M_qq_M = sigma_M H01_M[tau_M, tau_M] sigma_M + H23_M.
 
-    :meth:`assemble` runs over chunks of c bipartitions.  A chunk forms the H
-    of its 2c block pairs in one kernel call.  Then, bipartition by
-    bipartition, it adds H01_M to M_ww and writes M_q_Mw and M_q_Mq_M in
-    place while H01_M and H23_M are still in cache.  c = max(1,
+    :meth:`assemble` reads the solver's (4K, d, d) stacks of S^-1 and X as
+    (2K, 2, d, d) views, one row per block pair, without a copy.  It runs
+    over chunks of c bipartitions.  A chunk forms the H of its 2c block
+    pairs in one kernel call.  Then, bipartition by bipartition, it adds
+    H01_M to M_ww and writes M_q_Mw and M_q_Mq_M in place while H01_M and
+    H23_M are still in cache.  c = max(1,
     ASSEMBLY_CHUNK_BYTES // (2 * 16 n^2)), the bipartitions whose two pairs'
     complex n x n products fit :data:`ASSEMBLY_CHUNK_BYTES`: all of
     N <= 3 share one chunk, and N = 4 takes one bipartition per chunk.  M_ww
@@ -211,7 +203,7 @@ class ArrowheadSchur:
 
     def __init__(self, tau: np.ndarray, sigma: np.ndarray, problem: sdp.SdpProblem):
         self._tau, self._sigma = tau, sigma
-        self._geom = problem._geom[0]
+        self._geom = problem._geom
         self.n = self._geom.L
         self.nparts = len(tau)
         if problem.num_constraints != self.n * (1 + self.nparts):
@@ -221,11 +213,11 @@ class ArrowheadSchur:
         self._chunk = max(1, ASSEMBLY_CHUNK_BYTES // (2 * 16 * self.n ** 2))
         self._lq = self._wq = self._lw = None    # factors, set by factor()
 
-    def assemble(self, sinv_blocks, x_blocks):
+    def assemble(self, sinv, x):
         n, k, d = self.n, self.nparts, self._geom.n
         # (pair, block of the pair, d, d) for the pairs (P_M, 1-P_M), (Q_M, 1-Q_M)
-        s = np.stack(sinv_blocks).reshape(2 * k, 2, d, d)
-        x = np.stack(x_blocks).reshape(2 * k, 2, d, d)
+        s = sinv.reshape(2 * k, 2, d, d)
+        x = x.reshape(2 * k, 2, d, d)
         ww = None
         self.qw = np.empty((k, n, n))
         self.qq = np.empty((k, n, n))
@@ -392,9 +384,9 @@ def build_program(rho: np.ndarray, nqubits: int | None = None) -> sdp.SdpProblem
 def _start_point(rho: np.ndarray, structure) -> tuple:
     """A strictly feasible primal-dual point of the program for ρ, from ρ alone.
 
-    Returns ``(x_blocks, y, s_blocks)`` for ``sdp.solve(start=...)``, blocks in
-    the program's order (P_M, 1-P_M, Q_M, 1-Q_M per bipartition), K
-    bipartitions and d = 2^N.
+    Returns ``(x, y, s)`` for ``sdp.solve(start=...)``, X and S as (4K, d, d)
+    stacks in the program's block order (P_M, 1-P_M, Q_M, 1-Q_M per
+    bipartition), K bipartitions and d = 2^N.
 
     Dual side: W = 1 and every Q_M = 1/2, so P_M = W - Q_M^{T_M} = 1/2 and
     every slack is 1/2, the centre of its [0, 1] box; the point is exactly
@@ -416,13 +408,14 @@ def _start_point(rho: np.ndarray, structure) -> tuple:
     vec_h = np.conj(vec).transpose(0, 2, 1)
     positive = (vec * np.maximum(lam, 0)[:, None, :]) @ vec_h
     negative = (vec * np.maximum(-lam, 0)[:, None, :]) @ vec_h
-    x_p = (rho + eye / d) / k
-    x_blocks = []
-    for pos, neg in zip(positive, negative):
-        x_blocks += [x_p, floor, floor + pos, floor + neg]
+    x = np.empty((k, 4, d, d), dtype=complex)
+    x[:, 0] = (rho + eye / d) / k
+    x[:, 1] = floor
+    x[:, 2] = floor + positive
+    x[:, 3] = floor + negative
     geom = structure["geom"]
     y = np.concatenate([geom.svec(eye)] + [geom.svec(eye / 2)] * k)
-    return x_blocks, y, [eye / 2] * (4 * k)
+    return x.reshape(4 * k, d, d), y, np.broadcast_to(eye / 2, (4 * k, d, d))
 
 
 @dataclass
@@ -470,8 +463,10 @@ class _Bracket:
     """The best certified bounds on E over the points of one solve.
 
     :meth:`closed` is the solve's stop callback, so it sees every iterate and
-    every full Newton point; the Newton points meet the equality constraints
-    but may lie outside the cone, which neither bound needs.
+    every full Newton point, X and S as the solver's (4K, d, d) stacks; the
+    Newton points meet the equality constraints but may lie outside the cone,
+    which neither bound needs.  The split reads the P_M and 1-P_M rows of the
+    X stack by strided slices, without a copy.
 
     Upper bound, at every point: the primal blocks give rho_M = X_{P_M} -
     X_{1-P_M}; the residual rho - sum_M rho_M goes into
@@ -532,11 +527,11 @@ class _Bracket:
         t = float(y[:d * d] @ self._rho_coeffs)       # Tr(W rho)
         return min(self._trace, (t + 2 * eps * self._trace) / (1 + 2 * eps))
 
-    def closed(self, x_blocks, y, s_blocks) -> bool:
+    def closed(self, x, y, s) -> bool:
         """Update both bounds from one point; True once E_hi - E_lo <= BRACKET_TOL."""
         k, d = self._k, self._d
         heapq.heappush(self._pending, (self._objective_bound(y), next(self._arrivals), y.copy()))
-        split = (np.array(x_blocks[0::4]) - np.array(x_blocks[1::4])).reshape(k, d * d)
+        split = (x[0::4] - x[1::4]).reshape(k, d * d)
         split[0] += self._rho.ravel() - split.sum(axis=0)
         eigs = np.linalg.eigvalsh(np.take(split, self._split_entries).reshape(2 * k, d, d))
         e_hi = -float(np.minimum(eigs, 0).sum())

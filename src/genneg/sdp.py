@@ -50,8 +50,8 @@ factor once.  The inverse factors serve both S^-1 = L_S^-H L_S^-1 and the four
 step lengths, which come from the eigenvalues of L^-1 D L^-H for a direction
 D: a Hermitian eigenproblem formed with matrix products, no further solves.
 The predictor's two step lengths and the centrality floor (the eigenvalues of
-L_S^H X L_S) take one batched ``eigvalsh`` per block group, and the
-corrector's two take one more.
+L_S^H X L_S) take one batched ``eigvalsh``, and the corrector's two take one
+more.
 
 Every solve runs on one BLAS thread: :func:`solve` lowers the thread count of
 each loaded OpenBLAS (numpy's and scipy's bundled copies, or a system build)
@@ -73,8 +73,8 @@ time.  ``gmn`` stops every solve through ``stop`` once its certified bracket
 closes, so looser tolerances could only end a solve before that, and tighter
 ones cannot make a closed bracket more exact.
 
-A caller that can judge a point itself passes ``stop(x_blocks, y, s_blocks)``
-to :func:`solve`.  It sees two points per iteration, in turn: the iterate
+A caller that can judge a point itself passes ``stop(x, y, s)`` to
+:func:`solve`.  It sees two points per iteration, in turn: the iterate
 (the start point first) before the solver's own tests, then the full Newton
 point (X + dX, y + dy, S + dS) of the corrector direction before the step
 length cuts it back into the cone.  The direction solves the linearized
@@ -90,7 +90,7 @@ Without a callback the iteration is the same, bit for bit.
 
 Every solve starts from the scale-aware cold start X = S = tau I, y = 0
 (tau = 1 + max|b_i| + the largest constraint column norm) unless the caller
-passes ``start=(x_blocks, y, s_blocks)``, a point it knows to be better: for
+passes ``start=(x, y, s)``, a point it knows to be better: for
 the PPT-mixture program ``gmn`` builds one that is feasible on both sides.
 The solver refuses a start with a block of the wrong shape, a non-finite
 entry, a block that is not Hermitian, or an X or S block that is not
@@ -101,12 +101,16 @@ Each accepted step is exactly Hermitian (iterate and direction both are), and
 the Cholesky factors that prove the trial iterate positive definite are the
 ones the next iteration uses.
 
-Matrices are stored blockwise and batched by block dimension; constraints
-are sparse columns over the n^2 real coordinates of each n x n block in a
-trace-orthonormal Hermitian basis (see :class:`_BlockGeometry`), so
-svec(A)·svec(B) = <A, B>.  Intended problem sizes are tiny by SDP standards
-(blocks up to ~16, a few thousand constraints), which is why everything is
-dense per block.
+Every cone block of a problem has the same dimension n, as in the
+PPT-mixture program, whose 4K blocks are all 2^N x 2^N; a problem with
+blocks of several sizes is refused.  So X, S, S^-1, every direction and every
+Cholesky factor is one (count, n, n) array in problem block order, and that
+array is what the solver passes to the Schur system, to ``stop`` and back in
+the solution.  Constraints are sparse columns over the n^2 real coordinates
+of each block in a trace-orthonormal Hermitian basis (see
+:class:`_BlockGeometry`), so svec(A)·svec(B) = <A, B>.  Intended problem
+sizes are tiny by SDP standards (blocks up to ~16, a few thousand
+constraints), which is why everything is dense per block.
 """
 
 from __future__ import annotations
@@ -147,12 +151,12 @@ class SdpStatus(Enum):
 
 @dataclass
 class SdpSolution:
-    """The returned iterate: complex Hermitian X and S blocks and the real y."""
+    """The returned iterate: (count, n, n) stacks of the X and S blocks, and the real y."""
 
     status: SdpStatus
-    x_blocks: list
+    x_blocks: np.ndarray
     y: np.ndarray
-    s_blocks: list
+    s_blocks: np.ndarray
     primal_objective: float
     dual_objective: float
     gap: float
@@ -164,7 +168,7 @@ class SdpSolution:
 
     @property
     def complementarity(self) -> float:
-        return float(sum(np.vdot(x, s).real for x, s in zip(self.x_blocks, self.s_blocks)))
+        return float(np.vdot(self.x_blocks, self.s_blocks).real)
 
 
 class _BlockGeometry:
@@ -212,7 +216,9 @@ class _BlockGeometry:
 
     def svec(self, m: np.ndarray) -> np.ndarray:
         """The coordinates of a Hermitian matrix (or stack) along a new last axis."""
-        m = np.asarray(m, dtype=complex)
+        # the float view needs a contiguous last axis, which a stack copied
+        # from a broadcast (the axis of stride 0 innermost) does not have
+        m = np.ascontiguousarray(m, dtype=complex)
         flat = m.reshape(m.shape[:-2] + (self.L,))
         return np.take(flat.view(np.float64), self._svec_src, axis=-1) * self.scale
 
@@ -276,6 +282,9 @@ def _geometry(n: int) -> _BlockGeometry:
 class SdpProblem:
     """Block SDP data: dimensions, objective blocks, constraints, right-hand side.
 
+    Every cone block has the same dimension: ``block_dims`` repeats it once
+    per block, and unequal sizes raise ``ValueError`` in both constructors.
+    ``c_blocks`` is the (count, n, n) stack of objective blocks.
     ``constraints`` in the public constructor is a list of ``(blocks, b_i)``
     where ``blocks`` maps block index -> dense Hermitian array, real or
     complex (a dict, or a list with ``None`` for untouched blocks).
@@ -290,11 +299,7 @@ class SdpProblem:
     """
 
     def __init__(self, block_dims, objective_blocks, constraints):
-        block_dims = tuple(int(d) for d in block_dims)
-        if any(d < 1 for d in block_dims):
-            raise ValueError(f"block dimensions must be positive, got {block_dims}")
         self._init_blocks(block_dims)
-        offsets = self._svec_offsets
         c_blocks = [self._check_block(c, k, "objective") for k, c in enumerate(objective_blocks)]
         if len(c_blocks) != len(self.block_dims):
             raise ValueError("one objective block per block dimension is required")
@@ -306,11 +311,11 @@ class SdpProblem:
             seen_any = False
             for k, blk in items:
                 blk = self._check_block(blk, k, f"constraint {i}")
-                v = self._geom[k].svec(blk)
+                v = self._geom.svec(blk)
                 nz = np.nonzero(v)[0]
                 if len(nz):
                     seen_any = True
-                    rows.append(nz + offsets[k])
+                    rows.append(nz + k * self._geom.L)
                     vals.append(v[nz])
                     cols.append(np.full(len(nz), i, dtype=np.intp))
             if not seen_any:
@@ -321,7 +326,7 @@ class SdpProblem:
         a_csc = sp.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.svec_length, len(b)))
-        self._init_data(c_blocks, a_csc, np.array(b))
+        self._init_data(np.array(c_blocks), a_csc, np.array(b))
 
     @classmethod
     def from_svec_columns(cls, block_dims, objective_blocks, a_csc, b) -> "SdpProblem":
@@ -331,16 +336,20 @@ class SdpProblem:
         if a_csc.shape[0] != self.svec_length:
             raise ValueError(f"constraint matrix has {a_csc.shape[0]} rows, "
                              f"expected {self.svec_length}")
-        self._init_data([np.asarray(c, dtype=complex) for c in objective_blocks],
-                        a_csc.tocsc(), np.asarray(b, dtype=float))
+        self._init_data(np.array(objective_blocks, dtype=complex), a_csc.tocsc(),
+                        np.asarray(b, dtype=float))
         return self
 
     def _init_blocks(self, block_dims):
-        """Block dimensions and the svec layout they imply (both constructors)."""
+        """The block dimension and the svec layout it implies (both constructors)."""
         self.block_dims = tuple(int(d) for d in block_dims)
-        self._geom = [_geometry(d) for d in self.block_dims]
-        self._svec_offsets = np.cumsum([0] + [g.L for g in self._geom])
-        self.svec_length = int(self._svec_offsets[-1])
+        if len(set(self.block_dims)) != 1:
+            raise ValueError("every block must have the same dimension, got block_dims "
+                             f"{self.block_dims}")
+        if self.block_dims[0] < 1:
+            raise ValueError(f"block dimensions must be positive, got {self.block_dims}")
+        self._geom = _geometry(self.block_dims[0])
+        self.svec_length = len(self.block_dims) * self._geom.L
 
     def _init_data(self, c_blocks, a_csc, b):
         """Objective, constraint columns and right-hand side (both constructors)."""
@@ -377,8 +386,8 @@ class SdpProblem:
     # -- solver-side helpers ------------------------------------------------
 
     def block_slices(self):
-        o = self._svec_offsets
-        return [slice(int(o[k]), int(o[k + 1])) for k in range(len(self.block_dims))]
+        size = self._geom.L
+        return [slice(k * size, (k + 1) * size) for k in range(len(self.block_dims))]
 
     def prep(self):
         """Per-block constraint data for the :class:`DenseSchur` assembly (cached, shared).
@@ -389,7 +398,7 @@ class SdpProblem:
         if self._prep_holder["prep"] is None:
             a_csr = self.a_csc.tocsr()
             prep = []
-            for k, sl in enumerate(self.block_slices()):
+            for sl in self.block_slices():
                 phi_rows = a_csr[sl]  # csr: indices are the constraint (column) ids
                 act = np.unique(phi_rows.indices) if phi_rows.nnz else None
                 if act is None or not len(act):
@@ -397,7 +406,6 @@ class SdpProblem:
                     continue
                 phi_act = phi_rows[:, act].tocsc()
                 prep.append({
-                    "geom": self._geom[k],
                     "act": act,
                     "phi_act": phi_act,
                     "phi_act_t": sp.csr_matrix(phi_act.T),
@@ -414,8 +422,8 @@ class SchurSystem(Protocol):
     :attr:`SdpProblem.schur_factory`, so it can exploit its own sparsity.
     """
 
-    def assemble(self, sinv_blocks: list, x_blocks: list) -> None:
-        """Form M from the per-block S^-1 and X (problem block order)."""
+    def assemble(self, sinv: np.ndarray, x: np.ndarray) -> None:
+        """Form M from the (count, n, n) stacks of S^-1 and X, in problem block order."""
 
     def max_diagonal(self) -> float:
         """Largest |M_ii|, the scale of the regularization shift."""
@@ -439,17 +447,18 @@ class DenseSchur:
 
     def __init__(self, problem: SdpProblem):
         self._prep = problem.prep()
+        self._geom = problem._geom
         m = problem.num_constraints
         self.matrix = np.zeros((m, m))
         self._factor = None
 
-    def assemble(self, sinv_blocks, x_blocks):
+    def assemble(self, sinv, x):
         mmat = self.matrix
         mmat.fill(0.0)
-        for info, sinv, x in zip(self._prep, sinv_blocks, x_blocks):
+        for info, sinv_k, x_k in zip(self._prep, sinv, x):
             if info is None:
                 continue
-            h = info["geom"].schur_kernel(sinv[None, None], x[None, None])[0]
+            h = self._geom.schur_kernel(sinv_k[None, None], x_k[None, None])[0]
             act = info["act"]
             mmat[np.ix_(act, act)] += (info["phi_act_t"] @ h) @ info["phi_act"]
         mmat += mmat.T
@@ -469,39 +478,6 @@ class DenseSchur:
 
     def matvec(self, v):
         return self.matrix @ v
-
-
-class _Stacks:
-    """Blocks grouped by dimension and stored as (count, n, n) arrays."""
-
-    def __init__(self, block_dims):
-        self.block_dims = tuple(block_dims)
-        groups = {}
-        for idx, d in enumerate(self.block_dims):
-            groups.setdefault(d, []).append(idx)
-        self.groups = [(d, np.array(idxs), _geometry(d)) for d, idxs in groups.items()]
-        position = {}
-        for d, idxs, _ in self.groups:
-            for row, idx in enumerate(idxs):
-                position[int(idx)] = (d, row)
-        # (group dimension, row in the group's stack) of each block, in block order
-        self.position = [position[idx] for idx in range(len(self.block_dims))]
-
-    def identity(self, factor: float) -> dict:
-        return {d: factor * np.broadcast_to(np.eye(d, dtype=complex), (len(idxs), d, d))
-                for d, idxs, _ in self.groups}
-
-    def to_blocks(self, stacks: dict) -> list:
-        return [stacks[d][row] for d, row in self.position]
-
-    def from_blocks(self, blocks: list) -> dict:
-        return {d: np.stack([blocks[i] for i in idxs]) for d, idxs, _ in self.groups}
-
-    def map(self, fn, *stack_dicts) -> dict:
-        return {d: fn(*[sd[d] for sd in stack_dicts]) for d, _, _ in self.groups}
-
-    def inner(self, a: dict, b: dict) -> float:
-        return float(sum(np.vdot(a[d], b[d]).real for d, _, _ in self.groups))
 
 
 def _adjoint(stack: np.ndarray) -> np.ndarray:
@@ -673,37 +649,39 @@ class _Failure(Exception):
 
 
 def solve(problem: SdpProblem,
-          stop: Callable[[list, np.ndarray, list], bool] | None = None,
+          stop: Callable[[np.ndarray, np.ndarray, np.ndarray], bool] | None = None,
           start: tuple | None = None) -> SdpSolution:
     """Run the predictor-corrector interior-point iteration on ``problem``.
 
     Returns an :class:`SdpSolution` whose status is ``OPTIMAL`` once the
     relative gap and both scaled residual norms are below :data:`GAP_TOL` and
     :data:`FEAS_TOL`; weak duality then brackets the true optimum between the
-    reported dual and primal objectives.
+    reported dual and primal objectives.  Its X and S are (count, n, n)
+    stacks, block k at index k.
 
-    ``stop(x_blocks, y, s_blocks)``, when given, is called twice per
-    iteration, alternating: on the iterate (the start point first) before the
-    solver's own tests, and on the full Newton point (X + dX, y + dy, S + dS),
-    which meets both equality constraints up to rounding but may lie outside
-    the cone, before the step length is cut.  When it returns True the solve
-    ends with status ``OPTIMAL`` and a message naming ``stop``.  At an
-    iterate k the solution is that iterate, with ``iterations`` k.  At the
-    Newton point of iteration k it is iterate k, the last interior point, with
-    ``iterations`` k + 1 and the Newton point named in the message:
-    ``iterations`` counts the Schur systems factored.  What ``stop`` raises
-    propagates.  The blocks it receives are the solver's own arrays or fresh
-    sums, to be read and not modified.
+    ``stop(x, y, s)``, when given, is called twice per iteration,
+    alternating: on the iterate (the start point first) before the solver's
+    own tests, and on the full Newton point (X + dX, y + dy, S + dS), which
+    meets both equality constraints up to rounding but may lie outside the
+    cone, before the step length is cut.  ``x`` and ``s`` are (count, n, n)
+    stacks.  When it returns True the solve ends with status ``OPTIMAL`` and
+    a message naming ``stop``.  At an iterate k the solution is that iterate,
+    with ``iterations`` k.  At the Newton point of iteration k it is iterate
+    k, the last interior point, with ``iterations`` k + 1 and the Newton point
+    named in the message: ``iterations`` counts the Schur systems factored.
+    What ``stop`` raises propagates.  The stacks it receives are the solver's
+    own arrays or fresh sums, to be read and not modified.
 
-    ``start = (x_blocks, y, s_blocks)``, when given, is the first iterate in
-    place of the cold start: one d x d array per block for X and for S, in
-    problem block order, and a real y of one entry per constraint.  It need
-    not be feasible.  A wrong count or shape, a non-finite entry, a block that
-    is not Hermitian within ``HERMITICITY_TOL`` or an X or S block that is not
-    positive definite (its Cholesky factorization fails) raises
-    ``ValueError`` naming the block.  The Hermitian parts of the blocks are
-    used, and their Cholesky factors serve the first iteration.  Without a
-    start the iteration is the same, bit for bit.
+    ``start = (x, y, s)``, when given, is the first iterate in place of the
+    cold start: X and S as a (count, n, n) stack or a sequence of n x n
+    blocks, in problem block order, and a real y of one entry per
+    constraint.  It need not be feasible.  A wrong count or shape, a
+    non-finite entry, a block that is not Hermitian within
+    ``HERMITICITY_TOL`` or an X or S block that is not positive definite (its
+    Cholesky factorization fails) raises ``ValueError`` naming the block.  The
+    Hermitian parts of the blocks are used, and their Cholesky factors serve
+    the first iteration.  Without a start the iteration is the same, bit for
+    bit.
 
     The iteration runs on one BLAS thread (see the module docstring); the
     thread counts after the call equal those before it, also when ``stop``
@@ -713,8 +691,8 @@ def solve(problem: SdpProblem,
         return _solve(problem, stop, start)
 
 
-def _start_stacks(problem: SdpProblem, stacks: _Stacks, start) -> tuple:
-    """(X stacks, y, S stacks, X factors, S factors) of a caller's start point.
+def _checked_start(problem: SdpProblem, start) -> tuple:
+    """(X, y, S, X factors, S factors) of a caller's start point, X and S as stacks.
 
     Raises ``ValueError`` naming the first block (or y) that has the wrong
     shape, is not finite, is not Hermitian or is not positive definite.
@@ -728,27 +706,25 @@ def _start_stacks(problem: SdpProblem, stacks: _Stacks, start) -> tuple:
         raise ValueError(f"start: y has shape {y.shape}, expected {problem.b.shape}")
     if not np.isfinite(y).all():
         raise ValueError("start: y is not finite")
+    count, d = len(problem.block_dims), problem._geom.n
     out = []
     for name, blocks in (("X", x_blocks), ("S", s_blocks)):
-        blocks = [np.asarray(blk, dtype=complex) for blk in blocks]
-        if len(blocks) != len(problem.block_dims):
-            raise ValueError(f"start: {len(blocks)} {name} blocks, expected "
-                             f"{len(problem.block_dims)}")
-        for k, (blk, d) in enumerate(zip(blocks, problem.block_dims)):
-            if blk.shape != (d, d):
-                raise ValueError(f"start {name}: block {k} has shape {blk.shape}, "
+        if len(blocks) != count:
+            raise ValueError(f"start: {len(blocks)} {name} blocks, expected {count}")
+        for k, blk in enumerate(blocks):
+            if np.shape(blk) != (d, d):
+                raise ValueError(f"start {name}: block {k} has shape {np.shape(blk)}, "
                                  f"expected {(d, d)}")
-        # one batched check per group; only a failure is traced to its block
-        st = stacks.from_blocks(blocks)
-        if all(np.isfinite(g).all() and np.max(np.abs(g - _adjoint(g))) <= HERMITICITY_TOL
-               for g in st.values()):
-            st = stacks.map(_herm_stack, st)
+        stack = np.ascontiguousarray(blocks, dtype=complex)
+        # one batched check; only a failure is traced to its block
+        if np.isfinite(stack).all() and np.max(np.abs(stack - _adjoint(stack))) <= HERMITICITY_TOL:
+            herm = _herm_stack(stack)
             try:
-                out += [st, stacks.map(np.linalg.cholesky, st)]
+                out += [herm, np.linalg.cholesky(herm)]
                 continue
             except np.linalg.LinAlgError:
                 pass
-        for k, blk in enumerate(blocks):
+        for k, blk in enumerate(stack):
             if not np.isfinite(blk).all():
                 raise ValueError(f"start {name}: block {k} is not finite")
             try:
@@ -756,84 +732,77 @@ def _start_stacks(problem: SdpProblem, stacks: _Stacks, start) -> tuple:
             except np.linalg.LinAlgError:
                 raise ValueError(f"start {name}: block {k} is not positive definite "
                                  "(its Cholesky factorization failed)") from None
-    x_st, x_chol, s_st, s_chol = out
-    return x_st, y, s_st, x_chol, s_chol
+    x, x_chol, s, s_chol = out
+    return x, y, s, x_chol, s_chol
 
 
 def _solve(problem: SdpProblem, stop, start) -> SdpSolution:
     a, a_t = problem.a_csc, problem.a_t
     b = problem.b
     m = problem.num_constraints
-    dims = problem.block_dims
-    n_tot = sum(dims)
-    slices = problem.block_slices()
-    stacks = _Stacks(dims)
-    c_stacks = stacks.from_blocks(problem.c_blocks)
-    c_svec = np.concatenate([problem._geom[k].svec(problem.c_blocks[k])
-                             for k in range(len(dims))])
+    geom = problem._geom
+    count, d = len(problem.block_dims), geom.n
+    n_tot = count * d
+    c = problem.c_blocks
+    c_svec = geom.svec(c).ravel()
     b_norm = float(np.linalg.norm(b))
     c_norm = float(np.linalg.norm(c_svec))
 
     x_chol = s_chol = None  # Cholesky factors of the iterate, when already known
     if start is not None:
-        x_st, y, s_st, x_chol, s_chol = _start_stacks(problem, stacks, start)
+        x, y, s, x_chol, s_chol = _checked_start(problem, start)
     else:
         # scale-aware cold start: X = S = tau*I, y = 0
         col_norms = np.sqrt(np.asarray(a.multiply(a).sum(axis=0)).ravel())
         tau = 1.0 + float(np.max(np.abs(b))) + float(np.max(col_norms))
-        x_st = stacks.identity(tau)
-        s_st = stacks.identity(tau)
+        identity = np.broadcast_to(np.eye(d, dtype=complex), (count, d, d))
+        x, s = tau * identity, tau * identity
         y = np.zeros(m)
 
-    svec_buf = np.empty(problem.svec_length)
-    # positions of each group's stacked svec rows in the full svec vector
-    svec_pos = {d: np.concatenate([np.arange(slices[i].start, slices[i].stop) for i in idxs])
-                for d, idxs, _ in stacks.groups}
+    def svec(stack: np.ndarray) -> np.ndarray:
+        return geom.svec(stack).ravel()
 
-    def svec_all(sd: dict) -> np.ndarray:
-        for d, _, g in stacks.groups:
-            svec_buf[svec_pos[d]] = g.svec(sd[d]).ravel()
-        return svec_buf
+    def op_a(stack: np.ndarray) -> np.ndarray:
+        return a_t @ svec(stack)
 
-    def op_a(sd: dict) -> np.ndarray:
-        return a_t @ svec_all(sd)
+    def op_at(vec_y: np.ndarray) -> np.ndarray:
+        return geom.smat((a @ vec_y).reshape(count, geom.L))
 
-    def op_at(vec_y: np.ndarray) -> dict:
-        full = a @ vec_y
-        return {d: g.smat(full[svec_pos[d]].reshape(len(idxs), g.L))
-                for d, idxs, g in stacks.groups}
+    def measure(x, y, s) -> tuple:
+        """(pobj, dobj, relgap, scaled norms of both residuals, b - A(X), C - S - A^T y)."""
+        svec_x = svec(x)
+        pobj, dobj = float(c_svec @ svec_x), float(b @ y)
+        rp = b - a_t @ svec_x
+        rd = c - s - op_at(y)
+        return (pobj, dobj, abs(pobj - dobj) / (1 + abs(pobj)),
+                float(np.linalg.norm(rp)) / (1 + b_norm),
+                float(np.linalg.norm(svec(rd))) / (1 + c_norm), rp, rd)
 
-    def inverse_factors(sd: dict, chol: dict | None, what: str) -> tuple:
-        """The Cholesky factors L (factored here unless given) and L^-1, per group."""
+    def inverse_factors(stack: np.ndarray, chol: np.ndarray | None, what: str) -> tuple:
+        """The Cholesky factors L (factored here unless given) and L^-1."""
         try:
             if chol is None:
-                chol = stacks.map(np.linalg.cholesky, sd)
-            return chol, stacks.map(_inverse_factor, chol)
+                chol = np.linalg.cholesky(stack)
+            return chol, _inverse_factor(chol)
         except np.linalg.LinAlgError as exc:
             raise _Failure(SdpStatus.NUMERICAL_FAILURE,
                            f"{what} left the cone interior: {exc}") from None
 
-    def safe_step(sd: dict, delta: dict, alpha: float, tries: int = 30) -> tuple:
-        """(alpha, sd + alpha*delta, its Cholesky factors) for the first PD trial.
+    def safe_step(stack: np.ndarray, delta: np.ndarray, alpha: float, tries: int = 30) -> tuple:
+        """(alpha, stack + alpha*delta, its Cholesky factors) for the first PD trial.
 
         The max-step estimate can overshoot once blocks are nearly singular,
-        so alpha halves until the trial factors; (0, sd, None) if none does.
-        The trial is exactly Hermitian (both terms are), and its factors are
-        the next iteration's.
+        so alpha halves until the trial factors; (0, stack, None) if none
+        does.  The trial is exactly Hermitian (both terms are), and its
+        factors are the next iteration's.
         """
         for _ in range(tries):
-            trial = stacks.map(lambda blk, d: blk + alpha * d, sd, delta)
+            trial = stack + alpha * delta
             try:
-                return alpha, trial, stacks.map(np.linalg.cholesky, trial)
+                return alpha, trial, np.linalg.cholesky(trial)
             except np.linalg.LinAlgError:
                 alpha *= 0.5
-        return 0.0, sd, None
-
-    def smallest_eigenvalues(*parts: dict) -> list:
-        """The smallest eigenvalue of each part (stacks by group), one eigvalsh per group."""
-        lowest = [_smallest_eigenvalues([part[d] for part in parts])
-                  for d, _, _ in stacks.groups]
-        return [float(v) for v in np.min(lowest, axis=0)]
+        return 0.0, stack, None
 
     schur = problem.schur_factory(problem)
 
@@ -863,25 +832,15 @@ def _solve(problem: SdpProblem, stop, start) -> SdpSolution:
 
     try:
         for iterations in range(MAX_ITERATIONS + 1):
-            svec_x = svec_all(x_st).copy()
-            svec_s = svec_all(s_st).copy()
-            pobj = float(c_svec @ svec_x)
-            dobj = float(b @ y)
-            gap = pobj - dobj
-            relgap = abs(gap) / (1 + abs(pobj))
-            rp_vec = b - a_t @ svec_x
-            rd_st = stacks.map(lambda c, s, aty: c - s - aty, c_stacks, s_st, op_at(y))
-            rp_norm = float(np.linalg.norm(rp_vec)) / (1 + b_norm)
-            rd_norm = float(np.linalg.norm(svec_all(rd_st))) / (1 + c_norm)
+            pobj, dobj, relgap, rp_norm, rd_norm, rp_vec, rd = measure(x, y, s)
 
             merit = max(relgap, rp_norm, rd_norm)
             if merit < best_merit:
                 best_merit = merit
-                best_iterate = (stacks.map(np.copy, x_st), y.copy(),
-                                stacks.map(np.copy, s_st))
+                best_iterate = (x.copy(), y.copy(), s.copy())
             best_trail.append(best_merit)
 
-            if stop is not None and stop(stacks.to_blocks(x_st), y, stacks.to_blocks(s_st)):
+            if stop is not None and stop(x, y, s):
                 status = SdpStatus.OPTIMAL
                 message = (f"stopped by the caller's stop ({stop_name}) after {iterations} "
                            "iterations")
@@ -904,17 +863,17 @@ def _solve(problem: SdpProblem, stop, start) -> SdpSolution:
             if stalled_long or stalled_short:
                 # degenerate optima (no strictly complementary solution) hit an
                 # accuracy floor in double precision; stop at the best iterate
-                x_st, y, s_st = best_iterate
+                x, y, s = best_iterate
                 message = (f"progress stalled after {iterations} iterations at "
                            f"accuracy {best_merit:.2e}; best iterate returned")
                 break
 
-            mu = float(svec_x @ svec_s) / n_tot
-            s_chol, s_linv = inverse_factors(s_st, s_chol, "dual iterate")
-            _, x_linv = inverse_factors(x_st, x_chol, "primal iterate")
-            sinv = stacks.map(_inverse_from_factor, s_linv)
+            mu = float(svec(x) @ svec(s)) / n_tot
+            s_chol, s_linv = inverse_factors(s, s_chol, "dual iterate")
+            _, x_linv = inverse_factors(x, x_chol, "primal iterate")
+            sinv = _inverse_from_factor(s_linv)
 
-            schur.assemble(stacks.to_blocks(sinv), stacks.to_blocks(x_st))
+            schur.assemble(sinv, x)
             factor_schur()
             refine = relgap < 1e-3
 
@@ -924,9 +883,8 @@ def _solve(problem: SdpProblem, stop, start) -> SdpSolution:
                     dy += schur.solve(rhs - schur.matvec(dy))
                 return dy
 
-            a_sinv = op_a(sinv).copy()
-            g_st = stacks.map(lambda si, rd, x: _herm_stack(si @ rd @ x), sinv, rd_st, x_st)
-            a_g = op_a(g_st).copy()
+            a_sinv = op_a(sinv)
+            a_g = op_a(_herm_stack(sinv @ rd @ x))
 
             def direction(sig_mu, corr):
                 """HKM direction; in the end game its solves are refined and A(dX) = rp restored."""
@@ -934,36 +892,30 @@ def _solve(problem: SdpProblem, stop, start) -> SdpSolution:
                 if corr is not None:
                     rhs = rhs + op_a(corr)
                 dy = kkt_solve(rhs)
-                aty = op_at(dy)
-                ds = stacks.map(lambda rd, at: rd - at, rd_st, aty)
-                dx = stacks.map(lambda si, x, dss: _herm_stack(sig_mu * si - x - si @ dss @ x),
-                                sinv, x_st, ds)
+                ds = rd - op_at(dy)
+                dx = _herm_stack(sig_mu * sinv - x - sinv @ ds @ x)
                 if corr is not None:
-                    dx = stacks.map(lambda blk, co: blk - co, dx, corr)
+                    dx = dx - corr
                 if refine:
                     # the normal-equation reconstruction of dX loses primal
                     # feasibility at high condition numbers; re-solve for the
                     # violation and correct the whole direction
-                    ep = rp_vec - op_a(dx)
-                    dy2 = kkt_solve(ep)
+                    dy2 = kkt_solve(rp_vec - op_a(dx))
                     aty2 = op_at(dy2)
                     dy = dy + dy2
-                    ds = stacks.map(lambda dss, a2: dss - a2, ds, aty2)
-                    dx = stacks.map(lambda blk, si, a2, x: blk + _herm_stack(si @ a2 @ x),
-                                    dx, sinv, aty2, x_st)
+                    ds = ds - aty2
+                    dx = dx + _herm_stack(sinv @ aty2 @ x)
                 return dy, ds, dx
 
             # predictor (affine scaling, sigma = 0)
             dy_aff, ds_aff, dx_aff = direction(0.0, None)
-            # its two step lengths and the centrality floor, one eigvalsh per group
-            lam_p, lam_d, lam_floor = smallest_eigenvalues(
-                stacks.map(_congruence, x_linv, dx_aff), stacks.map(_congruence, s_linv, ds_aff),
-                stacks.map(lambda lo, x: np.matmul(np.matmul(_adjoint(lo), x), lo), s_chol, x_st))
+            # its two step lengths and the centrality floor, from one eigvalsh
+            lam_p, lam_d, lam_floor = _smallest_eigenvalues([
+                _congruence(x_linv, dx_aff), _congruence(s_linv, ds_aff),
+                np.matmul(np.matmul(_adjoint(s_chol), x), s_chol)]).tolist()
             ap_aff = min(1.0, _boundary_step(lam_p))
             ad_aff = min(1.0, _boundary_step(lam_d))
-            mu_aff = stacks.inner(
-                stacks.map(lambda x, dx: x + ap_aff * dx, x_st, dx_aff),
-                stacks.map(lambda s, ds: s + ad_aff * ds, s_st, ds_aff)) / n_tot
+            mu_aff = float(np.vdot(x + ap_aff * dx_aff, s + ad_aff * ds_aff).real) / n_tot
             sigma = min(1.0, max(0.0, (max(mu_aff, 0.0) / mu) ** 3))
 
             # centrality guard: when the smallest complementarity pairs (the
@@ -976,34 +928,30 @@ def _solve(problem: SdpProblem, stop, start) -> SdpSolution:
                 sigma = max(sigma, 0.5)
 
             # corrector with Mehrotra second-order term
-            corr = stacks.map(lambda si, ds, dx: _herm_stack(si @ ds @ dx),
-                              sinv, ds_aff, dx_aff)
+            corr = _herm_stack(sinv @ ds_aff @ dx_aff)
             dy, ds, dx = direction(sigma * mu, corr)
 
             # the full Newton point meets A(X) = b and C - A^T y = S to rounding
             # but may lie outside the cone; when the caller's stop takes it,
             # this iterate (the last interior one) is returned
-            if stop is not None and stop(stacks.to_blocks(stacks.map(np.add, x_st, dx)), y + dy,
-                                         stacks.to_blocks(stacks.map(np.add, s_st, ds))):
+            if stop is not None and stop(x + dx, y + dy, s + ds):
                 status = SdpStatus.OPTIMAL
                 message = (f"stopped by the caller's stop ({stop_name}) at the Newton point of "
                            f"iteration {iterations}; iterate {iterations} returned")
                 iterations += 1  # count this iteration's Schur factorization too
                 break
 
-            lam_p, lam_d = smallest_eigenvalues(stacks.map(_congruence, x_linv, dx),
-                                                stacks.map(_congruence, s_linv, ds))
+            lam_p, lam_d = _smallest_eigenvalues([_congruence(x_linv, dx),
+                                                  _congruence(s_linv, ds)]).tolist()
             alpha_p = min(1.0, STEP_FRACTION * _boundary_step(lam_p))
             alpha_d = min(1.0, STEP_FRACTION * _boundary_step(lam_d))
-            alpha_p, x_st, x_chol = safe_step(x_st, dx, alpha_p)
-            alpha_d, s_st, s_chol = safe_step(s_st, ds, alpha_d)
+            alpha_p, x, x_chol = safe_step(x, dx, alpha_p)
+            alpha_d, s, s_chol = safe_step(s, ds, alpha_d)
             if alpha_p <= 0 or alpha_d <= 0:
                 raise _Failure(SdpStatus.NUMERICAL_FAILURE,
                                "no positive step keeps the iterate inside the cone")
             y = y + alpha_d * dy
-            if not (np.isfinite(y).all()
-                    and all(np.isfinite(x_st[d]).all() for d, _, _ in stacks.groups)
-                    and all(np.isfinite(s_st[d]).all() for d, _, _ in stacks.groups)):
+            if not (np.isfinite(y).all() and np.isfinite(x).all() and np.isfinite(s).all()):
                 raise _Failure(SdpStatus.NUMERICAL_FAILURE, "non-finite iterate")
     except _Failure as failure:
         status = failure.status
@@ -1012,25 +960,17 @@ def _solve(problem: SdpProblem, stop, start) -> SdpSolution:
     if status is SdpStatus.MAX_ITERATIONS and not message:
         message = f"no convergence within {MAX_ITERATIONS} iterations"
         if best_iterate is not None:
-            x_st, y, s_st = best_iterate
+            x, y, s = best_iterate
 
-    svec_x = svec_all(x_st).copy()
-    pobj = float(c_svec @ svec_x)
-    dobj = float(b @ y)
-    gap = pobj - dobj
-    relgap = abs(gap) / (1 + abs(pobj))
-    rp_norm = float(np.linalg.norm(b - a_t @ svec_x)) / (1 + b_norm)
-    rd_final = stacks.map(lambda c, s, aty: c - s - aty, c_stacks, s_st, op_at(y))
-    rd_norm = float(np.linalg.norm(svec_all(rd_final))) / (1 + c_norm)
-
+    pobj, dobj, relgap, rp_norm, rd_norm, _, _ = measure(x, y, s)
     return SdpSolution(
         status=status,
-        x_blocks=stacks.to_blocks(x_st),
+        x_blocks=x,
         y=y,
-        s_blocks=stacks.to_blocks(s_st),
+        s_blocks=s,
         primal_objective=pobj,
         dual_objective=dobj,
-        gap=gap,
+        gap=pobj - dobj,
         relative_gap=relgap,
         primal_residual=rp_norm,
         dual_residual=rd_norm,

@@ -94,28 +94,25 @@ class TestSweep:
         assert one.ok and two.ok
         assert one.values.tobytes() == two.values.tobytes()
 
-    def test_workers_variable_must_be_an_integer(self, monkeypatch):
-        monkeypatch.setenv(analysis.WORKERS_ENV, "two")
-        rho = states.to_density(states.named_state("ghz2"))
-        with pytest.raises(ValueError, match="GENNEG_WORKERS must be an integer, got 'two'"):
-            sweep(rho, ChannelKind.PHASE_DAMPING, np.linspace(0.1, 0.3, 3), 2)
-        assert analysis.resolve_workers(1) == 1
-
     @pytest.mark.parametrize("workers", [0, -3])
-    def test_non_positive_worker_count_is_refused(self, workers, monkeypatch):
-        monkeypatch.delenv(analysis.WORKERS_ENV, raising=False)
+    def test_non_positive_worker_count_is_refused(self, workers):
         with pytest.raises(ValueError, match=f"^--workers/workers must be at least 1, got {workers}$"):
             analysis.resolve_workers(workers)
         rho = states.to_density(states.named_state("ghz2"))
         with pytest.raises(ValueError, match="--workers/workers must be at least 1"):
             sweep(rho, ChannelKind.PHASE_DAMPING, np.linspace(0.1, 0.3, 3), 2, workers=workers)
 
-    @pytest.mark.parametrize("env", ["0", "-1"])
-    def test_non_positive_workers_variable_is_refused(self, env, monkeypatch):
-        monkeypatch.setenv(analysis.WORKERS_ENV, env)
-        with pytest.raises(ValueError, match=f"^GENNEG_WORKERS must be at least 1, got {env}$"):
-            analysis.resolve_workers(None)
-        assert analysis.resolve_workers(2) == 2   # the argument still wins
+    def test_non_uniform_grid_is_refused_before_any_solve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analysis, "genuine_negativity", lambda *args: calls.append(args))
+        rho = states.to_density(states.named_state("ghz2"))
+        grid = np.array([0.1, 0.2, 0.4, 0.5])
+        with pytest.raises(ValueError, match="requires a uniformly spaced grid"):
+            sweep(rho, ChannelKind.PHASE_DAMPING, grid, 2, workers=1)
+        with pytest.raises(ValueError, match="requires a uniformly spaced grid"):
+            ensemble_from_densities([rho] * 3, GeneratorKind.HAAR_RANDOM,
+                                    ChannelKind.PHASE_DAMPING, grid, 2, workers=1)
+        assert calls == []
 
     def test_initial_value_at_zero(self):
         rho = states.to_density(states.named_state("ghz2"))

@@ -199,22 +199,9 @@ def test_worker_default_matches_library(monkeypatch, tmp_path, command):
 
     monkeypatch.setattr(analysis, "resolve_workers", recording)
     argv = command + ["--channel", "pd", "--steps", "3", "--out", str(tmp_path / "x.csv")]
-    monkeypatch.delenv(analysis.WORKERS_ENV, raising=False)
-    assert cli.main(argv) == 1
-    monkeypatch.setenv(analysis.WORKERS_ENV, "3")
     assert cli.main(argv) == 1
     assert cli.main(argv + ["--workers", "2"]) == 1
-    assert resolved == [1, 3, 2]
-
-
-def test_non_integer_workers_variable_is_named(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv(analysis.WORKERS_ENV, "two")
-    out = tmp_path / "s.csv"
-    assert run_cli(["sweep", "--state", "ghz2", "--channel", "pd", "--steps", "3",
-                    "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == "genneg: error: GENNEG_WORKERS must be an integer, got 'two'\n"
-    assert not out.exists()
+    assert resolved == [1, 2]
 
 
 @pytest.mark.parametrize("command", [
@@ -222,22 +209,12 @@ def test_non_integer_workers_variable_is_named(monkeypatch, tmp_path, capsys):
     ["ensemble", "--generator", "haar", "--n", "2", "--count", "2"],
 ])
 @pytest.mark.parametrize("workers", ["0", "-3"])
-def test_non_positive_workers_are_refused(monkeypatch, tmp_path, capsys, command, workers):
-    monkeypatch.delenv(analysis.WORKERS_ENV, raising=False)
+def test_non_positive_workers_are_refused(tmp_path, capsys, command, workers):
     out = tmp_path / "out.csv"
     assert run_cli(command + ["--channel", "pd", "--steps", "3", "--workers", workers,
                               "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err == f"genneg: error: --workers/workers must be at least 1, got {workers}\n"
-    assert not out.exists()
-
-
-def test_zero_workers_variable_is_refused(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv(analysis.WORKERS_ENV, "0")
-    out = tmp_path / "s.csv"
-    assert run_cli(["sweep", "--state", "ghz2", "--channel", "pd", "--steps", "3",
-                    "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "genneg: error: GENNEG_WORKERS must be at least 1, got 0\n"
     assert not out.exists()
 
 

@@ -118,11 +118,11 @@ class TestBuildProgram:
         y[:d] = 0.5        # diagonal coefficients of W = I/2
         for mi in range(len(structure["parts"])):
             y[n_basis * (1 + mi):n_basis * (1 + mi) + d] = 0.25  # Q_M = I/4
-        svec_s = np.concatenate([problem._geom[k].svec(problem.c_blocks[k])
+        svec_s = np.concatenate([problem._geom.svec(problem.c_blocks[k])
                                  for k in range(len(problem.block_dims))])
         svec_s = svec_s - problem.a_csc @ y
         for k, sl in enumerate(problem.block_slices()):
-            block = problem._geom[k].smat(svec_s[sl])
+            block = problem._geom.smat(svec_s[sl])
             assert np.linalg.eigvalsh(block)[0] > 0.2
 
     def test_rejects_invalid_density(self):
@@ -314,10 +314,8 @@ class TestStartPoint:
         structure = gmn._program_structure(n)
         problem = gmn.build_program(rho, n)
         x_blocks, y, s_blocks = gmn._start_point(rho, structure)
-        geoms = problem._geom
-
         def svec(blocks):
-            return np.concatenate([g.svec(blk) for g, blk in zip(geoms, blocks)])
+            return np.concatenate([problem._geom.svec(blk) for blk in blocks])
 
         # primal: A(X) = b
         assert np.max(np.abs(problem.a_t @ svec(x_blocks) - problem.b)) <= 1e-12
@@ -353,7 +351,7 @@ class TestStartPoint:
 
 
 def random_iterates(rng, problem):
-    """S^-1 and X blocks of random Hermitian positive definite iterates."""
+    """S^-1 and X stacks of random Hermitian positive definite iterates."""
     d = problem.block_dims[0]
 
     def hermitian_pd():
@@ -362,7 +360,7 @@ def random_iterates(rng, problem):
 
     sinv = [hermitian_part(np.linalg.inv(hermitian_pd())) for _ in problem.block_dims]
     x = [hermitian_pd() for _ in problem.block_dims]
-    return sinv, x
+    return np.array(sinv), np.array(x)
 
 
 @pytest.fixture(scope="module", params=[2, 3, 4])
@@ -824,7 +822,7 @@ def ghz3_bracket():
     """A fresh bracket for GHZ3 and the primal start point (X = I)."""
     rho = states.to_density(states.named_state("ghz3"))
     structure = gmn._program_structure(3)
-    return rho, gmn._Bracket(rho, structure), [np.eye(8, dtype=complex)] * 12
+    return rho, gmn._Bracket(rho, structure), np.array([np.eye(8, dtype=complex)] * 12)
 
 
 def multiples_of_identity(w, q):

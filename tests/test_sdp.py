@@ -65,22 +65,14 @@ class TestSmallProblems:
         assert abs(sol.primal_objective - 1.0) < 1e-7
         assert np.allclose(sol.x_blocks[0], np.diag([1.0, 0.0]), atol=1e-5)
 
-    def test_interleaved_block_dimensions(self):
-        # blocks of dimension 2, 1, 2: the two 2x2 blocks share a stack but are
-        # not adjacent in svec order.  min Tr(C1 X1) + 3 x2 + Tr(C3 X3) with
-        # Tr X1 = 1 and x2 + Tr X3 = 1 is lambda_min(C1) + lambda_min(C3) = 2
-        c3 = np.array([[2.0, 1.0], [1.0, 2.0]])
-        problem = SdpProblem(
-            block_dims=[2, 1, 2],
-            objective_blocks=[np.diag([1.0, 2.0]), np.array([[3.0]]), c3],
-            constraints=[([np.eye(2)], 1.0),
-                         ({1: np.array([[1.0]]), 2: np.eye(2)}, 1.0)],
-        )
-        sol = solve(problem)
+    def test_constraint_shared_by_two_of_three_blocks(self):
+        # min Tr(C1 X1) + 3 Tr X2 + Tr(C3 X3) with Tr X1 = 1 and
+        # Tr X2 + Tr X3 = 1 is lambda_min(C1) + lambda_min(C3) = 2, with X2 = 0
+        sol = solve(three_block_problem())
         assert sol.status is SdpStatus.OPTIMAL
         assert abs(sol.primal_objective - 2.0) < 1e-7
         assert np.allclose(sol.x_blocks[0], np.diag([1.0, 0.0]), atol=1e-5)
-        assert abs(sol.x_blocks[1][0, 0]) < 1e-5
+        assert np.allclose(sol.x_blocks[1], 0.0, rtol=0, atol=1e-5)
         assert np.allclose(sol.x_blocks[2], [[0.5, -0.5], [-0.5, 0.5]], atol=1e-5)
 
     def test_complex_hermitian_objective(self):
@@ -280,6 +272,9 @@ class TestGeometry:
         assert abs(g.svec(a) @ g.svec(b) - np.trace(a @ b).real) < 1e-12
         stack = random_hermitian(rng, n, count=3)
         assert np.allclose(g.smat(g.svec(stack)), stack, rtol=0, atol=1e-15)
+        # a stack copied from a broadcast keeps its stride-0 axis innermost
+        repeated = np.asarray(np.broadcast_to(a.real, (3, n, n)), dtype=complex)
+        assert np.array_equal(g.svec(repeated), np.broadcast_to(g.svec(a.real), (3, n * n)))
         # coordinate alpha is the coefficient Re Tr(F_alpha A) of the basis
         assert np.allclose(g.svec(a), np.einsum("kij,ji->k", basis_matrices(n), a).real,
                            rtol=0, atol=1e-14)
@@ -541,24 +536,23 @@ def w3_program():
     return build_program(states.to_density(states.named_state("w3")), 3)
 
 
-def interleaved_problem():
-    # blocks of dimensions 2, 1, 2: min Tr(C1 X1) + 3 x2 + Tr(C3 X3)
+def three_block_problem():
+    # min Tr(C1 X1) + 3 Tr X2 + Tr(C3 X3) with Tr X1 = 1 and Tr X2 + Tr X3 = 1
     return SdpProblem(
-        block_dims=[2, 1, 2],
-        objective_blocks=[np.diag([1.0, 2.0]), np.array([[3.0]]),
+        block_dims=[2, 2, 2],
+        objective_blocks=[np.diag([1.0, 2.0]), 3 * np.eye(2),
                           np.array([[2.0, 1.0], [1.0, 2.0]])],
-        constraints=[([np.eye(2)], 1.0), ({1: np.array([[1.0]]), 2: np.eye(2)}, 1.0)])
+        constraints=[([np.eye(2)], 1.0), ({1: np.eye(2), 2: np.eye(2)}, 1.0)])
 
 
 def program_residuals(problem, x_blocks, y, s_blocks) -> tuple:
     """The scaled norms of b - A(X) and C - A^T y - S, written out block by block."""
-    svec_x = np.concatenate([problem._geom[k].svec(x) for k, x in enumerate(x_blocks)])
+    svec_x = np.concatenate([problem._geom.svec(x) for x in x_blocks])
     primal = problem.b - problem.a_t @ svec_x
     aty = problem.a_csc @ y
-    dual = np.concatenate([problem._geom[k].svec(c - s) - aty[sl] for k, (c, s, sl) in
-                           enumerate(zip(problem.c_blocks, s_blocks, problem.block_slices()))])
-    c_norm = np.linalg.norm(np.concatenate([problem._geom[k].svec(c)
-                                            for k, c in enumerate(problem.c_blocks)]))
+    dual = np.concatenate([problem._geom.svec(c - s) - aty[sl] for c, s, sl in
+                           zip(problem.c_blocks, s_blocks, problem.block_slices())])
+    c_norm = np.linalg.norm(np.concatenate([problem._geom.svec(c) for c in problem.c_blocks]))
     return (float(np.linalg.norm(primal)) / (1 + float(np.linalg.norm(problem.b))),
             float(np.linalg.norm(dual)) / (1 + float(c_norm)))
 
@@ -586,7 +580,7 @@ class TestStopCallback:
         assert np.array_equal(sol.y, y_last)
         assert all(np.array_equal(a, b) for a, b in zip(sol.x_blocks, x_last))
 
-    @pytest.mark.parametrize("make", [interleaved_problem, ghz3_program, w3_program])
+    @pytest.mark.parametrize("make", [three_block_problem, ghz3_program, w3_program])
     def test_newton_points_meet_both_equality_constraints(self, make):
         problem = make()
         sol, seen = solve_watching(problem)
@@ -626,8 +620,8 @@ class TestStopCallback:
         assert "stop_at_newton" in sol.message and "Newton point" in sol.message
         x_k, y_k, s_k = seen[2 * k]
         assert np.array_equal(sol.y, y_k)
-        assert all(np.array_equal(a, b) for a, b in zip(sol.x_blocks + sol.s_blocks, x_k + s_k))
-        for blk in sol.x_blocks + sol.s_blocks:
+        assert all(np.array_equal(a, b) for a, b in zip([*sol.x_blocks, *sol.s_blocks], x_k + s_k))
+        for blk in [*sol.x_blocks, *sol.s_blocks]:
             np.linalg.cholesky(blk)  # raises unless positive definite
 
     def test_a_stop_that_never_fires_changes_nothing(self):
@@ -670,17 +664,21 @@ class TestFactorReuse:
 
 class TestConstructors:
     def test_svec_columns_build_the_same_problem(self):
-        p1 = SdpProblem(
-            block_dims=[2, 1, 2],
-            objective_blocks=[np.diag([1.0, 2.0]), np.array([[3.0]]),
-                              np.array([[2.0, 1.0], [1.0, 2.0]])],
-            constraints=[([np.eye(2)], 1.0), ({1: np.array([[1.0]]), 2: np.eye(2)}, 1.0)])
+        p1 = three_block_problem()
         p2 = SdpProblem.from_svec_columns(p1.block_dims, p1.c_blocks, p1.a_csc, p1.b)
         assert p2.svec_length == p1.svec_length
         assert (p2.a_t != p1.a_t).nnz == 0
         s1, s2 = solve(p1), solve(p2)
         assert s1.iterations == s2.iterations
         assert np.array_equal(s1.y, s2.y)
+
+    def test_blocks_of_several_sizes_are_refused(self):
+        match = r"same dimension, got block_dims \(2, 1, 2\)"
+        with pytest.raises(ValueError, match=match):
+            SdpProblem([2, 1, 2], [np.eye(2), np.eye(1), np.eye(2)], [([np.eye(2)], 1.0)])
+        p = three_block_problem()
+        with pytest.raises(ValueError, match=match):
+            SdpProblem.from_svec_columns([2, 1, 2], p.c_blocks, p.a_csc[:9], p.b)
 
     def test_svec_columns_row_count_is_checked(self):
         p = scalar_bound_problem()
@@ -700,7 +698,7 @@ def cold_start(problem):
 class TestStart:
     """``solve(problem, start=(x_blocks, y, s_blocks))`` begins at the given point."""
 
-    @pytest.mark.parametrize("make", [scalar_bound_problem, interleaved_problem,
+    @pytest.mark.parametrize("make", [scalar_bound_problem, three_block_problem,
                                       ghz3_program])
     def test_no_start_is_the_cold_start(self, make):
         # start=None and the cold start passed explicitly run the same iterates
@@ -719,10 +717,10 @@ class TestStart:
             assert all(np.array_equal(a, b) for a, b in zip(sol.s_blocks, default.s_blocks))
 
     def test_the_first_iterate_is_the_start(self):
-        problem = interleaved_problem()
-        x_blocks = [np.array([[0.6, 0.1j], [-0.1j, 0.4]]), np.array([[0.5]]), 0.25 * np.eye(2)]
+        problem = three_block_problem()
+        x_blocks = [np.array([[0.6, 0.1j], [-0.1j, 0.4]]), 0.5 * np.eye(2), 0.25 * np.eye(2)]
         y = np.array([0.5, -0.25])
-        s_blocks = [np.eye(2), np.array([[2.0]]), np.array([[1.0, 0.5], [0.5, 1.0]])]
+        s_blocks = [np.eye(2), 2.0 * np.eye(2), np.array([[1.0, 0.5], [0.5, 1.0]])]
         seen = []
         sol = solve(problem, start=(x_blocks, y, s_blocks),
                     stop=lambda x, yy, s: seen.append((x, yy.copy(), s)) or True)
@@ -743,33 +741,33 @@ class TestStart:
             solve(problem, start=start)
 
     def test_refuses_wrong_shapes(self):
-        problem = interleaved_problem()
+        problem = three_block_problem()
         x, y, s = cold_start(problem)
         self.refused(problem, (x, y), "tuple")
         self.refused(problem, (x, np.zeros(3), s), r"y has shape \(3,\), expected \(2,\)")
         self.refused(problem, (x[:2], y, s), "2 X blocks, expected 3")
         self.refused(problem, (x, y, s + [np.eye(2)]), "4 S blocks, expected 3")
-        self.refused(problem, (x[:1] + [np.eye(2)] + x[2:], y, s),
-                     r"start X: block 1 has shape \(2, 2\), expected \(1, 1\)")
+        self.refused(problem, (x[:1] + [np.eye(1)] + x[2:], y, s),
+                     r"start X: block 1 has shape \(1, 1\), expected \(2, 2\)")
 
     def test_refuses_non_hermitian_blocks(self):
-        problem = interleaved_problem()
+        problem = three_block_problem()
         x, y, s = cold_start(problem)
         skew = np.array([[1.0, 0.5j], [0.5j, 1.0]])
         self.refused(problem, (x[:2] + [skew], y, s), "start X: block 2 is not Hermitian")
         self.refused(problem, (x, y, [skew] + s[1:]), "start S: block 0 is not Hermitian")
 
     def test_refuses_blocks_that_are_not_positive_definite(self):
-        problem = interleaved_problem()
+        problem = three_block_problem()
         x, y, s = cold_start(problem)
         singular = np.array([[1.0, 1.0], [1.0, 1.0]])
         self.refused(problem, ([singular] + x[1:], y, s),
                      "start X: block 0 is not positive definite")
-        self.refused(problem, (x, y, s[:1] + [np.array([[-1.0]])] + s[2:]),
+        self.refused(problem, (x, y, s[:1] + [-np.eye(2)] + s[2:]),
                      "start S: block 1 is not positive definite")
 
     def test_refuses_non_finite_entries(self):
-        problem = interleaved_problem()
+        problem = three_block_problem()
         x, y, s = cold_start(problem)
         self.refused(problem, (x, np.array([0.0, np.nan]), s), "y is not finite")
         self.refused(problem, (x, y, s[:2] + [np.full((2, 2), np.inf)]),
