@@ -11,32 +11,38 @@ PPT mixtures, so a zero never claims biseparability).  A negative optimum
 makes W a decomposable entanglement witness for every bipartition, which is
 the independently checkable certificate.
 
-The program is handed to the Hermitian solver in ``sdp`` as it stands: the
-witness-side variables (W and the Q_M) are the solver's free dual vector y,
-expressed in the solver's orthonormal Hermitian basis of the d x d matrices
-(d = 2^N), and each bipartition contributes four d x d cone blocks (P_M,
-1-P_M, Q_M, 1-Q_M).  Coordinate alpha of a block is basis element F_alpha,
-so every constraint column is a +-1 entry per block it reaches, and the
-coefficients of a matrix are its svec.
+The program is handed to the Hermitian solver in ``sdp`` in the variables W
+and R_M = Q_M^{T_M}, so that P_M = W - R_M and Q_M = R_M^{T_M}: the
+witness-side variables are the solver's free dual vector y, expressed in the
+solver's orthonormal Hermitian basis of the d x d matrices (d = 2^N), and
+each bipartition contributes four d x d cone blocks (P_M, 1-P_M, Q_M,
+1-Q_M).  Coordinate alpha of a block is basis element F_alpha, so every
+constraint column is a +-1 entry per block it reaches, and the coefficients
+of a matrix are its svec.  The partial transpose maps the basis onto itself
+up to sign, F_alpha^{T_M} = sigma_M[alpha] F_{tau_M[alpha]}, and those
+signed entries sit in the Q_M and 1-Q_M blocks.
 
-The coefficients q_M of bipartition M reach only the four blocks of M, so the
+The coefficients r_M of bipartition M reach only the four blocks of M, so the
 solver's Schur matrix is block-arrowhead: the witness columns w border K
-diagonal q-blocks that never couple to each other (K = 2^(N-1) - 1).  The
+diagonal r-blocks that never couple to each other (K = 2^(N-1) - 1).  The
 program supplies :class:`ArrowheadSchur` as its ``sdp.SchurSystem``.  It
 assembles each block pair's contribution with the solver's Schur kernel,
-eliminates the K q-blocks of size d^2, and factors only the d^2 x d^2 Schur
+eliminates the K r-blocks of size d^2, and factors only the d^2 x d^2 Schur
 complement of the w-block.  The generic dense path would instead form and
 factor a (K + 1) d^2 square matrix, 2048 x 2048 at N = 4.
 
 Assembly is bound by memory traffic, not arithmetic: the kernel of a block
-pair writes one d^2 x d^2 complex product, gathers half its rows and folds
-them into the real d^2 x d^2 kernel in one pass.  It runs in chunks of
-bipartitions; each chunk forms its blocks' kernels and writes each of the
-bipartition's Schur blocks once, in place, while the kernels are still in
-cache.  The chunk size follows from the complex product of a pair and the
-byte budget :data:`ASSEMBLY_CHUNK_BYTES`: all three bipartitions of N = 3
-share one chunk, and at N = 4 each bipartition is its own chunk.  The
-arithmetic, and so every rounding, does not depend on the chunk size.
+pair writes one d^2 x d^2 product, gathers half its rows and folds them into
+the real d^2 x d^2 kernel in one pass.  In the variables R_M no Schur block
+needs a permutation or a sign: the (P_M, 1-P_M) pair's kernel enters as it
+is, and the (Q_M, 1-Q_M) pair's is gathered in the partially transposed
+basis through a table of transposed matrix units.  The assembly runs in
+chunks of bipartitions; each chunk writes its kernels straight into the
+stored Schur blocks and adds them up in place while they are still in cache.
+The chunk size follows from the product of a pair and the byte budget
+:data:`ASSEMBLY_CHUNK_BYTES`: all three bipartitions of N = 3 share one
+chunk, and at N = 4 each bipartition is its own chunk.  The arithmetic, and
+so every rounding, does not depend on the chunk size.
 
 Every solve starts from an interior point built from rho alone
 (:func:`_start_point`) and strictly feasible on both sides.  Dual side: W = 1
@@ -56,10 +62,10 @@ cone, and kept as the best over all of them.  Neither bound needs its point
 inside the cone or on the constraints:
 
 * E_lo = max(0, -Tr(W' rho)) for a witness repaired to exact feasibility: W
-  and the Q_M come from the dual vector, P_M = W - Q_M^{T_M}, and with eps the
-  largest excursion of an eigenvalue of any P_M or Q_M outside [0, 1],
-  W' = (W + 2 eps)/(1 + 2 eps) (Jansson-Chaykin-Keil, SIAM J. Numer. Anal. 46,
-  180 (2007));
+  and the R_M come from the dual vector, P_M = W - R_M and Q_M = R_M^{T_M},
+  and with eps the largest excursion of an eigenvalue of any P_M or Q_M
+  outside [0, 1], W' = (W + 2 eps)/(1 + 2 eps) (Jansson-Chaykin-Keil, SIAM
+  J. Numer. Anal. 46, 180 (2007));
 * E_hi = sum_M neg(rho_M) + neg(rho_M^{T_M}) for the split rho_M = X_{P_M} -
   X_{1-P_M} read from the primal blocks, with the residual of rho = sum_M
   rho_M put into the first part (the mixed form of Hofmann-Moroder-Guehne,
@@ -158,59 +164,78 @@ def bipartite_negativity(rho: np.ndarray, members, nqubits: int) -> float:
 class ArrowheadSchur:
     """Block-arrowhead :class:`sdp.SchurSystem` of the PPT-mixture program.
 
-    The columns are the witness coefficients w, then the coefficients q_M of
-    each bipartition M (n = d^2 each).  q_M reaches only the four cone blocks
-    of M, so q_M and q_M' never couple and the Schur matrix is
+    The columns are the witness coefficients w, then the coefficients r_M of
+    each R_M = Q_M^{T_M} (n = d^2 each).  r_M reaches only the four cone
+    blocks of M, so r_M and r_M' never couple and the Schur matrix is
 
-        [ M_ww    M_wq_1  ...  M_wq_K ]
-        [ M_q1w   M_q1q1  ...  0      ]
+        [ M_ww    M_wr_1  ...  M_wr_K ]
+        [ M_r1w   M_r1r1  ...  0      ]
         [ ...             ...         ]
-        [ M_qKw   0       ...  M_qKqK ]
+        [ M_rKw   0       ...  M_rKrK ]
 
     A d x d block with iterates s = S^-1 and x contributes the solver's
-    kernel H[alpha, beta] = Re Tr(F_alpha s F_beta x) in the Hermitian basis
-    F (``sdp._BlockGeometry.schur_kernel``, which :class:`sdp.DenseSchur`
-    calls too).  The blocks P_M and 1-P_M (Q_M and 1-Q_M) carry the same
-    columns up to sign, so each pair is one kernel group summed over its two
-    blocks, H01_M (H23_M).  With F_alpha^{T_M} = sigma_M[alpha]
-    F_{tau_M[alpha]},
+    kernel H^[alpha, beta] = Re Tr(F^_alpha s F^_beta x) in the unnormalised
+    Hermitian basis F^ (``sdp._BlockGeometry.schur_kernel``, which
+    :class:`sdp.DenseSchur` calls too).  The blocks P_M and 1-P_M (Q_M and
+    1-Q_M) carry the same columns up to sign, so each pair is one kernel
+    group summed over its two blocks: H01_M over the basis F^ itself, and
+    H23_M^Γ over the partially transposed basis F^_alpha^{T_M}, in which the
+    Q pair's constraint columns are plain +-1 entries.  Then M = D M^ D with D
+    the svec scale ``delta`` of the geometry, one copy per column block, and
 
-        M_ww = sum_M H01_M,   M_wq_M = -H01_M[:, tau_M] sigma_M,
-        M_qq_M = sigma_M H01_M[tau_M, tau_M] sigma_M + H23_M.
+        M^_ww = sum_M H01_M,   M^_{r_M w} = -H01_M,   M^_{r_M r_M} = H01_M + H23_M^Γ.
+
+    No block needs a permutation or a sign.  E_ab^{T_M} is again a matrix
+    unit, so H23_M^Γ is gathered from the Q pair's product G through the
+    table ``kernel_table(units)`` of the transposed units, and the kernel's
+    fold needs no change.  The tables come from the program (int32, one per
+    bipartition); the P pairs use the geometry's own table.
 
     :meth:`assemble` reads the solver's (4K, d, d) stacks of S^-1 and X as
     (2K, 2, d, d) views, one row per block pair, without a copy.  It runs
-    over chunks of c bipartitions.  A chunk forms the H of its 2c block
-    pairs in one kernel call.  Then, bipartition by bipartition, it adds
-    H01_M to M_ww and writes M_q_Mw and M_q_Mq_M in place while H01_M and
-    H23_M are still in cache.  c = max(1,
-    ASSEMBLY_CHUNK_BYTES // (2 * 16 n^2)), the bipartitions whose two pairs'
-    complex n x n products fit :data:`ASSEMBLY_CHUNK_BYTES`: all of
-    N <= 3 share one chunk, and N = 4 takes one bipartition per chunk.  M_ww
-    is summed in bipartition order whatever c is, so the result does not
-    depend on c.  The kernel is symmetric to about 1e-16 relative, so
-    M_q_Mq_M is used as assembled: its ``dpotrf`` (lower, on the Fortran-
-    ordered transpose) reads only the upper triangle of the C-ordered block.
+    over chunks of c bipartitions.  A chunk forms the kernels of its 2c block
+    pairs in one kernel call, written straight into the stored (K, 2, n, n)
+    array whose rows are H01_M and M^_{r_M r_M}.  Then, bipartition by
+    bipartition, it adds H01_M to M^_ww and to H23_M^Γ in place, while both
+    are still in cache.  c = max(1, ASSEMBLY_CHUNK_BYTES // (2 * 16 n^2)),
+    the bipartitions whose two pairs' complex n x n products fit
+    :data:`ASSEMBLY_CHUNK_BYTES`: all of N <= 3 share one chunk, and N = 4
+    takes one bipartition per chunk.  M^_ww is summed in bipartition order
+    whatever c is, so the result does not depend on c.  The kernel is
+    symmetric to about 1e-16 relative, so M^_{r_M r_M} is used as assembled:
+    its ``dpotrf`` (lower, on the Fortran-ordered transpose) reads only the
+    upper triangle of the C-ordered block.
 
-    Factoring eliminates the K q-blocks (n x n Cholesky each, M_qq_M =
+    D stays out of the stored blocks: :meth:`solve` and :meth:`matvec` scale
+    their vectors by D^-1 and D, and the shift of :meth:`factor` enters M^ as
+    shift D^-2 = shift diag(1, 2, 2), since (M + shift) = D (M^ + shift D^-2) D.
+    :meth:`max_diagonal` reads the diagonal of M^ times D^2.
+
+    Factoring eliminates the K r-blocks (n x n Cholesky each, M^_{r_M r_M} =
     L_M L_M^T) and factors the n x n Schur complement
-    M_ww - sum_M wq_M^T wq_M of the w-block, with wq_M = L_M^-1 M_{q_M w}.
+    M^_ww - sum_M wq_M^T wq_M of the w-block, with wq_M = -L_M^-1 H01_M.
     The wq_M are kept as one C-ordered (K, n, n) array, written in place by
     a right-sided triangular solve on its Fortran-ordered transpose.  Its
     (K n, n) reshape is then a view, so the Schur complement and every
     :meth:`solve` (two products with wq per call) read it without a copy.
     """
 
-    def __init__(self, tau: np.ndarray, sigma: np.ndarray, problem: sdp.SdpProblem):
-        self._tau, self._sigma = tau, sigma
+    def __init__(self, tables, problem: sdp.SdpProblem):
         self._geom = problem._geom
         self.n = self._geom.L
-        self.nparts = len(tau)
+        self.nparts = len(tables)
         if problem.num_constraints != self.n * (1 + self.nparts):
             raise ValueError(f"program has {problem.num_constraints} constraints, "
                              f"the arrowhead system expects {self.n * (1 + self.nparts)}")
-        self.ww = self.qw = self.qq = None       # M_ww, M_{q_M w} and M_{q_M q_M}
+        # H01_M and M^_{r_M r_M} of every M, rewritten by each assemble()
+        self._blocks = np.empty((self.nparts, 2, self.n, self.n))
+        self.ww = self.h01 = self.qq = None      # M^_ww and views of the blocks
         self._chunk = max(1, ASSEMBLY_CHUNK_BYTES // (2 * 16 * self.n ** 2))
+        # per chunk, the kernel table of each block pair: None (the geometry's
+        # own) for every (P_M, 1-P_M), the transposed units for (Q_M, 1-Q_M)
+        self._tables = [tuple(t for table in tables[m0:m0 + self._chunk] for t in (None, table))
+                        for m0 in range(0, self.nparts, self._chunk)]
+        self._delta = np.tile(self._geom.delta, 1 + self.nparts)
         self._lq = self._wq = self._lw = None    # factors, set by factor()
 
     def assemble(self, sinv, x):
@@ -218,58 +243,53 @@ class ArrowheadSchur:
         # (pair, block of the pair, d, d) for the pairs (P_M, 1-P_M), (Q_M, 1-Q_M)
         s = sinv.reshape(2 * k, 2, d, d)
         x = x.reshape(2 * k, 2, d, d)
-        ww = None
-        self.qw = np.empty((k, n, n))
-        self.qq = np.empty((k, n, n))
-        for m0 in range(0, k, self._chunk):
+        blocks = self._blocks
+        ww = np.zeros((n, n))
+        for m0, tables in zip(range(0, k, self._chunk), self._tables):
             m = slice(m0, m0 + self._chunk)
             pairs = slice(2 * m0, 2 * m.stop)
-            h = self._geom.schur_kernel(s[pairs], x[pairs])
-            for h01, h23, tau, sigma, qw, qq in zip(h[0::2], h[1::2], self._tau[m],
-                                                    self._sigma[m], self.qw[m], self.qq[m]):
-                # summed in bipartition order from the first term on, as one
-                # reduction over the whole stack would
-                if ww is None:
-                    ww = h01.copy()
-                else:
-                    ww += h01
-                np.multiply(np.take(h01, tau, axis=0), -sigma[:, None], out=qw)
-                np.take(qw, tau, axis=1, out=qq)
-                qq *= -sigma
-                qq += h23
+            self._geom.schur_kernel(s[pairs], x[pairs], tables,
+                                    out=blocks[m].reshape(-1, n, n))
+            # summed in bipartition order, as one reduction over the whole
+            # stack would
+            for h01, qq in blocks[m]:
+                ww += h01
+                qq += h01
         self.ww = (ww + ww.T) / 2
+        self.h01, self.qq = blocks[:, 0], blocks[:, 1]
 
     def max_diagonal(self):
-        return float(max(np.max(np.abs(self.ww.diagonal())),
-                         np.max(np.abs(self.qq.diagonal(axis1=1, axis2=2)))))
+        diagonals = np.concatenate([self.ww.diagonal()[None], self.qq.diagonal(axis1=1, axis2=2)])
+        return float(np.max(np.abs(diagonals) * self._geom.delta ** 2))
 
     def factor(self, shift):
         diag = np.arange(self.n)
+        shifts = shift / self._geom.delta ** 2
         qq = self.qq.copy()
-        qq[:, diag, diag] += shift
+        qq[:, diag, diag] += shifts
         # LAPACK is called directly: the scipy.linalg wrappers spend tens of
         # microseconds on argument checks per call, and every factor and solve
         # makes 2K + 1 calls.  q.T is q itself, and Fortran-ordered, so LAPACK
         # factors it in place.
         self._lq = [sdp.lapack_checked(lapack.dpotrf(q.T, lower=1, clean=0, overwrite_a=1),
-                                       "dpotrf(q_M block)")
+                                       "dpotrf(r_M block)")
                     for q in qq]
-        # solved in place in a copy, since matvec reads qw: on the Fortran-
-        # ordered view w.T, X L_M^T = qw_M^T gives X = wq_M^T.  A successful
+        # solved in place in a copy, since matvec reads h01: on the Fortran-
+        # ordered view w.T, X L_M^T = -H01_M^T gives X = wq_M^T.  A successful
         # dpotrf leaves a positive diagonal, so L_M needs no singularity check.
-        self._wq = self.qw.copy()
+        self._wq = self.h01.copy()
         for lq, w in zip(self._lq, self._wq):
-            blas.dtrsm(1.0, lq, w.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+            blas.dtrsm(-1.0, lq, w.T, side=1, lower=1, trans_a=1, overwrite_b=1)
         wq = self._wq.reshape(-1, self.n)
         sc = self.ww - wq.T @ wq
-        sc[diag, diag] += shift
+        sc[diag, diag] += shifts
         self._lw = sdp.lapack_checked(lapack.dpotrf(sc, lower=1, clean=0),
                                       "dpotrf(w Schur complement)")
 
     def solve(self, rhs):
         # every block solve writes straight into its slice of z or of the output
         n, k = self.n, self.nparts
-        r = rhs.reshape(len(rhs), -1)
+        r = rhs.reshape(len(rhs), -1) / self._delta[:, None]
         z = np.empty((k, n, r.shape[1]))
         for lq, rq, zq in zip(self._lq, r[n:].reshape(k, n, -1), z):
             zq[...] = sdp.lapack_checked(lapack.dtrtrs(lq, rq, lower=1), "dtrtrs")
@@ -279,15 +299,18 @@ class ArrowheadSchur:
         dw[...] = sdp.lapack_checked(lapack.dpotrs(self._lw, rw, lower=1), "dpotrs")
         for lq, zq, dq in zip(self._lq, z - self._wq @ dw, out[n:].reshape(k, n, -1)):
             dq[...] = sdp.lapack_checked(lapack.dtrtrs(lq, zq, lower=1, trans=1), "dtrtrs")
+        out /= self._delta[:, None]
         return out.reshape(rhs.shape)
 
     def matvec(self, v):
         n, k = self.n, self.nparts
-        v2 = v.reshape(len(v), -1)
+        v2 = v.reshape(len(v), -1) * self._delta[:, None]
         vw, vq = v2[:n], v2[n:].reshape(k, n, -1)
-        out_w = self.ww @ vw + self.qw.reshape(-1, n).T @ vq.reshape(k * n, -1)
-        out_q = self.qw @ vw + self.qq @ vq
-        return np.concatenate([out_w, out_q.reshape(k * n, -1)]).reshape(v.shape)
+        out = np.empty_like(v2)
+        out[:n] = self.ww @ vw - (self.h01.transpose(0, 2, 1) @ vq).sum(axis=0)
+        out[n:] = (self.qq @ vq - self.h01 @ vw).reshape(k * n, -1)
+        out *= self._delta[:, None]
+        return out.reshape(v.shape)
 
 
 @lru_cache(maxsize=None)
@@ -324,9 +347,9 @@ def _program_structure(nqubits: int):
     np.put_along_axis(tau, alpha, np.arange(n_basis)[None, :], axis=1)
     np.put_along_axis(sigma, alpha, np.sign(images), axis=1)
 
-    # constraint columns: y = (w coefficients, then q coefficients per
-    # bipartition).  Coordinate alpha of a cone block is F_alpha, so a column
-    # has one entry +-1 in each block it reaches.
+    # constraint columns: y = (w coefficients, then the coefficients of R_M =
+    # Q_M^{T_M} per bipartition).  Coordinate alpha of a cone block is
+    # F_alpha, so a column has one entry +-1 in each block it reaches.
     alpha = np.arange(n_basis)
     rows, cols, vals = [], [], []
 
@@ -336,19 +359,22 @@ def _program_structure(nqubits: int):
         vals.append(np.broadcast_to(val, n_basis))
 
     for mi in range(n_parts):
-        q_col = n_basis * (1 + mi) + alpha
-        add(4 * mi + 0, alpha, alpha, -1.0)          # P_M block:   S = W - Q^{T_M}
-        add(4 * mi + 1, alpha, alpha, +1.0)          # 1-P_M block: S = 1 - W + Q^{T_M}
-        add(4 * mi + 0, tau[mi], q_col, sigma[mi])   # ... - Q^{T_M} inside the P_M slack
-        add(4 * mi + 1, tau[mi], q_col, -sigma[mi])
-        add(4 * mi + 2, alpha, q_col, -1.0)          # Q_M >= 0 slack is Q itself
-        add(4 * mi + 3, alpha, q_col, +1.0)
+        r_col = n_basis * (1 + mi) + alpha
+        add(4 * mi + 0, alpha, alpha, -1.0)          # P_M block:   S = W - R
+        add(4 * mi + 1, alpha, alpha, +1.0)          # 1-P_M block: S = 1 - W + R
+        add(4 * mi + 0, alpha, r_col, +1.0)
+        add(4 * mi + 1, alpha, r_col, -1.0)
+        add(4 * mi + 2, tau[mi], r_col, -sigma[mi])  # Q_M block:   S = R^{T_M}
+        add(4 * mi + 3, tau[mi], r_col, sigma[mi])   # 1-Q_M block: S = 1 - R^{T_M}
 
     m = n_basis * (1 + n_parts)
     a_csc = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                           shape=(len(block_dims) * n_basis, m))
     skeleton = sdp.SdpProblem.from_svec_columns(block_dims, c_blocks, a_csc, np.zeros(m))
-    skeleton.schur_factory = partial(ArrowheadSchur, tau, sigma)
+    # the Schur kernel of each (Q_M, 1-Q_M) pair over the partially transposed
+    # basis; int32 keeps the seven tables of N = 4 near 1 MB
+    kernel_tables = [geom.kernel_table(units % n_basis).astype(np.int32) for units in transpose]
+    skeleton.schur_factory = partial(ArrowheadSchur, kernel_tables)
     return {
         "nqubits": nqubits,
         "dim": d,
@@ -358,6 +384,7 @@ def _program_structure(nqubits: int):
         "transpose": transpose,
         "tau": tau,
         "sigma": sigma,
+        "kernel_tables": kernel_tables,
         "n_basis": n_basis,
     }
 
@@ -388,9 +415,9 @@ def _start_point(rho: np.ndarray, structure) -> tuple:
     stacks in the program's block order (P_M, 1-P_M, Q_M, 1-Q_M per
     bipartition), K bipartitions and d = 2^N.
 
-    Dual side: W = 1 and every Q_M = 1/2, so P_M = W - Q_M^{T_M} = 1/2 and
-    every slack is 1/2, the centre of its [0, 1] box; the point is exactly
-    dual feasible.
+    Dual side: W = 1 and every R_M = Q_M = 1/2 (1/2 is its own partial
+    transpose), so P_M = W - R_M = 1/2 and every slack is 1/2, the centre of
+    its [0, 1] box; the point is exactly dual feasible.
 
     Primal side: the split ρ_M = ρ/K, with X_{P_M} = (ρ + 1/d)/K, X_{1-P_M} =
     1/(Kd), X_{Q_M} = 1/(Kd) + [(ρ/K)^{T_M}]_+ and X_{1-Q_M} = 1/(Kd) +
@@ -473,17 +500,18 @@ class _Bracket:
     the first, which makes the split exact at any point, feasible or not,
     and E <= sum_M neg(rho_M) + neg(rho_M^{T_M}).
 
-    Lower bound: W and every Q_M come from y, and P_M = W - Q_M^{T_M}.  With
-    eps >= 0 the largest distance of an eigenvalue of any P_M or Q_M outside
-    [0, 1], W' = (W + 2 eps)/(1 + 2 eps) = P'_M + Q'_M^{T_M} with P'_M =
-    (P_M + eps)/(1 + 2 eps) and Q'_M likewise is feasible, so E >= -Tr(W'
-    rho).  Tr(W' rho) is the mean of Tr(W rho) and Tr(rho) = 1 with weights
-    1 and 2 eps, and a partial transpose keeps the diagonal, so diag P_M =
-    diag W - diag Q_M and eps is at least the largest excursion of these
-    diagonals outside [0, 1].  That excursion, read from y without an
-    eigendecomposition, bounds Tr(W' rho) from below before the repair, and
-    a witness with a low Tr(W rho) whose diagonals leave their boxes (as at
-    some Newton points) is passed over unrepaired.  Witnesses therefore wait
+    Lower bound: W and every R_M come from y, P_M = W - R_M and Q_M =
+    R_M^{T_M}.  With eps >= 0 the largest distance of an eigenvalue of any
+    P_M or Q_M outside [0, 1], W' = (W + 2 eps)/(1 + 2 eps) = P'_M +
+    Q'_M^{T_M} with P'_M = (P_M + eps)/(1 + 2 eps) and Q'_M likewise is
+    feasible, so E >= -Tr(W' rho).  Tr(W' rho) is the mean of Tr(W rho) and
+    Tr(rho) = 1 with weights 1 and 2 eps.  diag P_M = diag W - diag R_M, and
+    a partial transpose keeps the diagonal, so diag Q_M = diag R_M; eps is
+    at least the largest excursion of these diagonals outside [0, 1].  That
+    excursion, read from y without an eigendecomposition, bounds Tr(W' rho)
+    from below before the repair, and a witness with a low Tr(W rho) whose
+    diagonals leave their boxes (as at some Newton points) is passed over
+    unrepaired.  Witnesses therefore wait
     in a heap ordered by this bound and are repaired only when one of them
     could close the bracket, and at the end while one could still improve
     E_lo.  The lower bound is the best over all points all the same, and the
@@ -519,7 +547,7 @@ class _Bracket:
     def _objective_bound(self, y: np.ndarray) -> float:
         """A lower bound on Tr(W' rho) of the witness from y, from its diagonals alone."""
         k, d = self._k, self._d
-        diagonals = y.reshape(1 + k, d * d)[:, :d]      # diag W, then every diag Q_M
+        diagonals = y.reshape(1 + k, d * d)[:, :d]      # diag W, then every diag R_M = diag Q_M
         boxed = np.concatenate([diagonals[0] - diagonals[1:], diagonals[1:]])
         # eigvalsh may round the true excursion eps down by ~1e-16; the bound
         # gives up 1e-12 of it so it never exceeds the repaired objective
@@ -547,8 +575,9 @@ class _Bracket:
         """The repaired witness of one iterate; kept if it lowers the objective."""
         k, d = self._k, self._d
         mats = self._structure["geom"].smat(y.reshape(1 + k, d * d))
-        w, q = mats[0], mats[1:]
-        p = w - np.take(q, self._structure["transpose"]).reshape(k, d, d)
+        w, r = mats[0], mats[1:]      # W, then every R_M = Q_M^{T_M}
+        p = w - r
+        q = np.take(r, self._structure["transpose"]).reshape(k, d, d)
         eigs = np.linalg.eigvalsh(np.concatenate([p, q]))
         eps = max(0.0, -float(eigs[:, 0].min()), float(eigs[:, -1].max()) - 1)
         objective = ((float(y[:d * d] @ self._rho_coeffs) + 2 * eps * self._trace)

@@ -19,10 +19,15 @@ factors the (real symmetric positive definite) Schur complement
 
 behind the small :class:`SchurSystem` interface (assemble, factor with a
 diagonal shift, solve, matvec).  Both implementations form M from one
-kernel, ``_BlockGeometry.schur_kernel``: H[alpha, beta] = Re Tr(F_alpha S^-1
-F_beta X) over the basis F of a block, formed from half the rows of one
-product since H(s, x) = H(x, s) = H(s, x)^T for Hermitian s and x.  A problem
-supplies its implementation through ``SdpProblem.schur_factory``; the default
+kernel, ``_BlockGeometry.schur_kernel``: H^[alpha, beta] = Re Tr(F^_alpha
+S^-1 F^_beta X) over the unnormalised basis F^ = {E_aa, E_ab + E_ba,
+i (E_ba - E_ab)} of a block, formed from half the rows of one product since
+H^(s, x) = H^(x, s) = H^(s, x)^T for Hermitian s and x.  The svec basis F
+below is F_alpha = delta_alpha F^_alpha, D = diag(delta) = diag(1,
+1/sqrt(2), -1/sqrt(2)), so the kernel over F is H = D H^ D; the kernel is
+left unscaled, and each implementation applies D where it is cheap (to the
+constraint columns, or to vectors and the shift).  A problem supplies its
+implementation through ``SdpProblem.schur_factory``; the default
 :class:`DenseSchur` forms the whole m x m matrix and factors it by dense
 Cholesky, while structured programs (the PPT-mixture program in ``gmn``) keep
 M in a sparser block form.
@@ -172,7 +177,7 @@ class SdpSolution:
 
 
 class _BlockGeometry:
-    """Real coordinates of an n x n Hermitian block, and the Schur kernel over them.
+    """Real coordinates of an n x n Hermitian block, and the Schur kernel.
 
     ``svec(A)`` lists the n^2 coefficients Re Tr(F_alpha A) of A in the
     trace-orthonormal basis
@@ -185,6 +190,10 @@ class _BlockGeometry:
     svec(A)·svec(B) = Re Tr(AB) and F_alpha is coordinate alpha.  ``svec`` and
     ``smat`` act on the last two axes (last axis) of a stack, each as one
     gather from the float view of the complex entries and one multiply.
+
+    The Schur kernel is taken over the unnormalised basis F^_alpha =
+    F_alpha / delta[alpha] (E_aa, E_ab + E_ba, i (E_ba - E_ab)), which needs
+    no scale pass over its n^4 entries; :attr:`delta` is the diagonal of D.
     """
 
     def __init__(self, n: int):
@@ -210,9 +219,9 @@ class _BlockGeometry:
                                  (lower + 1, im, -1 / math.sqrt(2.0))):
             self._smat_src[pos] = src
             self._smat_weight[pos] = weight
-        half = 1 / math.sqrt(2.0)  # the Schur kernel's row and column factors
-        self._kernel_row = np.repeat([0.5, half, -half], [n, npairs, npairs])[:, None]
-        self._kernel_col = np.repeat([1.0, half], [n, 2 * npairs])
+        # D of the Schur kernel's basis: F_alpha = delta[alpha] F^_alpha
+        self.delta = np.repeat([1.0, 1 / math.sqrt(2.0), -1 / math.sqrt(2.0)],
+                               [n, npairs, npairs])
 
     def svec(self, m: np.ndarray) -> np.ndarray:
         """The coordinates of a Hermitian matrix (or stack) along a new last axis."""
@@ -229,48 +238,91 @@ class _BlockGeometry:
 
     @cached_property
     def _half_rows(self) -> np.ndarray:
-        # rows E_aa, E_ab (a < b) of W by columns E_cc, E_ce, E_ec (c < e), as
-        # positions in G: n^2 (n + 1)/2 entries, built on the first kernel call
+        # the kernel's table in the basis F^ itself, built on the first call
+        return self.kernel_table()
+
+    def kernel_table(self, units: np.ndarray | None = None) -> np.ndarray:
+        """Positions in G of the half rows of W that :meth:`schur_kernel` gathers.
+
+        Rows E_aa, E_ab (a < b) of W by columns E_cc, E_ce, E_ec (c < e): an
+        (n (n + 1)/2, n^2) table.  ``units`` maps the flat index a n + b of
+        every matrix unit E_ab to that of another unit, E_u -> E_units[u];
+        the table then gathers the rows and columns of the images of these
+        units, and the kernel folds them into the kernel over the image of
+        the basis F^.  A map that commutes with E_ab -> E_ba (a partial
+        transpose does) keeps the half-row fold exact.
+        """
         n = self.n
         a, b = np.triu_indices(n, 1)
-        diag = np.arange(n)
-        ra, rb = np.concatenate([diag, a]), np.concatenate([diag, b])
-        cc, ce = np.concatenate([diag, a, b]), np.concatenate([diag, b, a])
+        diag = np.arange(n) * (n + 1)
+        rows = np.concatenate([diag, a * n + b])
+        cols = np.concatenate([diag, a * n + b, b * n + a])
+        if units is not None:
+            rows, cols = units[rows], units[cols]
+        (ra, rb), (cc, ce) = np.divmod(rows, n), np.divmod(cols, n)
         return ((ra[:, None] * n + ce[None, :]) * n + rb[:, None]) * n + cc[None, :]
 
-    def schur_kernel(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """H[p, alpha, beta] = sum_r Re Tr(F_alpha s[p, r] F_beta x[p, r]).
+    def schur_kernel(self, s: np.ndarray, x: np.ndarray, tables=None,
+                     out: np.ndarray | None = None) -> np.ndarray:
+        """H^[p, alpha, beta] = sum_r Re Tr(F^_alpha s[p, r] F^_beta x[p, r]).
+
+        The kernel is taken over the unnormalised basis F^ = {E_aa, E_ab +
+        E_ba, i (E_ba - E_ab)} (a < b), F_alpha = delta[alpha] F^_alpha, so it
+        is D^-1 H D^-1 for the kernel H over the svec basis F and D =
+        diag(:attr:`delta`) = diag(1, 1/sqrt(2), -1/sqrt(2)).  A caller
+        applies D to its coefficient vectors or constraint columns instead
+        of scaling the n^4 kernel.
 
         ``s`` and ``x`` are (P, r, n, n) stacks of Hermitian matrices; the r
         blocks of each group are summed.  With V(s, x)[(a, b), (c, e)] =
-        Tr(E_ab s E_ce x) = s[b, c] x[e, a], 2H is the basis image of
-        W = V(s, x) + V(x, s), as H(s, x) = H(x, s) = H(s, x)^T.  One product
+        Tr(E_ab s E_ce x) = s[b, c] x[e, a], 2H^ is the basis image of
+        W = V(s, x) + V(x, s), as H^(s, x) = H^(x, s) = H^(s, x)^T.  One product
         of inner dimension 2r, [vec x^T, vec s^T] times [vec s, vec x], gives
-        G with W[(a, b), (c, e)] = G[a, e, b, c].  As W[(b, a), (e, c)] =
-        conj W[(a, b), (c, e)], only the rows (a, a) and (a, b), a < b, are
-        gathered and folded into the basis columns (W_cc, (W_ce + W_ec)/sqrt(2),
-        i (W_ce - W_ec)/sqrt(2)) by sums and differences of column blocks: the
-        real parts give the diag(a) and re(a, b) rows of H (times 1/2 and
-        1/sqrt(2)), the imaginary parts the im(a, b) rows (times -1/sqrt(2)).
+        G with W[(a, b), (c, e)] = G[a, e, b, c], formed as its real and
+        imaginary parts by one real product of inner dimension 4r.  As
+        W[(b, a), (e, c)] = conj W[(a, b), (c, e)], only the rows (a, a) and
+        (a, b), a < b, are
+        gathered and folded into the basis columns (W_cc, W_ce + W_ec,
+        i (W_ec - W_ce)) by sums and differences of column blocks: the real
+        parts give the E_aa and E_ab + E_ba rows of 2H^ (the n diagonal rows
+        are halved), the imaginary parts the i (E_ba - E_ab) rows.
+
+        ``tables`` holds one :meth:`kernel_table` per group, ``None`` for the
+        basis F^ itself; group p is then folded over the image of F^ under
+        its table's unit map.  ``out``, when given, is the (P, n^2, n^2)
+        array the kernel is written into (a view will do); otherwise a new
+        one is returned.
         """
         p, r, n, L = s.shape[0], s.shape[1], self.n, self.L
         rows = (L + n) // 2
         left = np.concatenate([x, s], axis=1).transpose(0, 1, 3, 2).reshape(p, 2 * r, L)
         right = np.concatenate([s, x], axis=1).reshape(p, 2 * r, L)
+        # Re G and Im G as two real products of inner dimension 4r, so that
+        # the gathered real and imaginary parts, and every pass of the fold,
+        # are contiguous: Re G = [Re l; Im l]^T [Re r; -Im r] and Im G =
+        # [Re l; Im l]^T [Im r; Re r] for G = l^T r
+        lr = np.concatenate([left.real, left.imag], axis=1)
+        rr = np.empty((p, 2, 4 * r, L))
+        rr[:, 0, :2 * r], rr[:, 0, 2 * r:] = right.real, -right.imag
+        rr[:, 1, :2 * r], rr[:, 1, 2 * r:] = right.imag, right.real
         # G is released once its half rows are taken: the peak is ~3x the output
-        w = np.take(np.matmul(left.transpose(0, 2, 1), right).reshape(p, L * L),
-                    self._half_rows, axis=1)
-        wr, wi = w.real, w.imag
-        h = np.empty((p, L, L))
+        wr, wi = np.empty((2, p, rows, L))
+        for g, wr_p, wi_p, table in zip(
+                np.matmul(lr.transpose(0, 2, 1)[:, None], rr).reshape(p, 2, L * L), wr, wi,
+                (None,) * p if tables is None else tables):
+            table = self._half_rows if table is None else table.astype(np.intp, copy=False)
+            # mode "raise" would gather into a buffer and copy it into out
+            np.take(g[0], table, out=wr_p, mode="clip")
+            np.take(g[1], table, out=wi_p, mode="clip")
+        h = np.empty((p, L, L)) if out is None else out
         top, bottom = h[:, :rows], h[:, rows:]
         np.copyto(top[..., :n], wr[..., :n])
         np.add(wr[..., n:rows], wr[..., rows:], out=top[..., n:rows])
-        np.subtract(wi[..., rows:], wi[..., n:rows], out=top[..., rows:])
+        np.subtract(wi[..., n:rows], wi[..., rows:], out=top[..., rows:])
         np.copyto(bottom[..., :n], wi[:, n:, :n])
         np.add(wi[:, n:, n:rows], wi[:, n:, rows:], out=bottom[..., n:rows])
-        np.subtract(wr[:, n:, n:rows], wr[:, n:, rows:], out=bottom[..., rows:])
-        h *= self._kernel_row
-        h *= self._kernel_col
+        np.subtract(wr[:, n:, rows:], wr[:, n:, n:rows], out=bottom[..., rows:])
+        top[:, :n] *= 0.5
         return h
 
 
@@ -336,8 +388,11 @@ class SdpProblem:
         if a_csc.shape[0] != self.svec_length:
             raise ValueError(f"constraint matrix has {a_csc.shape[0]} rows, "
                              f"expected {self.svec_length}")
-        self._init_data(np.array(objective_blocks, dtype=complex), a_csc.tocsc(),
-                        np.asarray(b, dtype=float))
+        c_blocks = np.array(objective_blocks, dtype=complex)
+        expected = (len(self.block_dims),) + (self.block_dims[0],) * 2
+        if c_blocks.shape != expected:
+            raise ValueError(f"objective has shape {c_blocks.shape}, expected {expected}")
+        self._init_data(c_blocks, a_csc.tocsc(), np.asarray(b, dtype=float))
         return self
 
     def _init_blocks(self, block_dims):
@@ -393,13 +448,16 @@ class SdpProblem:
         """Per-block constraint data for the :class:`DenseSchur` assembly (cached, shared).
 
         For every block: the active constraint columns and the sparse slice of
-        the constraint matrix that sandwiches the block's Schur kernel.
+        the constraint matrix that sandwiches the block's Schur kernel, its
+        rows scaled by D (``_BlockGeometry.delta``), so that the sandwich of
+        the kernel H^ = D^-1 H D^-1 is that of H.
         """
         if self._prep_holder["prep"] is None:
             a_csr = self.a_csc.tocsr()
+            scale = sp.diags(self._geom.delta)
             prep = []
             for sl in self.block_slices():
-                phi_rows = a_csr[sl]  # csr: indices are the constraint (column) ids
+                phi_rows = scale @ a_csr[sl]  # csr: indices are the constraint (column) ids
                 act = np.unique(phi_rows.indices) if phi_rows.nnz else None
                 if act is None or not len(act):
                     prep.append(None)
@@ -443,6 +501,8 @@ class DenseSchur:
 
     Every block contributes the sandwich of its Schur kernel with its active
     constraint columns, scattered into the rows and columns of those columns.
+    The columns carry D (see :meth:`SdpProblem.prep`), so the unscaled kernel
+    H^ gives M itself.
     """
 
     def __init__(self, problem: SdpProblem):

@@ -287,10 +287,36 @@ class TestTransposeBookkeeping:
                     assert np.allclose(partial_transpose(f, part.members, n), image,
                                        rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_q_pair_kernel_matches_transposed_basis_traces(self, n):
+        # the (Q_M, 1-Q_M) pair's kernel through the table of bipartition M is
+        # sum_r Re Tr(F^_alpha^{T_M} s_r F^_beta^{T_M} x_r) over the unnormalised
+        # basis F^ = {E_aa, E_ab + E_ba, i (E_ba - E_ab)}, every partial
+        # transpose and every trace taken directly
+        structure = gmn._program_structure(n)
+        d = structure["dim"]
+        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+        basis = np.array([units[a * d + a] for a in range(d)]
+                         + [units[a * d + b] + units[b * d + a] for a, b in pairs]
+                         + [1j * (units[b * d + a] - units[a * d + b]) for a, b in pairs])
+        rng = np.random.default_rng(70 + n)
+        geom = sdp._geometry(d)
+        for part, table in zip(structure["parts"], structure["kernel_tables"]):
+            s, x = (hermitian_part(rng.standard_normal((1, 2, d, d))
+                                   + 1j * rng.standard_normal((1, 2, d, d))) for _ in range(2))
+            transposed = np.array([partial_transpose(f, part.members, n) for f in basis])
+            want = np.einsum("aij,rjk,bkl,rli->ab", transposed, s[0], transposed, x[0],
+                             optimize=True).real
+            got = geom.schur_kernel(s, x, (table,))[0]
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_arrowhead_gets_the_structure_tables(self):
         structure = gmn._program_structure(3)
-        tau, sigma = structure["skeleton"].schur_factory.args
-        assert tau is structure["tau"] and sigma is structure["sigma"]
+        tables, = structure["skeleton"].schur_factory.args
+        assert tables is structure["kernel_tables"]
+        assert len(tables) == len(structure["parts"])
+        assert all(t.dtype == np.int32 for t in tables)
 
 
 def start_density(kind, n):
@@ -428,7 +454,7 @@ class TestArrowheadSchur:
         broken.qq = arrow.qq.copy()
         broken.qq[-1] = (v * w) @ v.T
         broken.qq[-1] = (broken.qq[-1] + broken.qq[-1].T) / 2
-        with pytest.raises(np.linalg.LinAlgError, match="q_M block"):
+        with pytest.raises(np.linalg.LinAlgError, match="r_M block"):
             broken.factor(0.0)
 
     def test_indefinite_w_schur_complement_raises(self, schur_pair):
@@ -437,7 +463,7 @@ class TestArrowheadSchur:
         _, _, _, arrow = schur_pair
         for q in arrow.qq:
             np.linalg.cholesky(q)
-        sc = arrow.ww - sum(qw.T @ np.linalg.solve(q, qw) for q, qw in zip(arrow.qq, arrow.qw))
+        sc = arrow.ww - sum(h.T @ np.linalg.solve(q, h) for q, h in zip(arrow.qq, arrow.h01))
         w, v = np.linalg.eigh((sc + sc.T) / 2)
         broken = copy.copy(arrow)
         broken.ww = arrow.ww - (w[0] + 1.0) * np.outer(v[:, 0], v[:, 0])
@@ -446,17 +472,17 @@ class TestArrowheadSchur:
 
     def test_factor_leaves_blocks_untouched(self, schur_pair):
         # a regularization ladder retry factors the same blocks again at a
-        # larger shift; the in-place triangular solve must not write into qw
+        # larger shift; the in-place triangular solve must not write into h01
         n, problem, _, _ = schur_pair
         sinv, x = random_iterates(np.random.default_rng(300 + n), problem)
         retried, fresh = problem.schur_factory(problem), problem.schur_factory(problem)
         retried.assemble(sinv, x)
         fresh.assemble(sinv, x)
-        blocks = [b.copy() for b in (retried.ww, retried.qw, retried.qq)]
+        blocks = [b.copy() for b in (retried.ww, retried.h01, retried.qq)]
         shift = 1e-9 * retried.max_diagonal()
         retried.factor(shift)
         retried.factor(10 * shift)
-        for before, after in zip(blocks, (retried.ww, retried.qw, retried.qq)):
+        for before, after in zip(blocks, (retried.ww, retried.h01, retried.qq)):
             assert np.array_equal(before, after)
         fresh.factor(10 * shift)
         rhs = np.random.default_rng(1).standard_normal(problem.num_constraints)
@@ -472,7 +498,7 @@ class TestArrowheadSchur:
             schur = problem.schur_factory(problem)
             schur.assemble(sinv, x)
             chunks.append(schur._chunk)
-            outputs.append((schur.ww, schur.qw, schur.qq))
+            outputs.append((schur.ww, schur.h01, schur.qq))
         assert chunks[1] == 1 and chunks[2] >= len(gmn.bipartitions(n))
         for other in outputs[1:]:
             for a, b in zip(outputs[0], other):
@@ -480,7 +506,7 @@ class TestArrowheadSchur:
 
 
 def test_n4_assembly_memory_stays_near_its_output():
-    """One N=4 assembly allocates at most three times the bytes of its output."""
+    """One N=4 assembly allocates at most twice the bytes of its output."""
     problem = gmn.build_program(np.eye(16) / 16, 4)
     sinv, x = random_iterates(np.random.default_rng(404), problem)
     schur = problem.schur_factory(problem)
@@ -490,8 +516,8 @@ def test_n4_assembly_memory_stays_near_its_output():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    output = schur.ww.nbytes + schur.qw.nbytes + schur.qq.nbytes
-    assert peak <= 3 * output
+    output = schur.ww.nbytes + schur.h01.nbytes + schur.qq.nbytes
+    assert peak <= 2 * output
 
 
 

@@ -254,6 +254,17 @@ def basis_matrices(n):
     return np.array(out)
 
 
+def kernel_basis_matrices(n):
+    """The unnormalised basis F^_alpha = F_alpha / delta_alpha of the Schur kernel.
+
+    delta is 1 on the diagonal units, 1/sqrt(2) on E_ab + E_ba and -1/sqrt(2)
+    on i (E_ba - E_ab), a < b.
+    """
+    npairs = n * (n - 1) // 2
+    delta = np.repeat([1.0, 1 / math.sqrt(2), -1 / math.sqrt(2)], [n, npairs, npairs])
+    return basis_matrices(n) / delta[:, None, None]
+
+
 class TestGeometry:
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_svec_smat_roundtrip(self, n):
@@ -282,10 +293,10 @@ class TestGeometry:
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     @pytest.mark.parametrize("group", [1, 2])
     def test_schur_kernel_matches_basis_traces(self, n, group):
-        # H[p, alpha, beta] = sum_r Re Tr(F_alpha s[p, r] F_beta x[p, r]),
+        # H^[p, alpha, beta] = sum_r Re Tr(F^_alpha s[p, r] F^_beta x[p, r]),
         # with the basis matrices written out and every trace taken directly
         rng = np.random.default_rng(10 * n + group)
-        f = basis_matrices(n)
+        f = kernel_basis_matrices(n)
         s = random_hermitian(rng, n, count=3 * group).reshape(3, group, n, n)
         x = random_hermitian(rng, n, count=3 * group).reshape(3, group, n, n)
         g = sdp._BlockGeometry(n)
@@ -679,6 +690,19 @@ class TestConstructors:
         p = three_block_problem()
         with pytest.raises(ValueError, match=match):
             SdpProblem.from_svec_columns([2, 1, 2], p.c_blocks, p.a_csc[:9], p.b)
+
+    def test_svec_columns_objective_count_is_checked(self):
+        p = three_block_problem()
+        with pytest.raises(ValueError,
+                           match=r"objective has shape \(2, 2, 2\), expected \(3, 2, 2\)"):
+            SdpProblem.from_svec_columns(p.block_dims, p.c_blocks[:2], p.a_csc, p.b)
+
+    def test_svec_columns_objective_block_size_is_checked(self):
+        p = three_block_problem()
+        blocks = [np.eye(3)] * 3
+        with pytest.raises(ValueError,
+                           match=r"objective has shape \(3, 3, 3\), expected \(3, 2, 2\)"):
+            SdpProblem.from_svec_columns(p.block_dims, blocks, p.a_csc, p.b)
 
     def test_svec_columns_row_count_is_checked(self):
         p = scalar_bound_problem()
