@@ -388,10 +388,14 @@ class SdpProblem:
         if a_csc.shape[0] != self.svec_length:
             raise ValueError(f"constraint matrix has {a_csc.shape[0]} rows, "
                              f"expected {self.svec_length}")
-        c_blocks = np.array(objective_blocks, dtype=complex)
         expected = (len(self.block_dims),) + (self.block_dims[0],) * 2
-        if c_blocks.shape != expected:
-            raise ValueError(f"objective has shape {c_blocks.shape}, expected {expected}")
+        try:
+            c_blocks = np.array(objective_blocks, dtype=complex)
+        except ValueError:   # blocks of several shapes
+            c_blocks = None
+        if c_blocks is None or c_blocks.shape != expected:
+            shape = "several shapes" if c_blocks is None else f"shape {c_blocks.shape}"
+            raise ValueError(f"objective has {shape}, expected {expected}")
         self._init_data(c_blocks, a_csc.tocsc(), np.asarray(b, dtype=float))
         return self
 

@@ -697,11 +697,13 @@ class TestConstructors:
                            match=r"objective has shape \(2, 2, 2\), expected \(3, 2, 2\)"):
             SdpProblem.from_svec_columns(p.block_dims, p.c_blocks[:2], p.a_csc, p.b)
 
-    def test_svec_columns_objective_block_size_is_checked(self):
+    @pytest.mark.parametrize("blocks, got", [
+        ([np.eye(3)] * 3, r"shape \(3, 3, 3\)"),
+        ([np.eye(2), np.eye(3), np.eye(2)], "several shapes"),
+    ])
+    def test_svec_columns_objective_block_size_is_checked(self, blocks, got):
         p = three_block_problem()
-        blocks = [np.eye(3)] * 3
-        with pytest.raises(ValueError,
-                           match=r"objective has shape \(3, 3, 3\), expected \(3, 2, 2\)"):
+        with pytest.raises(ValueError, match=rf"objective has {got}, expected \(3, 2, 2\)"):
             SdpProblem.from_svec_columns(p.block_dims, blocks, p.a_csc, p.b)
 
     def test_svec_columns_row_count_is_checked(self):
