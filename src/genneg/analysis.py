@@ -26,6 +26,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -208,12 +209,23 @@ def _warmup(_):
 
 
 def _run_jobs(jobs, workers: int | None):
+    """Evaluate every job, in the calling process or in the cached pool.
+
+    A pool whose worker died (killed, or out of memory) is broken for good,
+    so it is shut down and dropped from the cache before the
+    ``BrokenProcessPool`` propagates; the next call starts a fresh pool.
+    """
     nworkers = resolve_workers(workers)
     if nworkers <= 1 or len(jobs) <= 1:
         return [_evaluate_point(job) for job in jobs]
     ex = _get_executor(nworkers)
     chunk = max(1, len(jobs) // (nworkers * 8))
-    return list(ex.map(_evaluate_point, jobs, chunksize=chunk))
+    try:
+        return list(ex.map(_evaluate_point, jobs, chunksize=chunk))
+    except BrokenProcessPool:
+        ex.shutdown(wait=False, cancel_futures=True)
+        _EXECUTORS.pop(nworkers, None)
+        raise
 
 
 def _one_sided_kinks(grid, values) -> list:

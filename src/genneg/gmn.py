@@ -32,17 +32,32 @@ complement of the w-block.  The generic dense path would instead form and
 factor a (K + 1) d^2 square matrix, 2048 x 2048 at N = 4.
 
 Assembly is bound by memory traffic, not arithmetic: the kernel of a block
-pair writes one d^2 x d^2 product, gathers half its rows and folds them into
-the real d^2 x d^2 kernel in one pass.  In the variables R_M no Schur block
-needs a permutation or a sign: the (P_M, 1-P_M) pair's kernel enters as it
-is, and the (Q_M, 1-Q_M) pair's is gathered in the partially transposed
-basis through a table of transposed matrix units.  The assembly runs in
-chunks of bipartitions; each chunk writes its kernels straight into the
-stored Schur blocks and adds them up in place while they are still in cache.
-The chunk size follows from the product of a pair and the byte budget
-:data:`ASSEMBLY_CHUNK_BYTES`: all three bipartitions of N = 3 share one
-chunk, and at N = 4 each bipartition is its own chunk.  The arithmetic, and
-so every rounding, does not depend on the chunk size.
+pair writes one d^2 x d^2 product, gathers half its rows through an intp
+table and folds them into the real d^2 x d^2 kernel.  In the variables R_M no
+Schur block needs a permutation or a sign: the (P_M, 1-P_M) pair's kernel
+enters as it is, and the (Q_M, 1-Q_M) pair's is gathered in the partially
+transposed basis through a table of transposed matrix units.  The assembly
+runs in chunks of block pairs; each chunk writes its kernels straight into
+the stored Schur blocks, and each bipartition is added up in place once both
+its pairs are written.  The chunk size follows from the product of a pair and
+the byte budget :data:`ASSEMBLY_CHUNK_BYTES`: all six pairs of N = 3 share
+one chunk, and at N = 4 each pair is its own chunk, so its product is still
+in cache when it is gathered.  The arithmetic, and so every rounding, does
+not depend on the chunk size.
+
+Factoring forms wq_M = -L_M^-1 H01_M for every r-block factor L_M by forward
+substitution in row blocks of :data:`SOLVE_BLOCK_ROWS`, so that most of its
+flops run in ``dgemm`` rather than in the slower ``dtrsm``; up to N = 3 that
+is one ``dtrsm`` per factor.
+
+An N = 4 iteration writes about 18 MB of Schur blocks, kernel scratch and
+factors, the same shapes every time.  They live in a :class:`_Workspace`,
+one per program shape in use at once.  :func:`genuine_negativity` borrows one
+from a free list kept with the program structure for the length of its solve
+and hands it to the arrowhead system, so back-to-back solves reuse memory
+that is already mapped instead of faulting in fresh pages every iteration.
+A system built straight from the program's ``schur_factory``, as the tests
+and the dense oracle comparisons build them, allocates a private workspace.
 
 Every solve starts from an interior point built from rho alone
 (:func:`_start_point`) and strictly feasible on both sides.  Dual side: W = 1
@@ -86,6 +101,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -107,11 +123,25 @@ BRACKET_TOL = 5e-7
 # witness and the split satisfy their constraints up to rounding alone.
 CERTIFICATE_TOL = 1e-9
 
-# Budget for the complex d^2 x d^2 products of the block pairs that one chunk
-# of the arrowhead assembly holds at once; their gathered half rows take half
-# as much again.  On a Xeon with 2 MB of L2 cache per core, an N = 4 assembly
-# took 8.7 ms with one bipartition per chunk and 13-17 ms with two or seven.
+# Budget for the d^2 x d^2 products (real and imaginary parts) of the block
+# pairs that one chunk of the arrowhead assembly holds at once; their gathered
+# half rows take half as much again.  On a Xeon with 2 MB of L2 cache per
+# core, an N = 4 assembly took 8.7 ms with one bipartition (two pairs) per
+# chunk and 13-17 ms with two or seven, and the kernels of one bipartition
+# 490-530 us pair by pair against 550 us in one call.
 ASSEMBLY_CHUNK_BYTES = 2**20
+
+# Row block of the forward substitution that forms wq_M = -L_M^-1 H01_M in
+# ArrowheadSchur.factor (_lower_solve).  With one OpenBLAS thread on a 2-vCPU
+# Xeon, the seven solves of N = 4 (256 rows) took 4.9 ms as one dtrsm each,
+# 3.8 ms in halves, 3.3-3.4 ms in blocks of 64 and 3.3 ms in blocks of 32.
+# The three of N = 3 (64 rows) took 60 us in halves against 49 us whole, so
+# N <= 3 keeps one block.
+SOLVE_BLOCK_ROWS = 64
+
+# The qubit counts the program is built for.  At N = 5 it has 16384
+# constraints and one solve would hold ~250 MB of Schur blocks.
+QUBIT_RANGE = (2, 4)
 
 
 @dataclass(frozen=True, order=True)
@@ -188,23 +218,22 @@ class ArrowheadSchur:
     No block needs a permutation or a sign.  E_ab^{T_M} is again a matrix
     unit, so H23_M^Γ is gathered from the Q pair's product G through the
     table ``kernel_table(units)`` of the transposed units, and the kernel's
-    fold needs no change.  The tables come from the program (int32, one per
+    fold needs no change.  The tables come from the program (intp, one per
     bipartition); the P pairs use the geometry's own table.
 
     :meth:`assemble` reads the solver's (4K, d, d) stacks of S^-1 and X as
     (2K, 2, d, d) views, one row per block pair, without a copy.  It runs
-    over chunks of c bipartitions.  A chunk forms the kernels of its 2c block
-    pairs in one kernel call, written straight into the stored (K, 2, n, n)
-    array whose rows are H01_M and M^_{r_M r_M}.  Then, bipartition by
-    bipartition, it adds H01_M to M^_ww and to H23_M^Γ in place, while both
-    are still in cache.  c = max(1, ASSEMBLY_CHUNK_BYTES // (2 * 16 n^2)),
-    the bipartitions whose two pairs' complex n x n products fit
-    :data:`ASSEMBLY_CHUNK_BYTES`: all of N <= 3 share one chunk, and N = 4
-    takes one bipartition per chunk.  M^_ww is summed in bipartition order
-    whatever c is, so the result does not depend on c.  The kernel is
-    symmetric to about 1e-16 relative, so M^_{r_M r_M} is used as assembled:
-    its ``dpotrf`` (lower, on the Fortran-ordered transpose) reads only the
-    upper triangle of the C-ordered block.
+    over chunks of c block pairs.  A chunk forms the kernels of its pairs in
+    one kernel call, written straight into the stored (K, 2, n, n) array
+    whose rows are H01_M and M^_{r_M r_M}.  Then, bipartition by
+    bipartition, it adds H01_M to M^_ww and to H23_M^Γ in place.  c =
+    max(1, ASSEMBLY_CHUNK_BYTES // (16 n^2)), the pairs whose n x n products
+    (real and imaginary parts) fit :data:`ASSEMBLY_CHUNK_BYTES`: all of N <=
+    3 share one chunk, and N = 4 takes one pair per chunk.  M^_ww is summed
+    in bipartition order whatever c is, so the result does not depend on c.
+    The kernel is symmetric to about 1e-16 relative, so M^_{r_M r_M} is used
+    as assembled: its ``dpotrf`` (lower, on the Fortran-ordered transpose)
+    reads only the upper triangle of the C-ordered block.
 
     D stays out of the stored blocks: :meth:`solve` and :meth:`matvec` scale
     their vectors by D^-1 and D, and the shift of :meth:`factor` enters M^ as
@@ -214,27 +243,40 @@ class ArrowheadSchur:
     Factoring eliminates the K r-blocks (n x n Cholesky each, M^_{r_M r_M} =
     L_M L_M^T) and factors the n x n Schur complement
     M^_ww - sum_M wq_M^T wq_M of the w-block, with wq_M = -L_M^-1 H01_M.
-    The wq_M are kept as one C-ordered (K, n, n) array, written in place by
-    a right-sided triangular solve on its Fortran-ordered transpose.  Its
-    (K n, n) reshape is then a view, so the Schur complement and every
-    :meth:`solve` (two products with wq per call) read it without a copy.
+    The wq_M are kept as one C-ordered (K, n, n) array, written by
+    :func:`_lower_solve`: right-sided triangular solves on the
+    Fortran-ordered transposes of its row blocks, with one batched product
+    per row block for the rows before it.  Its (K n, n) reshape is a view,
+    so the Schur complement and every :meth:`solve` (two products with wq
+    per call) read it without a copy.
+
+    Every array the system writes lives in its :class:`_Workspace`: the
+    blocks, M^_ww, the kernel's scratch, the shifted r-blocks that
+    ``dpotrf`` factors in place, wq and the w-block Schur complement.
+    ``ww``, ``h01``, ``qq`` and the factors are views into it.  The system
+    borrows ``workspace`` when one is given (:func:`genuine_negativity`
+    lends one for the length of a solve); otherwise it allocates its own, so
+    two systems built from one problem never share an array.  A workspace
+    allocates its factor side at its first :meth:`factor`.
     """
 
-    def __init__(self, tables, problem: sdp.SdpProblem):
+    def __init__(self, tables, problem: sdp.SdpProblem, workspace: _Workspace | None = None):
         self._geom = problem._geom
         self.n = self._geom.L
         self.nparts = len(tables)
         if problem.num_constraints != self.n * (1 + self.nparts):
             raise ValueError(f"program has {problem.num_constraints} constraints, "
                              f"the arrowhead system expects {self.n * (1 + self.nparts)}")
-        # H01_M and M^_{r_M r_M} of every M, rewritten by each assemble()
-        self._blocks = np.empty((self.nparts, 2, self.n, self.n))
+        if workspace is None:
+            workspace = _Workspace(self.nparts, self._geom)
+        self._ws = workspace
+        self._chunk = workspace.chunk
         self.ww = self.h01 = self.qq = None      # M^_ww and views of the blocks
-        self._chunk = max(1, ASSEMBLY_CHUNK_BYTES // (2 * 16 * self.n ** 2))
         # per chunk, the kernel table of each block pair: None (the geometry's
         # own) for every (P_M, 1-P_M), the transposed units for (Q_M, 1-Q_M)
-        self._tables = [tuple(t for table in tables[m0:m0 + self._chunk] for t in (None, table))
-                        for m0 in range(0, self.nparts, self._chunk)]
+        pair_tables = [t for table in tables for t in (None, table)]
+        self._tables = [tuple(pair_tables[p0:p0 + self._chunk])
+                        for p0 in range(0, len(pair_tables), self._chunk)]
         self._delta = np.tile(self._geom.delta, 1 + self.nparts)
         self._lq = self._wq = self._lw = None    # factors, set by factor()
 
@@ -243,19 +285,22 @@ class ArrowheadSchur:
         # (pair, block of the pair, d, d) for the pairs (P_M, 1-P_M), (Q_M, 1-Q_M)
         s = sinv.reshape(2 * k, 2, d, d)
         x = x.reshape(2 * k, 2, d, d)
-        blocks = self._blocks
-        ww = np.zeros((n, n))
-        for m0, tables in zip(range(0, k, self._chunk), self._tables):
-            m = slice(m0, m0 + self._chunk)
-            pairs = slice(2 * m0, 2 * m.stop)
+        ws = self._ws
+        blocks, ww = ws.blocks, ws.ww_sum
+        ww.fill(0.0)
+        summed = 0      # bipartitions added to M^_ww so far
+        for p0, tables in zip(range(0, 2 * k, self._chunk), self._tables):
+            pairs = slice(p0, min(p0 + self._chunk, 2 * k))
             self._geom.schur_kernel(s[pairs], x[pairs], tables,
-                                    out=blocks[m].reshape(-1, n, n))
-            # summed in bipartition order, as one reduction over the whole
-            # stack would
-            for h01, qq in blocks[m]:
+                                    out=blocks.reshape(2 * k, n, n)[pairs], work=ws.kernel)
+            # every bipartition whose two pairs are written, in bipartition
+            # order, as one reduction over the whole stack would sum them
+            for h01, qq in blocks[summed:pairs.stop // 2]:
                 ww += h01
                 qq += h01
-        self.ww = (ww + ww.T) / 2
+            summed = pairs.stop // 2
+        self.ww = np.add(ww, ww.T, out=ws.ww)
+        self.ww /= 2
         self.h01, self.qq = blocks[:, 0], blocks[:, 1]
 
     def max_diagonal(self):
@@ -263,27 +308,30 @@ class ArrowheadSchur:
         return float(np.max(np.abs(diagonals) * self._geom.delta ** 2))
 
     def factor(self, shift):
-        diag = np.arange(self.n)
+        n = self.n
+        lq, wq, sc = self._ws.factor_arrays()
+        diag = np.arange(n)
         shifts = shift / self._geom.delta ** 2
-        qq = self.qq.copy()
-        qq[:, diag, diag] += shifts
+        np.copyto(lq, self.qq)
+        lq[:, diag, diag] += shifts
         # LAPACK is called directly: the scipy.linalg wrappers spend tens of
         # microseconds on argument checks per call, and every factor and solve
         # makes 2K + 1 calls.  q.T is q itself, and Fortran-ordered, so LAPACK
         # factors it in place.
         self._lq = [sdp.lapack_checked(lapack.dpotrf(q.T, lower=1, clean=0, overwrite_a=1),
                                        "dpotrf(r_M block)")
-                    for q in qq]
-        # solved in place in a copy, since matvec reads h01: on the Fortran-
-        # ordered view w.T, X L_M^T = -H01_M^T gives X = wq_M^T.  A successful
+                    for q in lq]
+        # wq is written apart from h01, which matvec reads.  A successful
         # dpotrf leaves a positive diagonal, so L_M needs no singularity check.
-        self._wq = self.h01.copy()
-        for lq, w in zip(self._lq, self._wq):
-            blas.dtrsm(-1.0, lq, w.T, side=1, lower=1, trans_a=1, overwrite_b=1)
-        wq = self._wq.reshape(-1, self.n)
-        sc = self.ww - wq.T @ wq
+        _lower_solve(lq, self.h01, wq)
+        self._wq = wq
+        wq = wq.reshape(-1, n)
+        np.matmul(wq.T, wq, out=sc)
+        np.subtract(self.ww, sc, out=sc)
         sc[diag, diag] += shifts
-        self._lw = sdp.lapack_checked(lapack.dpotrf(sc, lower=1, clean=0),
+        # sc is exactly symmetric (numpy forms wq^T wq as a rank-k update),
+        # so its Fortran-ordered view sc.T is the same matrix, factored in place
+        self._lw = sdp.lapack_checked(lapack.dpotrf(sc.T, lower=1, clean=0, overwrite_a=1),
                                       "dpotrf(w Schur complement)")
 
     def solve(self, rhs):
@@ -313,13 +361,86 @@ class ArrowheadSchur:
         return out.reshape(v.shape)
 
 
+class _Workspace:
+    """Every array that one :class:`ArrowheadSchur` iteration writes.
+
+    One workspace serves any number of solves of one program shape (K
+    bipartitions, r-blocks of n = d^2 rows), one solve at a time.  Assembly
+    side, allocated here: the (K, 2, n, n) blocks (rows H01_M and
+    M^_{r_M r_M}), M^_ww and the sum it is symmetrized from, and the Schur
+    kernel's product G and half rows for one chunk of block pairs
+    (``sdp._BlockGeometry.kernel_work``).  Factor side, allocated by the first
+    :meth:`factor_arrays` call: the shifted r-blocks that ``dpotrf`` factors
+    in place, wq and the Schur complement of the w-block.  At N = 4 the two
+    sides take 10.0 and 7.9 MB; building a system and assembling once thus
+    peaks at 1.4 times the assembled blocks.  Every array is written
+    before it is read in each iteration, so a workspace carries nothing from
+    one solve to the next.
+    """
+
+    def __init__(self, nparts: int, geom):
+        n = geom.L
+        self.nparts, self.n = nparts, n
+        # block pairs per chunk of the assembly
+        self.chunk = max(1, ASSEMBLY_CHUNK_BYTES // (16 * n ** 2))
+        self.blocks = np.empty((nparts, 2, n, n))
+        self.ww, self.ww_sum = np.empty((2, n, n))
+        self.kernel = geom.kernel_work(min(self.chunk, 2 * nparts))
+        self._factor = None
+
+    def factor_arrays(self) -> tuple:
+        """(shifted r-blocks, wq, w-block Schur complement), allocated on the first call."""
+        if self._factor is None:
+            k, n = self.nparts, self.n
+            self._factor = (np.empty((k, n, n)), np.empty((k, n, n)), np.empty((n, n)))
+        return self._factor
+
+
+def _lower_solve(lt: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out[m] = -L_m^-1 b[m] for each lower triangle L_m, given as ``lt[m]`` = L_m^T.
+
+    ``lt``, ``b`` and ``out`` are C-ordered (K, n, n) stacks; ``lt`` holds the
+    factors as ``dpotrf`` leaves them in a Fortran-ordered view, and its upper
+    triangle (of L_m) is never read.
+
+    Forward substitution in row blocks of :data:`SOLVE_BLOCK_ROWS`: with
+    rows r of block i and the rows p before it, out_r = -L_rr^-1 (b_r +
+    L_rp out_p).  The products L_rp out_p, one batched ``matmul`` over the
+    K factors per block, move most of the flops from ``dtrsm`` to
+    ``dgemm``, which OpenBLAS runs about three times faster on these
+    operands.  Each ``dtrsm`` is right-sided, on the Fortran-ordered
+    transpose of the rows of out[m]: X L_rr^T = -c^T gives X = out_r^T.  It
+    copies its triangle, a strided view, into a contiguous array.  Up to
+    SOLVE_BLOCK_ROWS rows (N <= 3) there is one block, and one ``dtrsm``
+    per factor.
+    """
+    n = lt.shape[-1]
+    for start in range(0, n, SOLVE_BLOCK_ROWS):
+        r = slice(start, min(start + SOLVE_BLOCK_ROWS, n))
+        if start == 0:
+            np.copyto(out[:, r], b[:, r])
+        else:
+            # L_rp = lt[:, p, r]^T, for the whole stack at once
+            np.matmul(lt[:, :start, r].transpose(0, 2, 1), out[:, :start], out=out[:, r])
+            out[:, r] += b[:, r]
+        for low, o in zip(lt, out):
+            blas.dtrsm(-1.0, low.T[r, r], o[r].T, side=1, lower=1, trans_a=1, overwrite_b=1)
+
+
 @lru_cache(maxsize=None)
 def _program_structure(nqubits: int):
     """Constraint matrix, objective and extraction metadata for N qubits.
 
     Only the right-hand side of the SDP depends on the state, so everything
-    else is built once per qubit count and shared by all solves.
+    else is built once per qubit count and shared by all solves.  A qubit
+    count outside :data:`QUBIT_RANGE` raises ``ValueError`` before anything
+    is built.  ``workspaces`` is the free list of :class:`_Workspace` that
+    :func:`genuine_negativity` borrows from.
     """
+    low, high = QUBIT_RANGE
+    if not low <= nqubits <= high:
+        raise ValueError(f"genuine multiparticle negativity is computed for {low} to {high} "
+                         f"qubits, got {nqubits}")
     d = 2**nqubits
     n_basis = d * d
     parts = bipartitions(nqubits)
@@ -372,8 +493,9 @@ def _program_structure(nqubits: int):
                           shape=(len(block_dims) * n_basis, m))
     skeleton = sdp.SdpProblem.from_svec_columns(block_dims, c_blocks, a_csc, np.zeros(m))
     # the Schur kernel of each (Q_M, 1-Q_M) pair over the partially transposed
-    # basis; int32 keeps the seven tables of N = 4 near 1 MB
-    kernel_tables = [geom.kernel_table(units % n_basis).astype(np.int32) for units in transpose]
+    # basis, in intp, which np.take reads without a per-call conversion; the
+    # seven tables of N = 4 take 1.9 MB
+    kernel_tables = [geom.kernel_table(units % n_basis) for units in transpose]
     skeleton.schur_factory = partial(ArrowheadSchur, kernel_tables)
     return {
         "nqubits": nqubits,
@@ -385,6 +507,8 @@ def _program_structure(nqubits: int):
         "tau": tau,
         "sigma": sigma,
         "kernel_tables": kernel_tables,
+        "schur_factory": skeleton.schur_factory,
+        "workspaces": [],
         "n_basis": n_basis,
     }
 
@@ -604,6 +728,27 @@ class _Bracket:
         return result
 
 
+@contextmanager
+def _borrowed_workspace(structure):
+    """A :class:`_Workspace` of the structure's shape, held for one solve.
+
+    It is popped from the structure's free list, or allocated when the list
+    is empty, and appended back when the solve ends, also when it raises.
+    ``list.pop`` and ``list.append`` are atomic, so solves running in
+    several threads never hold the same workspace; the list grows to the
+    largest number of solves of one shape that ever ran at once.
+    """
+    free = structure["workspaces"]
+    try:
+        workspace = free.pop()
+    except IndexError:
+        workspace = _Workspace(len(structure["parts"]), structure["geom"])
+    try:
+        yield workspace
+    finally:
+        free.append(workspace)
+
+
 def genuine_negativity(rho: np.ndarray, nqubits: int | None = None) -> GmnResult:
     """Compute the genuine multiparticle negativity E(ρ) with its certified bracket.
 
@@ -619,8 +764,13 @@ def genuine_negativity(rho: np.ndarray, nqubits: int | None = None) -> GmnResult
     structure = _program_structure(n)
     problem = structure["skeleton"].with_rhs(_rhs_for(rho, structure))
     bracket = _Bracket(rho, structure)
-    result = bracket.result(sdp.solve(problem, stop=bracket.closed,
-                                      start=_start_point(rho, structure)))
+    with _borrowed_workspace(structure) as workspace:
+        # only the program's own system borrows; one swapped in (the dense
+        # oracle of the tests) is left as it is
+        if problem.schur_factory is structure["schur_factory"]:
+            problem.schur_factory = partial(problem.schur_factory, workspace=workspace)
+        result = bracket.result(sdp.solve(problem, stop=bracket.closed,
+                                          start=_start_point(rho, structure)))
     if result.solved:
         result.certificate_ok = verify_certificate(result, rho)
     return result

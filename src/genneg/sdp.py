@@ -245,7 +245,8 @@ class _BlockGeometry:
         """Positions in G of the half rows of W that :meth:`schur_kernel` gathers.
 
         Rows E_aa, E_ab (a < b) of W by columns E_cc, E_ce, E_ec (c < e): an
-        (n (n + 1)/2, n^2) table.  ``units`` maps the flat index a n + b of
+        (n (n + 1)/2, n^2) table of intp, the index type ``np.take`` uses
+        without a conversion.  ``units`` maps the flat index a n + b of
         every matrix unit E_ab to that of another unit, E_u -> E_units[u];
         the table then gathers the rows and columns of the images of these
         units, and the kernel folds them into the kernel over the image of
@@ -262,8 +263,19 @@ class _BlockGeometry:
         (ra, rb), (cc, ce) = np.divmod(rows, n), np.divmod(cols, n)
         return ((ra[:, None] * n + ce[None, :]) * n + rb[:, None]) * n + cc[None, :]
 
+    def kernel_work(self, groups: int) -> tuple:
+        """Scratch for :meth:`schur_kernel` calls of up to ``groups`` groups.
+
+        The product G, (groups, 2, n^2, n^2) for its real and imaginary
+        parts, and the half rows gathered from it, (2, groups, (n^2 + n)/2,
+        n^2): about three times the kernel of as many groups, 1.6 MB per
+        group at n = 16.
+        """
+        return (np.empty((groups, 2, self.L, self.L)),
+                np.empty((2, groups, (self.L + self.n) // 2, self.L)))
+
     def schur_kernel(self, s: np.ndarray, x: np.ndarray, tables=None,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     out: np.ndarray | None = None, work: tuple | None = None) -> np.ndarray:
         """H^[p, alpha, beta] = sum_r Re Tr(F^_alpha s[p, r] F^_beta x[p, r]).
 
         The kernel is taken over the unnormalised basis F^ = {E_aa, E_ab +
@@ -291,7 +303,10 @@ class _BlockGeometry:
         basis F^ itself; group p is then folded over the image of F^ under
         its table's unit map.  ``out``, when given, is the (P, n^2, n^2)
         array the kernel is written into (a view will do); otherwise a new
-        one is returned.
+        one is returned.  ``work``, when given, is a :meth:`kernel_work`
+        pair for at least P groups, into which G and its half rows are
+        written; otherwise the call allocates its own.  A caller that assembles every iteration passes the same
+        ``out`` and ``work`` each time, so no call touches fresh memory.
         """
         p, r, n, L = s.shape[0], s.shape[1], self.n, self.L
         rows = (L + n) // 2
@@ -305,12 +320,12 @@ class _BlockGeometry:
         rr = np.empty((p, 2, 4 * r, L))
         rr[:, 0, :2 * r], rr[:, 0, 2 * r:] = right.real, -right.imag
         rr[:, 1, :2 * r], rr[:, 1, 2 * r:] = right.imag, right.real
-        # G is released once its half rows are taken: the peak is ~3x the output
-        wr, wi = np.empty((2, p, rows, L))
-        for g, wr_p, wi_p, table in zip(
-                np.matmul(lr.transpose(0, 2, 1)[:, None], rr).reshape(p, 2, L * L), wr, wi,
-                (None,) * p if tables is None else tables):
-            table = self._half_rows if table is None else table.astype(np.intp, copy=False)
+        product, halves = self.kernel_work(p) if work is None else work
+        product = np.matmul(lr.transpose(0, 2, 1)[:, None], rr, out=product[:p])
+        wr, wi = halves[:, :p]
+        for g, wr_p, wi_p, table in zip(product.reshape(p, 2, L * L), wr, wi,
+                                        (None,) * p if tables is None else tables):
+            table = self._half_rows if table is None else table
             # mode "raise" would gather into a buffer and copy it into out
             np.take(g[0], table, out=wr_p, mode="clip")
             np.take(g[1], table, out=wi_p, mode="clip")

@@ -1,5 +1,9 @@
 import dataclasses
+import os
+import signal
+import time
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -93,6 +97,27 @@ class TestSweep:
         two = sweep(rho, ChannelKind.AMPLITUDE_DAMPING, grid, 4, workers=2)
         assert one.ok and two.ok
         assert one.values.tobytes() == two.values.tobytes()
+
+    def test_a_broken_pool_is_replaced(self):
+        # a worker killed (or out of memory) breaks its pool for good: the
+        # next call fails, and the one after it runs on a fresh pool
+        rho = states.to_density(states.named_state("ghz2"))
+        grid = np.array([0.1, 0.2, 0.3])
+        assert sweep(rho, ChannelKind.PHASE_DAMPING, grid, 2, workers=2).ok
+        pool = analysis._EXECUTORS[2]
+        os.kill(pool.submit(os.getpid).result(timeout=60), signal.SIGKILL)
+        # wait until the pool has seen the death, so the next sweep cannot
+        # finish on the surviving worker first
+        deadline = time.monotonic() + 60
+        with pytest.raises(BrokenProcessPool):
+            while time.monotonic() < deadline:
+                pool.submit(int).result(timeout=60)
+        with pytest.raises(BrokenProcessPool):
+            sweep(rho, ChannelKind.PHASE_DAMPING, grid, 2, workers=2)
+        assert 2 not in analysis._EXECUTORS
+        series = sweep(rho, ChannelKind.PHASE_DAMPING, grid, 2, workers=2)
+        assert series.ok
+        assert analysis._EXECUTORS[2] is not pool
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_non_positive_worker_count_is_refused(self, workers):

@@ -86,6 +86,13 @@ class TestMonotone:
         assert run_cli(["monotone", "--state", f"file:{path}"]) == 0
         assert "E = 0.500000" in capsys.readouterr().out
 
+    def test_five_qubit_file_is_refused(self, tmp_path, capsys):
+        # state files may hold up to 6 qubits; the monotone is computed for 2-4
+        path = tmp_path / "five.state"
+        path.write_text("pure 5\n1 0\n" + "0 0\n" * 31, encoding="ascii")
+        assert run_cli(["monotone", "--state", f"file:{path}"]) == 1
+        assert "computed for 2 to 4 qubits, got 5" in capsys.readouterr().err
+
     def test_malformed_file_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.state"
         path.write_text("pure 1\n1 0\nbroken\n", encoding="ascii")

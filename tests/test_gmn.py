@@ -1,6 +1,8 @@
 import copy
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -128,6 +130,16 @@ class TestBuildProgram:
     def test_rejects_invalid_density(self):
         with pytest.raises(ValueError, match="trace"):
             gmn.build_program(np.eye(8, dtype=complex), 3)
+
+    @pytest.mark.parametrize("build", [gmn.build_program, gmn.genuine_negativity])
+    def test_five_qubits_are_refused_before_anything_is_built(self, build):
+        # at N = 5 the program has 16384 constraints and a solve would hold
+        # ~250 MB of Schur blocks
+        built = gmn._program_structure.cache_info().currsize
+        with pytest.raises(ValueError, match="^genuine multiparticle negativity is computed "
+                                             "for 2 to 4 qubits, got 5$"):
+            build(np.eye(32) / 32, 5)
+        assert gmn._program_structure.cache_info().currsize == built
 
 
 class TestGenuineNegativity:
@@ -316,7 +328,7 @@ class TestTransposeBookkeeping:
         tables, = structure["skeleton"].schur_factory.args
         assert tables is structure["kernel_tables"]
         assert len(tables) == len(structure["parts"])
-        assert all(t.dtype == np.int32 for t in tables)
+        assert all(t.dtype == np.intp for t in tables)
 
 
 def start_density(kind, n):
@@ -632,6 +644,101 @@ class TestFourQubits:
         rho, res = n4_solve("ghz4", ChannelKind.AMPLITUDE_DAMPING, 0.01)
         assert res.solved and res.certificate_ok
         assert gmn.certificate_diagnostics(res, rho) == []
+
+
+def solve_record(result):
+    """What a solve reports: E, both ends of the bracket, iterations and the stop message."""
+    return (result.value, result.e_lo, result.e_hi, result.solver.iterations,
+            result.solver.message)
+
+
+def test_borrowed_workspace_is_invisible(monkeypatch):
+    """Solves that reuse one workspace report what solves in fresh workspaces do."""
+    structure = gmn._program_structure(4)
+    a = n4_density("w4", ChannelKind.AMPLITUDE_DAMPING, 0.2)
+    b = n4_density("ghz4", ChannelKind.PHASE_DAMPING, 0.2)
+    monkeypatch.setitem(structure, "workspaces", [])
+    borrowed = [solve_record(gmn.genuine_negativity(rho, 4)) for rho in (a, b, a)]
+    assert len(structure["workspaces"]) == 1    # the three solves shared one
+    fresh = []
+    for rho in (a, b, a):
+        monkeypatch.setitem(structure, "workspaces", [])
+        fresh.append(solve_record(gmn.genuine_negativity(rho, 4)))
+    assert borrowed == fresh
+
+
+def system_arrays(schur) -> list:
+    """Every array an arrowhead system holds, its workspace's included."""
+    found = [schur.ww, schur.h01, schur.qq, schur._wq, schur._lw, *schur._lq]
+    for value in vars(schur._ws).values():
+        found += [a for a in (value if isinstance(value, tuple) else (value,))
+                  if isinstance(a, np.ndarray)]
+    return found
+
+
+def test_systems_of_one_problem_share_no_arrays(schur_pair):
+    n, problem, _, _ = schur_pair
+    rhs = np.random.default_rng(3).standard_normal(problem.num_constraints)
+    first, second = problem.schur_factory(problem), problem.schur_factory(problem)
+    for seed, schur in enumerate((first, second)):
+        schur.assemble(*random_iterates(np.random.default_rng(500 + 10 * n + seed), problem))
+        schur.factor(1e-9 * schur.max_diagonal())
+        if schur is first:
+            before = first.solve(rhs)
+    for a in system_arrays(first):
+        for b in system_arrays(second):
+            assert not np.shares_memory(a, b)
+    assert np.array_equal(first.solve(rhs), before)
+
+
+def test_concurrent_solves_give_the_serial_results():
+    """Four threads solving at once each borrow a workspace of their own."""
+    cases = [("ghz3", ChannelKind.PHASE_DAMPING, 0.2), ("w3", ChannelKind.AMPLITUDE_DAMPING, 0.2),
+             ("w3b", ChannelKind.DEPOLARIZING, 0.1), ("haar", ChannelKind.PHASE_DAMPING, 0.3)]
+    rhos = []
+    for name, kind, s in cases:
+        psi = states.haar_random_state(3, 5) if name == "haar" else states.named_state(name)
+        rhos.append(apply_local_channel(states.to_density(psi), kind, s, 3))
+    serial = [solve_record(gmn.genuine_negativity(rho, 3)) for rho in rhos]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # switch threads often, inside the solves too
+    pool = ThreadPoolExecutor(len(rhos))
+    try:
+        futures = [pool.submit(gmn.genuine_negativity, rho, 3) for rho in rhos]
+        threaded = [solve_record(future.result(timeout=120)) for future in futures]
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
+def test_blocked_solve_matches_one_triangular_solve(monkeypatch):
+    """wq = -L^-1 H01 by blocked forward substitution, against one dtrsm per factor.
+
+    The r-blocks come from the end game of an N = 4 solve, where the
+    condition number of the worst is about 1e10-1e11.
+    """
+    assembled = []
+    factor = gmn.ArrowheadSchur.factor
+
+    def keep_last_two(self, shift):
+        assembled[:] = assembled[-1:] + [(self.qq.copy(), self.h01.copy())]
+        factor(self, shift)
+
+    monkeypatch.setattr(gmn.ArrowheadSchur, "factor", keep_last_two)
+    assert gmn.genuine_negativity(n4_density("w4", ChannelKind.AMPLITUDE_DAMPING, 0.2), 4).solved
+    qq, h01 = assembled[0]      # the second-to-last factorization
+    assert 1e10 <= max(np.linalg.cond(q) for q in qq) <= 1e12
+    lt = qq.copy()
+    for q in lt:
+        sla.lapack.dpotrf(q.T, lower=1, clean=0, overwrite_a=1)
+    blocked = np.empty_like(h01)
+    gmn._lower_solve(lt, h01, blocked)
+    whole = h01.copy()
+    for low, w in zip(lt, whole):
+        sla.blas.dtrsm(-1.0, low.T, w.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+    assert gmn.SOLVE_BLOCK_ROWS < len(h01[0])   # at N = 4 the blocks are smaller
+    assert np.linalg.norm(blocked - whole) <= 1e-12 * np.linalg.norm(whole)
 
 
 class CountingSchur:
