@@ -263,12 +263,13 @@ def sweep(rho0: np.ndarray, kind: ChannelKind, grid, nqubits: int,
     is applied.
     """
     grid = _check_grid(grid)
+    label = _check_label(label or "state")
     jobs = [(rho0, kind, float(s), nqubits) for s in grid]
     outcomes = _run_jobs(jobs, workers)
     values = np.array([v for v, _, _ in outcomes])
     failures = [(float(s), note) for s, (_, ok, note) in zip(grid, outcomes) if not ok]
     eta = log_derivative(grid, values)
-    return SweepSeries(label=label or "state", channel=kind, grid=grid, values=values,
+    return SweepSeries(label=label, channel=kind, grid=grid, values=values,
                        eta=eta, kinks=_one_sided_kinks(grid, values),
                        failures=failures)
 
@@ -283,6 +284,8 @@ def ensemble_from_densities(rhos, generator: GeneratorKind, kind: ChannelKind,
     count = len(rhos)
     if count < 2:
         raise ValueError(f"ensemble needs at least 2 members, got {count}")
+    for mlabel in member_labels or ():
+        _check_label(mlabel)
     jobs = [(rho, kind, float(s), nqubits) for rho in rhos for s in grid]
     outcomes = _run_jobs(jobs, workers)
     npts = len(grid)
@@ -428,6 +431,19 @@ def robustness_report(series: list, summaries: list | None = None) -> Robustness
 # -- CSV ----------------------------------------------------------------------
 
 CSV_HEADER = "label,channel,s,E,eta,eta_lo,eta_hi"
+
+
+def _check_label(label: str) -> str:
+    """The label, unless it holds what would break its CSV field.
+
+    The rows are written unquoted, in ASCII: a comma, a quote or a line break
+    would split or merge fields, and a non-ASCII character fails the write
+    after every solve has run.
+    """
+    if not label.isascii() or any(ch in label for ch in ',"\r\n'):
+        raise ValueError(f"label {label!r} cannot be a CSV field: it holds a comma, "
+                         "a quote, a line break or a non-ASCII character")
+    return label
 
 
 def _fmt(x: float) -> str:

@@ -57,8 +57,9 @@ def _parse_qubits(text: str, selector: str) -> int:
         n = int(text)
     except ValueError:
         raise ValueError(f"bad qubit count in selector {selector!r}") from None
-    if n not in (2, 3, 4):
-        raise ValueError(f"selector {selector!r}: qubit count must be 2, 3 or 4")
+    low, high = gmn.QUBIT_RANGE
+    if not low <= n <= high:
+        raise ValueError(f"selector {selector!r}: qubit count must be {low} to {high}")
     return n
 
 
@@ -155,6 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="genneg",
         description="Genuine multiparticle negativity under local decoherence.")
     sub = parser.add_subparsers(dest="command", required=True)
+    low, high = gmn.QUBIT_RANGE
+    qubit_counts = range(low, high + 1)
 
     p = sub.add_parser("monotone", help="compute E for one state")
     p.add_argument("--state", required=True)
@@ -170,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ensemble", help="random-state ensemble statistics, as CSV")
     p.add_argument("--generator", required=True, help="haar or wgs")
-    p.add_argument("--n", type=int, required=True, choices=(2, 3, 4))
+    p.add_argument("--n", type=int, required=True, choices=qubit_counts)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--members", action="store_true",
                    help="also write one row group per included realization")
@@ -181,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("genstate", help="write a state file")
     p.add_argument("--kind", required=True, choices=("named", "haar", "wgs"))
     p.add_argument("--state", default=None, help="named-state selector for --kind named")
-    p.add_argument("--n", type=int, default=3, choices=(2, 3, 4))
+    p.add_argument("--n", type=int, default=3, choices=qubit_counts)
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(fn=_cmd_genstate)

@@ -51,13 +51,14 @@ flops run in ``dgemm`` rather than in the slower ``dtrsm``; up to N = 3 that
 is one ``dtrsm`` per factor.
 
 An N = 4 iteration writes about 18 MB of Schur blocks, kernel scratch and
-factors, the same shapes every time.  They live in a :class:`_Workspace`,
-one per program shape in use at once.  :func:`genuine_negativity` borrows one
-from a free list kept with the program structure for the length of its solve
-and hands it to the arrowhead system, so back-to-back solves reuse memory
-that is already mapped instead of faulting in fresh pages every iteration.
-A system built straight from the program's ``schur_factory``, as the tests
-and the dense oracle comparisons build them, allocates a private workspace.
+factors, the same shapes every time.  Each :class:`ArrowheadSchur` owns
+these arrays and writes every one before it reads it, so a system can serve
+any program of its shape.  :func:`genuine_negativity` borrows a whole system
+from a free list kept with the program structure for the length of its
+solve, so back-to-back solves reuse memory that is already mapped instead of
+faulting in fresh pages every iteration.  ``sdp.solve`` of a program from
+:func:`build_program` builds a system of its own through the program's
+``schur_factory``.
 
 Every solve starts from an interior point built from rho alone
 (:func:`_start_point`) and strictly feasible on both sides.  Dual side: W = 1
@@ -101,7 +102,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -250,34 +250,41 @@ class ArrowheadSchur:
     so the Schur complement and every :meth:`solve` (two products with wq
     per call) read it without a copy.
 
-    Every array the system writes lives in its :class:`_Workspace`: the
-    blocks, M^_ww, the kernel's scratch, the shifted r-blocks that
-    ``dpotrf`` factors in place, wq and the w-block Schur complement.
-    ``ww``, ``h01``, ``qq`` and the factors are views into it.  The system
-    borrows ``workspace`` when one is given (:func:`genuine_negativity`
-    lends one for the length of a solve); otherwise it allocates its own, so
-    two systems built from one problem never share an array.  A workspace
-    allocates its factor side at its first :meth:`factor`.
+    The system owns every array it keeps.  It allocates the assembly side
+    when it is built: the (K, 2, n, n) blocks, whose rows H01_M and
+    M^_{r_M r_M} ``h01`` and ``qq`` view, M^_ww and the sum it is symmetrized
+    from, and the Schur kernel's product G and half rows for one chunk of
+    block pairs (``sdp._BlockGeometry.kernel_work``).  It allocates the
+    factor side at its first :meth:`factor`: the shifted r-blocks that
+    ``dpotrf`` factors in place, wq and the w-block Schur complement.  At N =
+    4 the two sides take 10.0 and 7.9 MB; building a system and assembling
+    once thus peaks at 1.4 times the assembled blocks.  Every array is
+    written before it is read in each iteration, so a system carries nothing
+    from one assembly to the next and may serve any program of its shape (K
+    bipartitions, r-blocks of n = d^2 rows), one solve at a time; two
+    systems never share an array.
     """
 
-    def __init__(self, tables, problem: sdp.SdpProblem, workspace: _Workspace | None = None):
+    def __init__(self, tables, problem: sdp.SdpProblem):
         self._geom = problem._geom
-        self.n = self._geom.L
-        self.nparts = len(tables)
-        if problem.num_constraints != self.n * (1 + self.nparts):
+        n = self.n = self._geom.L
+        k = self.nparts = len(tables)
+        if problem.num_constraints != n * (1 + k):
             raise ValueError(f"program has {problem.num_constraints} constraints, "
-                             f"the arrowhead system expects {self.n * (1 + self.nparts)}")
-        if workspace is None:
-            workspace = _Workspace(self.nparts, self._geom)
-        self._ws = workspace
-        self._chunk = workspace.chunk
-        self.ww = self.h01 = self.qq = None      # M^_ww and views of the blocks
+                             f"the arrowhead system expects {n * (1 + k)}")
+        # block pairs per chunk of the assembly
+        self._chunk = max(1, ASSEMBLY_CHUNK_BYTES // (16 * n ** 2))
+        self._blocks = np.empty((k, 2, n, n))
+        self.h01, self.qq = self._blocks[:, 0], self._blocks[:, 1]
+        self.ww, self._ww_sum = np.empty((2, n, n))
+        self._kernel_work = self._geom.kernel_work(min(self._chunk, 2 * k))
         # per chunk, the kernel table of each block pair: None (the geometry's
         # own) for every (P_M, 1-P_M), the transposed units for (Q_M, 1-Q_M)
         pair_tables = [t for table in tables for t in (None, table)]
         self._tables = [tuple(pair_tables[p0:p0 + self._chunk])
                         for p0 in range(0, len(pair_tables), self._chunk)]
-        self._delta = np.tile(self._geom.delta, 1 + self.nparts)
+        self._delta = np.tile(self._geom.delta, 1 + k)
+        self._shifted = self._sc = None          # factor-side scratch, from the first factor()
         self._lq = self._wq = self._lw = None    # factors, set by factor()
 
     def assemble(self, sinv, x):
@@ -285,31 +292,33 @@ class ArrowheadSchur:
         # (pair, block of the pair, d, d) for the pairs (P_M, 1-P_M), (Q_M, 1-Q_M)
         s = sinv.reshape(2 * k, 2, d, d)
         x = x.reshape(2 * k, 2, d, d)
-        ws = self._ws
-        blocks, ww = ws.blocks, ws.ww_sum
+        blocks, ww = self._blocks, self._ww_sum
         ww.fill(0.0)
         summed = 0      # bipartitions added to M^_ww so far
         for p0, tables in zip(range(0, 2 * k, self._chunk), self._tables):
             pairs = slice(p0, min(p0 + self._chunk, 2 * k))
             self._geom.schur_kernel(s[pairs], x[pairs], tables,
-                                    out=blocks.reshape(2 * k, n, n)[pairs], work=ws.kernel)
+                                    out=blocks.reshape(2 * k, n, n)[pairs],
+                                    work=self._kernel_work)
             # every bipartition whose two pairs are written, in bipartition
             # order, as one reduction over the whole stack would sum them
             for h01, qq in blocks[summed:pairs.stop // 2]:
                 ww += h01
                 qq += h01
             summed = pairs.stop // 2
-        self.ww = np.add(ww, ww.T, out=ws.ww)
+        np.add(ww, ww.T, out=self.ww)
         self.ww /= 2
-        self.h01, self.qq = blocks[:, 0], blocks[:, 1]
 
     def max_diagonal(self):
         diagonals = np.concatenate([self.ww.diagonal()[None], self.qq.diagonal(axis1=1, axis2=2)])
         return float(np.max(np.abs(diagonals) * self._geom.delta ** 2))
 
     def factor(self, shift):
-        n = self.n
-        lq, wq, sc = self._ws.factor_arrays()
+        n, k = self.n, self.nparts
+        if self._sc is None:
+            self._shifted, self._wq = np.empty((2, k, n, n))
+            self._sc = np.empty((n, n))
+        lq, wq, sc = self._shifted, self._wq, self._sc
         diag = np.arange(n)
         shifts = shift / self._geom.delta ** 2
         np.copyto(lq, self.qq)
@@ -324,7 +333,6 @@ class ArrowheadSchur:
         # wq is written apart from h01, which matvec reads.  A successful
         # dpotrf leaves a positive diagonal, so L_M needs no singularity check.
         _lower_solve(lq, self.h01, wq)
-        self._wq = wq
         wq = wq.reshape(-1, n)
         np.matmul(wq.T, wq, out=sc)
         np.subtract(self.ww, sc, out=sc)
@@ -359,41 +367,6 @@ class ArrowheadSchur:
         out[n:] = (self.qq @ vq - self.h01 @ vw).reshape(k * n, -1)
         out *= self._delta[:, None]
         return out.reshape(v.shape)
-
-
-class _Workspace:
-    """Every array that one :class:`ArrowheadSchur` iteration writes.
-
-    One workspace serves any number of solves of one program shape (K
-    bipartitions, r-blocks of n = d^2 rows), one solve at a time.  Assembly
-    side, allocated here: the (K, 2, n, n) blocks (rows H01_M and
-    M^_{r_M r_M}), M^_ww and the sum it is symmetrized from, and the Schur
-    kernel's product G and half rows for one chunk of block pairs
-    (``sdp._BlockGeometry.kernel_work``).  Factor side, allocated by the first
-    :meth:`factor_arrays` call: the shifted r-blocks that ``dpotrf`` factors
-    in place, wq and the Schur complement of the w-block.  At N = 4 the two
-    sides take 10.0 and 7.9 MB; building a system and assembling once thus
-    peaks at 1.4 times the assembled blocks.  Every array is written
-    before it is read in each iteration, so a workspace carries nothing from
-    one solve to the next.
-    """
-
-    def __init__(self, nparts: int, geom):
-        n = geom.L
-        self.nparts, self.n = nparts, n
-        # block pairs per chunk of the assembly
-        self.chunk = max(1, ASSEMBLY_CHUNK_BYTES // (16 * n ** 2))
-        self.blocks = np.empty((nparts, 2, n, n))
-        self.ww, self.ww_sum = np.empty((2, n, n))
-        self.kernel = geom.kernel_work(min(self.chunk, 2 * nparts))
-        self._factor = None
-
-    def factor_arrays(self) -> tuple:
-        """(shifted r-blocks, wq, w-block Schur complement), allocated on the first call."""
-        if self._factor is None:
-            k, n = self.nparts, self.n
-            self._factor = (np.empty((k, n, n)), np.empty((k, n, n)), np.empty((n, n)))
-        return self._factor
 
 
 def _lower_solve(lt: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
@@ -434,7 +407,7 @@ def _program_structure(nqubits: int):
     Only the right-hand side of the SDP depends on the state, so everything
     else is built once per qubit count and shared by all solves.  A qubit
     count outside :data:`QUBIT_RANGE` raises ``ValueError`` before anything
-    is built.  ``workspaces`` is the free list of :class:`_Workspace` that
+    is built.  ``systems`` is the free list of :class:`ArrowheadSchur` that
     :func:`genuine_negativity` borrows from.
     """
     low, high = QUBIT_RANGE
@@ -507,8 +480,7 @@ def _program_structure(nqubits: int):
         "tau": tau,
         "sigma": sigma,
         "kernel_tables": kernel_tables,
-        "schur_factory": skeleton.schur_factory,
-        "workspaces": [],
+        "systems": [],
         "n_basis": n_basis,
     }
 
@@ -728,27 +700,6 @@ class _Bracket:
         return result
 
 
-@contextmanager
-def _borrowed_workspace(structure):
-    """A :class:`_Workspace` of the structure's shape, held for one solve.
-
-    It is popped from the structure's free list, or allocated when the list
-    is empty, and appended back when the solve ends, also when it raises.
-    ``list.pop`` and ``list.append`` are atomic, so solves running in
-    several threads never hold the same workspace; the list grows to the
-    largest number of solves of one shape that ever ran at once.
-    """
-    free = structure["workspaces"]
-    try:
-        workspace = free.pop()
-    except IndexError:
-        workspace = _Workspace(len(structure["parts"]), structure["geom"])
-    try:
-        yield workspace
-    finally:
-        free.append(workspace)
-
-
 def genuine_negativity(rho: np.ndarray, nqubits: int | None = None) -> GmnResult:
     """Compute the genuine multiparticle negativity E(ρ) with its certified bracket.
 
@@ -764,13 +715,21 @@ def genuine_negativity(rho: np.ndarray, nqubits: int | None = None) -> GmnResult
     structure = _program_structure(n)
     problem = structure["skeleton"].with_rhs(_rhs_for(rho, structure))
     bracket = _Bracket(rho, structure)
-    with _borrowed_workspace(structure) as workspace:
-        # only the program's own system borrows; one swapped in (the dense
-        # oracle of the tests) is left as it is
-        if problem.schur_factory is structure["schur_factory"]:
-            problem.schur_factory = partial(problem.schur_factory, workspace=workspace)
+    # a system of the program's shape, held for this solve alone: list.pop
+    # and list.append are atomic, so solves running in several threads never
+    # hold the same one, and the list grows to the most solves of one shape
+    # that ever ran at once
+    free = structure["systems"]
+    try:
+        schur = free.pop()
+    except IndexError:
+        schur = ArrowheadSchur(structure["kernel_tables"], problem)
+    problem.schur_factory = lambda _: schur
+    try:
         result = bracket.result(sdp.solve(problem, stop=bracket.closed,
                                           start=_start_point(rho, structure)))
+    finally:
+        free.append(schur)
     if result.solved:
         result.certificate_ok = verify_certificate(result, rho)
     return result

@@ -86,14 +86,16 @@ def check_density_matrix(rho: np.ndarray, nqubits: int | None = None,
                          trace_tol: float = 1e-9, eig_tol: float = 1e-9) -> int:
     """Validate a density matrix and return its qubit count.
 
-    Raises ``ValueError`` naming the violated property (shape, hermiticity,
-    trace, positivity).
+    Raises ``ValueError`` naming the violated property (shape, finiteness,
+    hermiticity, trace, positivity).
     """
     rho = np.asarray(rho)
     n = nqubits_of(rho)
     if nqubits is not None and n != nqubits:
         raise ValueError(f"dimension mismatch: matrix is {rho.shape[0]}x{rho.shape[0]}, "
                          f"expected {2**nqubits}x{2**nqubits} for {nqubits} qubits")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix has non-finite entries")
     require_hermitian(rho, "density matrix")
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > trace_tol:

@@ -358,7 +358,9 @@ class SdpProblem:
     Internally every constraint is one sparse column over the stacked svec
     coordinates of the blocks: ``a_csc`` holds the columns and ``a_t`` its
     CSR transpose, built once because the solver applies A^T several times
-    per iteration.
+    per iteration.  Both constructors and :meth:`with_rhs` raise
+    ``ValueError`` for a block index outside ``block_dims``, a right-hand
+    side without one entry per constraint or one with a non-finite entry.
 
     ``schur_factory`` builds the :class:`SchurSystem` of each solve from the
     problem; it defaults to :class:`DenseSchur` and is shared by
@@ -411,7 +413,7 @@ class SdpProblem:
         if c_blocks is None or c_blocks.shape != expected:
             shape = "several shapes" if c_blocks is None else f"shape {c_blocks.shape}"
             raise ValueError(f"objective has {shape}, expected {expected}")
-        self._init_data(c_blocks, a_csc.tocsc(), np.asarray(b, dtype=float))
+        self._init_data(c_blocks, a_csc.tocsc(), b)
         return self
 
     def _init_blocks(self, block_dims):
@@ -430,11 +432,14 @@ class SdpProblem:
         self.c_blocks = c_blocks
         self.a_csc = a_csc
         self.a_t = a_csc.T
-        self.b = b
+        self.b = _checked_rhs(b, a_csc.shape[1])
         self._prep_holder = {"prep": None}
         self.schur_factory = DenseSchur
 
     def _check_block(self, blk, k, what):
+        if not 0 <= k < len(self.block_dims):
+            raise ValueError(f"{what}: block index {k} out of range for "
+                             f"{len(self.block_dims)} blocks")
         blk = np.asarray(blk, dtype=complex)
         d = self.block_dims[k]
         if blk.shape != (d, d):
@@ -449,12 +454,9 @@ class SdpProblem:
 
     def with_rhs(self, b) -> "SdpProblem":
         """Same structure with a different right-hand side (shares all arrays)."""
-        b = np.asarray(b, dtype=float)
-        if b.shape != self.b.shape:
-            raise ValueError(f"rhs has shape {b.shape}, expected {self.b.shape}")
         clone = SdpProblem.__new__(SdpProblem)
         clone.__dict__.update(self.__dict__)
-        clone.b = b
+        clone.b = _checked_rhs(b, self.num_constraints)
         return clone
 
     # -- solver-side helpers ------------------------------------------------
@@ -489,6 +491,16 @@ class SdpProblem:
                 })
             self._prep_holder["prep"] = prep
         return self._prep_holder["prep"]
+
+
+def _checked_rhs(b, m: int) -> np.ndarray:
+    """b as a float vector; ``ValueError`` unless it has m entries, all finite."""
+    b = np.asarray(b, dtype=float)
+    if b.shape != (m,):
+        raise ValueError(f"rhs has shape {b.shape}, expected {(m,)}, one entry per constraint")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("rhs has non-finite entries")
+    return b
 
 
 class SchurSystem(Protocol):

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gmn import QUBIT_RANGE
+
 NORM_TOL = 1e-9
 
 
@@ -147,10 +149,16 @@ def _standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
     return out
 
 
+def _check_nqubits(nqubits: int) -> None:
+    """Random states are drawn for the qubit counts of ``gmn.QUBIT_RANGE``."""
+    low, high = QUBIT_RANGE
+    if not low <= nqubits <= high:
+        raise ValueError(f"nqubits must be {low} to {high}, got {nqubits}")
+
+
 def haar_random_state(nqubits: int, seed: int) -> np.ndarray:
     """Haar-random pure state: normalized vector of complex standard normals."""
-    if nqubits not in (2, 3, 4):
-        raise ValueError(f"nqubits must be 2, 3 or 4, got {nqubits}")
+    _check_nqubits(nqubits)
     d = 2**nqubits
     z = _standard_normals(seeded_rng(seed), 2 * d)
     psi = z[:d] + 1j * z[d:]
@@ -175,8 +183,7 @@ class WeightedGraph:
 
 def random_weighted_graph(nqubits: int, seed: int) -> WeightedGraph:
     """Uniformly random interaction phases on [0, 2π), one per qubit pair."""
-    if nqubits not in (2, 3, 4):
-        raise ValueError(f"nqubits must be 2, 3 or 4, got {nqubits}")
+    _check_nqubits(nqubits)
     rng = seeded_rng(seed)
     phases = {}
     for k in range(nqubits):
@@ -258,6 +265,8 @@ def read_state_file(path) -> np.ndarray:
                 amp[row] = float(fields[0]) + 1j * float(fields[1])
             except ValueError:
                 raise StateFileError(path, ln, f"non-numeric amplitude {text!r}") from None
+            if not np.isfinite(amp[row]):
+                raise StateFileError(path, ln, f"non-finite amplitude {text!r}")
         norm = float(np.linalg.norm(amp))
         if abs(norm - 1.0) > 1e-6:
             raise StateFileError(path, body[-1][0], f"pure state norm {norm!r} is not 1")
@@ -276,6 +285,8 @@ def read_state_file(path) -> np.ndarray:
                 rho[row, col] = float(halves[0]) + 1j * float(halves[1])
             except ValueError:
                 raise StateFileError(path, ln, f"non-numeric pair {field!r}", column=col + 1) from None
+            if not np.isfinite(rho[row, col]):
+                raise StateFileError(path, ln, f"non-finite pair {field!r}", column=col + 1)
     return rho
 
 

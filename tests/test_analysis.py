@@ -224,6 +224,17 @@ class TestEnsembles:
             ensemble_from_densities([rho_ent, product], GeneratorKind.HAAR_RANDOM,
                                     ChannelKind.AMPLITUDE_DAMPING, grid, 2)
 
+    def test_member_label_that_breaks_the_csv_is_refused(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("a point was solved")
+
+        monkeypatch.setattr(analysis, "genuine_negativity", no_solve)
+        rho = np.eye(4, dtype=complex) / 4
+        with pytest.raises(ValueError, match="'m,1' cannot be a CSV field"):
+            ensemble_from_densities([rho, rho], GeneratorKind.HAAR_RANDOM,
+                                    ChannelKind.AMPLITUDE_DAMPING, np.linspace(0.02, 0.3, 3), 2,
+                                    workers=1, member_labels=["m0", "m,1"])
+
     def test_count_validation(self):
         with pytest.raises(ValueError, match="at least 2"):
             ensemble_study("haar", 1, ChannelKind.AMPLITUDE_DAMPING,

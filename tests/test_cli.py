@@ -158,6 +158,28 @@ class TestSweep:
                         "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1].startswith("mylabel,ad,")
 
+    @pytest.mark.parametrize("label", ["a,b", "two\nlines", 'say "hi"', "caf\u00e9"])
+    def test_label_that_breaks_the_csv_is_refused(self, label, tmp_path, capsys, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("a point was solved")
+
+        monkeypatch.setattr(analysis, "genuine_negativity", no_solve)
+        out = tmp_path / "lab.csv"
+        assert run_cli(["sweep", "--state", "ghz2", "--channel", "ad", "--steps", "3",
+                        "--label", label, "--workers", "1", "--out", str(out)]) == 1
+        assert "cannot be a CSV field" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_state_file_name_that_breaks_the_csv_is_refused(self, tmp_path, capsys):
+        state = tmp_path / "a,b.state"
+        assert run_cli(["genstate", "--kind", "named", "--state", "ghz2",
+                        "--out", str(state)]) == 0
+        out = tmp_path / "lab.csv"
+        assert run_cli(["sweep", "--state", f"file:{state}", "--channel", "ad",
+                        "--steps", "3", "--workers", "1", "--out", str(out)]) == 1
+        assert "'a,b.state' cannot be a CSV field" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEnsemble:
     def test_mean_and_members(self, tmp_path):

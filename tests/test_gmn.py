@@ -565,9 +565,12 @@ class TestDenseSchurOracle:
         psi = states.haar_random_state(3, 5) if name == "haar" else states.named_state(name)
         rho = apply_local_channel(states.to_density(psi), kind, 0.2, 3)
         arrow = gmn.genuine_negativity(rho, 3)
-        skeleton = gmn._program_structure(3)["skeleton"]
-        monkeypatch.setattr(skeleton, "schur_factory", sdp.DenseSchur)
+        structure = gmn._program_structure(3)
+        system = sdp.DenseSchur(structure["skeleton"])
+        monkeypatch.setitem(structure, "systems", [system])
         dense = gmn.genuine_negativity(rho, 3)
+        # the solve borrowed the dense system, assembled it and gave it back
+        assert structure["systems"] == [system] and np.any(system.matrix)
         assert arrow.solved and dense.solved
         assert arrow.value > 0
         assert abs(arrow.value - dense.value) <= 1e-8
@@ -652,28 +655,25 @@ def solve_record(result):
             result.solver.message)
 
 
-def test_borrowed_workspace_is_invisible(monkeypatch):
-    """Solves that reuse one workspace report what solves in fresh workspaces do."""
+def test_borrowed_system_is_invisible(monkeypatch):
+    """Solves that reuse one Schur system report what solves in fresh systems do."""
     structure = gmn._program_structure(4)
     a = n4_density("w4", ChannelKind.AMPLITUDE_DAMPING, 0.2)
     b = n4_density("ghz4", ChannelKind.PHASE_DAMPING, 0.2)
-    monkeypatch.setitem(structure, "workspaces", [])
+    monkeypatch.setitem(structure, "systems", [])
     borrowed = [solve_record(gmn.genuine_negativity(rho, 4)) for rho in (a, b, a)]
-    assert len(structure["workspaces"]) == 1    # the three solves shared one
+    assert len(structure["systems"]) == 1    # the three solves shared one
     fresh = []
     for rho in (a, b, a):
-        monkeypatch.setitem(structure, "workspaces", [])
+        monkeypatch.setitem(structure, "systems", [])
         fresh.append(solve_record(gmn.genuine_negativity(rho, 4)))
     assert borrowed == fresh
 
 
 def system_arrays(schur) -> list:
-    """Every array an arrowhead system holds, its workspace's included."""
-    found = [schur.ww, schur.h01, schur.qq, schur._wq, schur._lw, *schur._lq]
-    for value in vars(schur._ws).values():
-        found += [a for a in (value if isinstance(value, tuple) else (value,))
-                  if isinstance(a, np.ndarray)]
-    return found
+    """Every array an arrowhead system holds."""
+    return [schur.ww, schur._ww_sum, schur._blocks, *schur._kernel_work, schur._shifted,
+            schur._wq, schur._sc, schur._lw, *schur._lq]
 
 
 def test_systems_of_one_problem_share_no_arrays(schur_pair):
@@ -692,7 +692,7 @@ def test_systems_of_one_problem_share_no_arrays(schur_pair):
 
 
 def test_concurrent_solves_give_the_serial_results():
-    """Four threads solving at once each borrow a workspace of their own."""
+    """Four threads solving at once each borrow a Schur system of their own."""
     cases = [("ghz3", ChannelKind.PHASE_DAMPING, 0.2), ("w3", ChannelKind.AMPLITUDE_DAMPING, 0.2),
              ("w3b", ChannelKind.DEPOLARIZING, 0.1), ("haar", ChannelKind.PHASE_DAMPING, 0.3)]
     rhos = []

@@ -132,6 +132,13 @@ class TestDensityValidation:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             linalg.check_density_matrix(rho)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_names_non_finite_entries(self, bad):
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        rho[0, 1] = rho[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite entries"):
+            linalg.check_density_matrix(rho)
+
     def test_names_dimension_mismatch(self):
         rho = np.diag([0.5, 0.5]).astype(complex)
         with pytest.raises(ValueError, match="dimension mismatch"):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from genneg import sdp, states
 from genneg.gmn import build_program
@@ -360,6 +361,25 @@ class TestProblemApi:
     def test_rejects_zero_constraint(self):
         with pytest.raises(ValueError, match="identically zero"):
             SdpProblem([2], [np.eye(2)], [([np.zeros((2, 2))], 1.0)])
+
+    @pytest.mark.parametrize("block", [2, -1])
+    def test_rejects_constraint_on_a_missing_block(self, block):
+        with pytest.raises(ValueError, match=f"constraint 0: block index {block} out of range"):
+            SdpProblem([1, 1], [np.eye(1), np.eye(1)], [({block: np.eye(1)}, 1.0)])
+
+    def test_rejects_rhs_without_one_entry_per_column(self):
+        with pytest.raises(ValueError, match=r"rhs has shape \(2,\), expected \(1,\)"):
+            SdpProblem.from_svec_columns([1, 1], [np.eye(1), np.zeros((1, 1))],
+                                         sp.csc_matrix(np.array([[1.0], [-1.0]])), [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_rhs(self, bad):
+        with pytest.raises(ValueError, match="rhs has non-finite entries"):
+            scalar_bound_problem().with_rhs([bad])
+        with pytest.raises(ValueError, match="rhs has non-finite entries"):
+            SdpProblem([1], [np.eye(1)], [([np.eye(1)], bad)])
+        with pytest.raises(ValueError, match="rhs has non-finite entries"):
+            SdpProblem.from_svec_columns([1], [np.eye(1)], sp.csc_matrix(np.eye(1)), [bad])
 
     def test_with_rhs_shares_structure(self):
         p1 = scalar_bound_problem()

@@ -219,6 +219,18 @@ class TestStateFiles:
         with pytest.raises(StateFileError, match=r"bad2\.state:3:2"):
             states.read_state_file(path)
 
+    def test_non_finite_amplitude_names_its_line(self, tmp_path):
+        path = tmp_path / "nan.state"
+        path.write_text("pure 2\n1 0\nnan 0\n0 0\n0 0\n", encoding="ascii")
+        with pytest.raises(StateFileError, match=r"nan\.state:3: non-finite amplitude 'nan 0'"):
+            states.read_state_file(path)
+
+    def test_non_finite_pair_names_its_line_and_column(self, tmp_path):
+        path = tmp_path / "inf.state"
+        path.write_text("mixed 1\n1,0 0,inf\n0,0 0,0\n", encoding="ascii")
+        with pytest.raises(StateFileError, match=r"inf\.state:2:2: non-finite pair '0,inf'"):
+            states.read_state_file(path)
+
     def test_wrong_row_count(self, tmp_path):
         path = tmp_path / "short.state"
         path.write_text("pure 2\n1 0\n0 0\n", encoding="ascii")
