@@ -50,7 +50,14 @@ substitution in row blocks of :data:`SOLVE_BLOCK_ROWS`, so that most of its
 flops run in ``dgemm`` rather than in the slower ``dtrsm``; up to N = 3 that
 is one ``dtrsm`` per factor.
 
-An N = 4 iteration writes about 18 MB of Schur blocks, kernel scratch and
+At N = 4, where the assembly takes more than one chunk, the system splits
+the bipartitions into two lanes, 0-3 and 4-6.  The calling thread assembles
+and eliminates the first lane and one helper thread per process the second,
+each on single-threaded BLAS; the sums over bipartitions run afterwards in a
+fixed order, so results do not depend on thread timing.  N <= 3 runs one
+lane inline, with the arithmetic of a single loop.
+
+An N = 4 iteration writes about 20 MB of Schur blocks, kernel scratch and
 factors, the same shapes every time.  Each :class:`ArrowheadSchur` owns
 these arrays and writes every one before it reads it, so a system can serve
 any program of its shape.  :func:`genuine_negativity` borrows a whole system
@@ -102,6 +109,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -191,6 +201,31 @@ def bipartite_negativity(rho: np.ndarray, members, nqubits: int) -> float:
     return float(-eigs[eigs < 0].sum())
 
 
+# The one helper thread of this process, which runs the second lane of every
+# two-lane ArrowheadSchur; built at the first such call.  A forked child
+# inherits the executor but not its thread, and its first submit would wait
+# forever, so the child forgets both the executor and the lock around it.
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _lane_helper() -> ThreadPoolExecutor:
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            _helper = ThreadPoolExecutor(1, thread_name_prefix="genneg-lane")
+        return _helper
+
+
+def _forget_lane_helper() -> None:
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):     # POSIX; elsewhere no process forks
+    os.register_at_fork(after_in_child=_forget_lane_helper)
+
+
 class ArrowheadSchur:
     """Block-arrowhead :class:`sdp.SchurSystem` of the PPT-mixture program.
 
@@ -226,14 +261,37 @@ class ArrowheadSchur:
     over chunks of c block pairs.  A chunk forms the kernels of its pairs in
     one kernel call, written straight into the stored (K, 2, n, n) array
     whose rows are H01_M and M^_{r_M r_M}.  Then, bipartition by
-    bipartition, it adds H01_M to M^_ww and to H23_M^Γ in place.  c =
-    max(1, ASSEMBLY_CHUNK_BYTES // (16 n^2)), the pairs whose n x n products
-    (real and imaginary parts) fit :data:`ASSEMBLY_CHUNK_BYTES`: all of N <=
-    3 share one chunk, and N = 4 takes one pair per chunk.  M^_ww is summed
-    in bipartition order whatever c is, so the result does not depend on c.
-    The kernel is symmetric to about 1e-16 relative, so M^_{r_M r_M} is used
-    as assembled: its ``dpotrf`` (lower, on the Fortran-ordered transpose)
+    bipartition, it adds H01_M to H23_M^Γ in place.  c = max(1,
+    ASSEMBLY_CHUNK_BYTES // (16 n^2)), the pairs whose n x n products (real
+    and imaginary parts) fit :data:`ASSEMBLY_CHUNK_BYTES`: all of N <= 3
+    share one chunk, and N = 4 takes one pair per chunk.  Once every
+    bipartition is written, M^_ww = sum_M H01_M is summed in bipartition
+    order and symmetrized, so the result does not depend on c.  The kernel
+    is symmetric to about 1e-16 relative, so M^_{r_M r_M} is used as
+    assembled: its ``dpotrf`` (lower, on the Fortran-ordered transpose)
     reads only the upper triangle of the C-ordered block.
+
+    The bipartitions fall into lanes, contiguous runs of them: two lanes
+    exactly when the assembly takes more than one chunk (N = 4: bipartitions
+    0-3 and 4-6), and otherwise one (N <= 3).  The calling thread runs the
+    first lane and a helper thread the second, in :meth:`assemble` and in
+    :meth:`factor` alike.  In :meth:`assemble` a lane forms the kernels of
+    its bipartitions through a kernel scratch of its own and adds H01_M to
+    H23_M^Γ; in :meth:`factor` it factors its r-blocks, forms their wq_M and
+    writes its part of wq^T wq into an n x n array of its own.  The lanes
+    write disjoint arrays, and M^_ww and the w-block complement (the lanes'
+    parts in lane order) are summed once both are done, so no result
+    depends on thread timing.  One lane runs inline and submits nothing.
+    The process has one helper, a single-thread executor built at the first
+    two-lane call and shared by every system; a forked child builds its
+    own.  The caller waits for the helper's lane before it returns or
+    raises, so a ``LinAlgError`` from either lane reaches the solver's
+    regularization ladder only once neither writes.  Each lane calls
+    single-threaded BLAS under the solver's one-thread policy.  On a 2-vCPU
+    Xeon, the four N = 4 solves of the benchmark took 13.3 ms per iteration
+    with two lanes against 16.0 ms with one, and 16.1 ms with two lanes on
+    one CPU.  scipy's ``dpotrf`` and ``dtrsm`` wrappers hold the
+    interpreter lock, so those calls of the two lanes do not overlap.
 
     D stays out of the stored blocks: :meth:`solve` and :meth:`matvec` scale
     their vectors by D^-1 and D, and the shift of :meth:`factor` enters M^ as
@@ -250,19 +308,22 @@ class ArrowheadSchur:
     so the Schur complement and every :meth:`solve` (two products with wq
     per call) read it without a copy.
 
-    The system owns every array it keeps.  It allocates the assembly side
-    when it is built: the (K, 2, n, n) blocks, whose rows H01_M and
-    M^_{r_M r_M} ``h01`` and ``qq`` view, M^_ww and the sum it is symmetrized
-    from, and the Schur kernel's product G and half rows for one chunk of
-    block pairs (``sdp._BlockGeometry.kernel_work``).  It allocates the
-    factor side at its first :meth:`factor`: the shifted r-blocks that
-    ``dpotrf`` factors in place, wq and the w-block Schur complement.  At N =
-    4 the two sides take 10.0 and 7.9 MB; building a system and assembling
-    once thus peaks at 1.4 times the assembled blocks.  Every array is
-    written before it is read in each iteration, so a system carries nothing
-    from one assembly to the next and may serve any program of its shape (K
-    bipartitions, r-blocks of n = d^2 rows), one solve at a time; two
-    systems never share an array.
+    The system owns every array it keeps, the lanes' scratch included.  It
+    allocates the assembly side when it is built: the (K, 2, n, n) blocks,
+    whose rows H01_M and M^_{r_M r_M} ``h01`` and ``qq`` view, M^_ww and the
+    sum it is symmetrized from, and for each lane the Schur kernel's product
+    G and half rows for one chunk of block pairs
+    (``sdp._BlockGeometry.kernel_work``).  It allocates the factor side at
+    its first :meth:`factor`: the shifted r-blocks that ``dpotrf`` factors
+    in place, wq, and one n x n part of wq^T wq per lane, the first of which
+    becomes the w-block Schur complement.  At N = 4 the two sides take 11.6
+    and 8.4 MB (10.0 and 7.9 MB with one lane); building a system and
+    assembling once thus peaks at 1.6 times the assembled blocks.  Every
+    array is written before it is read in each iteration, so a system
+    carries nothing from one assembly to the next and may serve any program
+    of its shape (K bipartitions, r-blocks of n = d^2 rows), one solve at a
+    time; two systems never share an array, so solves in several threads
+    may share the helper.
     """
 
     def __init__(self, tables, problem: sdp.SdpProblem):
@@ -277,37 +338,63 @@ class ArrowheadSchur:
         self._blocks = np.empty((k, 2, n, n))
         self.h01, self.qq = self._blocks[:, 0], self._blocks[:, 1]
         self.ww, self._ww_sum = np.empty((2, n, n))
-        self._kernel_work = self._geom.kernel_work(min(self._chunk, 2 * k))
-        # per chunk, the kernel table of each block pair: None (the geometry's
-        # own) for every (P_M, 1-P_M), the transposed units for (Q_M, 1-Q_M)
+        # the kernel table of each block pair: None (the geometry's own) for
+        # every (P_M, 1-P_M), the transposed units for (Q_M, 1-Q_M)
         pair_tables = [t for table in tables for t in (None, table)]
-        self._tables = [tuple(pair_tables[p0:p0 + self._chunk])
-                        for p0 in range(0, len(pair_tables), self._chunk)]
+        # two lanes exactly when the assembly takes more than one chunk; the
+        # first lane takes the larger half
+        cuts = (0, (k + 1) // 2, k) if self._chunk < 2 * k else (0, k)
+        self._lanes = [self._lane(slice(a, b), pair_tables)
+                       for a, b in itertools.pairwise(cuts) if a < b]
         self._delta = np.tile(self._geom.delta, 1 + k)
         self._shifted = self._sc = None          # factor-side scratch, from the first factor()
         self._lq = self._wq = self._lw = None    # factors, set by factor()
 
+    def _lane(self, parts: slice, pair_tables: list) -> tuple:
+        """(bipartitions, (pair slice, kernel tables) per kernel call, kernel scratch) of a lane."""
+        pairs = range(2 * parts.start, 2 * parts.stop)
+        chunks = [slice(p0, min(p0 + self._chunk, pairs.stop))
+                  for p0 in range(pairs.start, pairs.stop, self._chunk)]
+        return (parts, [(c, tuple(pair_tables[c])) for c in chunks],
+                self._geom.kernel_work(min(self._chunk, len(pairs))))
+
+    def _in_lanes(self, work, *args) -> list:
+        """``[work(lane, *args) for each lane]``, the second lane on the helper thread.
+
+        Returns or raises only once every lane has stopped writing, so that
+        a ``LinAlgError`` reaches the regularization ladder, which factors
+        the same arrays again, after both lanes are done with them.
+        """
+        helper = [_lane_helper().submit(work, lane, *args) for lane in range(1, len(self._lanes))]
+        try:
+            here = work(0, *args)
+        finally:
+            there = [future.result() for future in helper]
+        return [here, *there]
+
     def assemble(self, sinv, x):
-        n, k, d = self.n, self.nparts, self._geom.n
+        k, d = self.nparts, self._geom.n
         # (pair, block of the pair, d, d) for the pairs (P_M, 1-P_M), (Q_M, 1-Q_M)
-        s = sinv.reshape(2 * k, 2, d, d)
-        x = x.reshape(2 * k, 2, d, d)
-        blocks, ww = self._blocks, self._ww_sum
+        self._in_lanes(self._assemble_lane, sinv.reshape(2 * k, 2, d, d),
+                       x.reshape(2 * k, 2, d, d))
+        # M^_ww in bipartition order, as one reduction over the whole stack would sum it
+        ww = self._ww_sum
         ww.fill(0.0)
-        summed = 0      # bipartitions added to M^_ww so far
-        for p0, tables in zip(range(0, 2 * k, self._chunk), self._tables):
-            pairs = slice(p0, min(p0 + self._chunk, 2 * k))
-            self._geom.schur_kernel(s[pairs], x[pairs], tables,
-                                    out=blocks.reshape(2 * k, n, n)[pairs],
-                                    work=self._kernel_work)
-            # every bipartition whose two pairs are written, in bipartition
-            # order, as one reduction over the whole stack would sum them
-            for h01, qq in blocks[summed:pairs.stop // 2]:
-                ww += h01
-                qq += h01
-            summed = pairs.stop // 2
+        for h01 in self.h01:
+            ww += h01
         np.add(ww, ww.T, out=self.ww)
         self.ww /= 2
+
+    def _assemble_lane(self, lane, s, x):
+        parts, chunks, work = self._lanes[lane]
+        pair_blocks = self._blocks.reshape(-1, self.n, self.n)
+        summed = parts.start    # bipartitions whose H23_M^Γ has H01_M added
+        for pairs, tables in chunks:
+            self._geom.schur_kernel(s[pairs], x[pairs], tables, out=pair_blocks[pairs], work=work)
+            # every bipartition whose two pairs are written, while they are in cache
+            for h01, qq in self._blocks[summed:pairs.stop // 2]:
+                qq += h01
+            summed = pairs.stop // 2
 
     def max_diagonal(self):
         diagonals = np.concatenate([self.ww.diagonal()[None], self.qq.diagonal(axis1=1, axis2=2)])
@@ -317,30 +404,42 @@ class ArrowheadSchur:
         n, k = self.n, self.nparts
         if self._sc is None:
             self._shifted, self._wq = np.empty((2, k, n, n))
-            self._sc = np.empty((n, n))
-        lq, wq, sc = self._shifted, self._wq, self._sc
-        diag = np.arange(n)
+            self._sc = np.empty((len(self._lanes), n, n))
         shifts = shift / self._geom.delta ** 2
-        np.copyto(lq, self.qq)
+        self._lq = [f for factors in self._in_lanes(self._factor_lane, shifts) for f in factors]
+        # the complement of the w-block, from the lanes' wq^T wq in lane order
+        sc = self._sc[0]
+        for partial in self._sc[1:]:
+            sc += partial
+        np.subtract(self.ww, sc, out=sc)
+        diag = np.arange(n)
+        sc[diag, diag] += shifts
+        # sc is exactly symmetric (numpy forms each wq^T wq as a rank-k
+        # update), so its Fortran-ordered view sc.T is the same matrix,
+        # factored in place
+        self._lw = sdp.lapack_checked(lapack.dpotrf(sc.T, lower=1, clean=0, overwrite_a=1),
+                                      "dpotrf(w Schur complement)")
+
+    def _factor_lane(self, lane, shifts) -> list:
+        """Factor the lane's r-blocks, form its wq_M and its part of wq^T wq; returns the L_M."""
+        parts = self._lanes[lane][0]
+        lq, wq = self._shifted[parts], self._wq[parts]
+        diag = np.arange(self.n)
+        np.copyto(lq, self.qq[parts])
         lq[:, diag, diag] += shifts
         # LAPACK is called directly: the scipy.linalg wrappers spend tens of
         # microseconds on argument checks per call, and every factor and solve
         # makes 2K + 1 calls.  q.T is q itself, and Fortran-ordered, so LAPACK
         # factors it in place.
-        self._lq = [sdp.lapack_checked(lapack.dpotrf(q.T, lower=1, clean=0, overwrite_a=1),
-                                       "dpotrf(r_M block)")
-                    for q in lq]
+        factors = [sdp.lapack_checked(lapack.dpotrf(q.T, lower=1, clean=0, overwrite_a=1),
+                                      "dpotrf(r_M block)")
+                   for q in lq]
         # wq is written apart from h01, which matvec reads.  A successful
         # dpotrf leaves a positive diagonal, so L_M needs no singularity check.
-        _lower_solve(lq, self.h01, wq)
-        wq = wq.reshape(-1, n)
-        np.matmul(wq.T, wq, out=sc)
-        np.subtract(self.ww, sc, out=sc)
-        sc[diag, diag] += shifts
-        # sc is exactly symmetric (numpy forms wq^T wq as a rank-k update),
-        # so its Fortran-ordered view sc.T is the same matrix, factored in place
-        self._lw = sdp.lapack_checked(lapack.dpotrf(sc.T, lower=1, clean=0, overwrite_a=1),
-                                      "dpotrf(w Schur complement)")
+        _lower_solve(lq, self.h01[parts], wq)
+        wq = wq.reshape(-1, self.n)
+        np.matmul(wq.T, wq, out=self._sc[lane])
+        return factors
 
     def solve(self, rhs):
         # every block solve writes straight into its slice of z or of the output

@@ -61,12 +61,16 @@ more.
 Every solve runs on one BLAS thread: :func:`solve` lowers the thread count of
 each loaded OpenBLAS (numpy's and scipy's bundled copies, or a system build)
 to 1 for the duration of the iteration and restores it afterwards.
-Parallelism comes from the worker pool in ``analysis``, whose workers start
-single-threaded.  The largest BLAS operands are the 256 x 256 Schur blocks of
-the 4-qubit PPT-mixture program, too small for threads to pay off: on a
-2-vCPU host an N=4 solve took twice as long with two OpenBLAS threads as with
-one, at the same iteration count.  One thread also makes a solve's rounding
-the same in-process and in a pool worker.  Other BLAS vendors are left alone.
+Parallelism across solves comes from the worker pool in ``analysis``, whose
+workers start single-threaded.  Inside a solve the only parallelism is the
+Schur system's own: ``gmn.ArrowheadSchur`` assembles and factors the 4-qubit
+program's bipartitions in two lanes, on the calling thread and one helper
+thread, each of which calls BLAS on one thread.  The largest BLAS operands
+are the 256 x 256 Schur blocks of that program, too small for BLAS threads
+to pay off: on a 2-vCPU host an N=4 solve took twice as long with two
+OpenBLAS threads as with one, at the same iteration count.  One thread also
+makes a solve's rounding the same in-process and in a pool worker.  Other
+BLAS vendors are left alone.
 
 Problems without a strictly complementary optimum hit an accuracy floor in
 double precision somewhere around 1e-7; the solver detects the stall

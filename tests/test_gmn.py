@@ -1,5 +1,6 @@
 import copy
 import math
+import multiprocessing
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -459,15 +460,28 @@ class TestArrowheadSchur:
             arrow.factor(-2 * arrow.max_diagonal())
 
     def test_indefinite_q_block_raises(self, schur_pair):
-        _, _, _, arrow = schur_pair
-        broken = copy.copy(arrow)
-        w, v = np.linalg.eigh(arrow.qq[-1])
-        w[0] = -w[-1]
-        broken.qq = arrow.qq.copy()
-        broken.qq[-1] = (v * w) @ v.T
-        broken.qq[-1] = (broken.qq[-1] + broken.qq[-1].T) / 2
-        with pytest.raises(np.linalg.LinAlgError, match="r_M block"):
-            broken.factor(0.0)
+        # the first r-block is factored on the calling thread and, at N = 4,
+        # the last on the helper thread; after either fails, the system
+        # factors and solves as a fresh one does
+        n, problem, _, _ = schur_pair
+        sinv, x = random_iterates(np.random.default_rng(600 + n), problem)
+        system, fresh = problem.schur_factory(problem), problem.schur_factory(problem)
+        system.assemble(sinv, x)
+        fresh.assemble(sinv, x)
+        shift = 1e-9 * fresh.max_diagonal()
+        fresh.factor(shift)
+        rhs = np.random.default_rng(4).standard_normal(problem.num_constraints)
+        for part in (0, -1):
+            valid = system.qq[part].copy()
+            w, v = np.linalg.eigh(valid)
+            w[0] = -w[-1]
+            broken = (v * w) @ v.T
+            system.qq[part] = (broken + broken.T) / 2
+            with pytest.raises(np.linalg.LinAlgError, match="r_M block"):
+                system.factor(0.0)
+            system.qq[part] = valid
+            system.factor(shift)
+            assert np.array_equal(system.solve(rhs), fresh.solve(rhs))
 
     def test_indefinite_w_schur_complement_raises(self, schur_pair):
         # every q-block stays positive definite; only the Schur complement
@@ -492,6 +506,8 @@ class TestArrowheadSchur:
         fresh.assemble(sinv, x)
         blocks = [b.copy() for b in (retried.ww, retried.h01, retried.qq)]
         shift = 1e-9 * retried.max_diagonal()
+        with pytest.raises(np.linalg.LinAlgError, match="r_M block"):
+            retried.factor(-2 * retried.max_diagonal())     # fails in every lane
         retried.factor(shift)
         retried.factor(10 * shift)
         for before, after in zip(blocks, (retried.ww, retried.h01, retried.qq)):
@@ -515,6 +531,25 @@ class TestArrowheadSchur:
         for other in outputs[1:]:
             for a, b in zip(outputs[0], other):
                 assert np.array_equal(a, b)
+
+
+def test_two_lanes_solve_as_one_lane(monkeypatch):
+    """At N = 4 the two-lane system agrees with a one-lane one and repeats itself exactly."""
+    problem = gmn.build_program(np.eye(16) / 16, 4)
+    sinv, x = random_iterates(np.random.default_rng(406), problem)
+    rhs = np.random.default_rng(5).standard_normal(problem.num_constraints)
+    two = problem.schur_factory(problem)
+    monkeypatch.setattr(gmn, "ASSEMBLY_CHUNK_BYTES", 2**40)     # one chunk, so one lane
+    one = problem.schur_factory(problem)
+    assert (len(two._lanes), len(one._lanes)) == (2, 1)
+    solutions = []
+    for schur in (two, one, two):
+        schur.assemble(sinv, x)
+        schur.factor(1e-9 * schur.max_diagonal())
+        solutions.append(schur.solve(rhs))
+    # only the Schur complement of the w-block is summed in another order
+    assert np.linalg.norm(solutions[0] - solutions[1]) <= 1e-12 * np.linalg.norm(solutions[1])
+    assert np.array_equal(solutions[0], solutions[2])
 
 
 def test_n4_assembly_memory_stays_near_its_output():
@@ -672,7 +707,8 @@ def test_borrowed_system_is_invisible(monkeypatch):
 
 def system_arrays(schur) -> list:
     """Every array an arrowhead system holds."""
-    return [schur.ww, schur._ww_sum, schur._blocks, *schur._kernel_work, schur._shifted,
+    lane_work = [array for _, _, work in schur._lanes for array in work]
+    return [schur.ww, schur._ww_sum, schur._blocks, *lane_work, schur._shifted,
             schur._wq, schur._sc, schur._lw, *schur._lq]
 
 
@@ -691,6 +727,21 @@ def test_systems_of_one_problem_share_no_arrays(schur_pair):
     assert np.array_equal(first.solve(rhs), before)
 
 
+def assert_threads_solve_as_serial(rhos, nqubits):
+    """Solves of ``rhos`` in one thread each report what serial solves do."""
+    serial = [solve_record(gmn.genuine_negativity(rho, nqubits)) for rho in rhos]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # switch threads often, inside the solves too
+    pool = ThreadPoolExecutor(len(rhos))
+    try:
+        futures = [pool.submit(gmn.genuine_negativity, rho, nqubits) for rho in rhos]
+        threaded = [solve_record(future.result(timeout=120)) for future in futures]
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
+        sys.setswitchinterval(interval)
+    assert threaded == serial
+
+
 def test_concurrent_solves_give_the_serial_results():
     """Four threads solving at once each borrow a Schur system of their own."""
     cases = [("ghz3", ChannelKind.PHASE_DAMPING, 0.2), ("w3", ChannelKind.AMPLITUDE_DAMPING, 0.2),
@@ -699,17 +750,28 @@ def test_concurrent_solves_give_the_serial_results():
     for name, kind, s in cases:
         psi = states.haar_random_state(3, 5) if name == "haar" else states.named_state(name)
         rhos.append(apply_local_channel(states.to_density(psi), kind, s, 3))
-    serial = [solve_record(gmn.genuine_negativity(rho, 3)) for rho in rhos]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)     # switch threads often, inside the solves too
-    pool = ThreadPoolExecutor(len(rhos))
-    try:
-        futures = [pool.submit(gmn.genuine_negativity, rho, 3) for rho in rhos]
-        threaded = [solve_record(future.result(timeout=120)) for future in futures]
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-        sys.setswitchinterval(interval)
-    assert threaded == serial
+    assert_threads_solve_as_serial(rhos, 3)
+
+
+def test_concurrent_n4_solves_give_the_serial_results():
+    """Two N = 4 solves at once share the process's one lane helper thread."""
+    assert_threads_solve_as_serial([n4_density("ghz4", ChannelKind.PHASE_DAMPING, 0.2),
+                                    n4_density("w4", ChannelKind.AMPLITUDE_DAMPING, 0.2)], 4)
+
+
+def solve_in_child(rho):
+    return solve_record(gmn.genuine_negativity(rho, 4))
+
+
+# Python 3.12 warns on every fork of a process with threads, which this test makes on purpose
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_forked_child_solves_after_its_parent():
+    """A child forked after an N = 4 solve does not wait on the parent's helper thread."""
+    rho = n4_density("ghz4", ChannelKind.PHASE_DAMPING, 0.2)
+    parent = solve_record(gmn.genuine_negativity(rho, 4))      # starts the helper thread
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        child = pool.apply_async(solve_in_child, (rho,)).get(timeout=60)
+    assert child == parent
 
 
 def test_blocked_solve_matches_one_triangular_solve(monkeypatch):
