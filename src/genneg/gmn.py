@@ -69,14 +69,13 @@ faulting in fresh pages every iteration.  ``sdp.solve`` of a program from
 
 Every solve starts from an interior point built from rho alone
 (:func:`_start_point`) and strictly feasible on both sides.  Dual side: W = 1
-and every Q_M = 1/2 make P_M = 1/2, so every slack is 1/2, the centre of its
-[0, 1] box.  Primal side: the split rho_M = rho/K with a floor 1/(Kd) in
-every block, the partial transpose of rho/K split into its positive and
-negative parts across Q_M and 1-Q_M, meets every equality constraint up to
-rounding.  From the solver's generic cold start X = S = tau 1, y = 0, which
-is infeasible on both sides, the bracket of an N = 4 solve can sit still for
-the first four iterations; the benchmark's four N = 4 solves take 3/8/7/10
-iterations from this start against 6/10/10/13 from the cold one.
+and every Q_M = 1/2 make every slack 1/2, the centre of its [0, 1] box.
+Primal side: :func:`_repair_primal` of the floor 1/(Kd) in every block meets
+every equality constraint up to rounding.  The solver applies the same
+repair to every accepted X of its end game (its ``repair`` hook), so E_hi
+pays for no primal residual there.  The benchmark's four N = 4 solves take
+3/8/7/10 iterations from this start and 6/10/10/13 from the solver's cold
+start, which is infeasible on both sides.
 
 Every result is a certified bracket E_lo <= E <= E_hi, taken through the
 solver's stop callback at every interior-point iterate and at every full
@@ -124,9 +123,10 @@ from .linalg import check_density_matrix, eig_hermitian, hermitian_part, partial
 
 # A solve ends, and its result is usable, once E_hi - E_lo is at most this.
 # Generic states give programs without a strictly complementary optimum,
-# where the solver's own gap and residual tests stall near 1e-8 while the
-# bracket is already far narrower than this; at 1e-7 a few such brackets
-# (widths 1.0-1.6e-7 seen on Haar-3 states) never close before the stall.
+# whose solves the solver's own gap and residual tests may never end while
+# the bracket is already far narrower than this.  Near pure 4-qubit states
+# brackets close only a little below it: the eight hardest points of
+# tools/hard_points.py close at widths of 3.9-5.0e-7.
 BRACKET_TOL = 5e-7
 
 # Absolute tolerance of every check in certificate_diagnostics: the repaired
@@ -603,6 +603,34 @@ def build_program(rho: np.ndarray, nqubits: int | None = None) -> sdp.SdpProblem
     return structure["skeleton"].with_rhs(_rhs_for(rho, structure))
 
 
+def _repair_primal(rho: np.ndarray, structure, x: np.ndarray) -> np.ndarray:
+    """The (4K, d, d) primal stack x plus PSD blocks that make it meet A(X) = b.
+
+    With ρ_M = X_{P_M} - X_{1-P_M}, r = (ρ - sum_M ρ_M)/K and r_M = (ρ_M +
+    r)^{T_M} - (X_{Q_M} - X_{1-Q_M}), all read from x (which is not
+    modified), [r]_+ is added to every X_{P_M} and [r]_- to every X_{1-P_M},
+    [r_M]_+ to X_{Q_M} and [r_M]_- to X_{1-Q_M}.  Then sum_M (X_{P_M} -
+    X_{1-P_M}) = ρ and X_{Q_M} - X_{1-Q_M} = (X_{P_M} - X_{1-P_M})^{T_M} up to
+    rounding.  The Hermitian parts of r and the r_M take one batched
+    ``eigh``, and the result is exactly Hermitian.  This is ``sdp.solve``'s
+    end-game ``repair``, and :func:`_start_point` builds the primal start with it.
+    """
+    k, d = len(structure["parts"]), structure["dim"]
+    blocks = x.reshape(k, 4, d, d)
+    split = blocks[:, 0] - blocks[:, 1]
+    r = (rho - split.sum(axis=0)) / k
+    target = np.take(split + r, structure["transpose"]).reshape(k, d, d)
+    lam, vec = np.linalg.eigh(hermitian_part(np.concatenate(
+        [r[None], target - (blocks[:, 2] - blocks[:, 3])])))
+    # the positive parts, then the negative parts, of r and every r_M
+    parts = hermitian_part((vec * np.maximum(np.stack([lam, -lam]), 0)[..., None, :])
+                           @ np.conj(vec).transpose(0, 2, 1))
+    out = np.array(blocks, dtype=complex)
+    out[:, :2] += parts[:, 0]
+    out[:, 2:] += parts[:, 1:].transpose(1, 0, 2, 3)
+    return out.reshape(4 * k, d, d)
+
+
 def _start_point(rho: np.ndarray, structure) -> tuple:
     """A strictly feasible primal-dual point of the program for ρ, from ρ alone.
 
@@ -612,32 +640,16 @@ def _start_point(rho: np.ndarray, structure) -> tuple:
 
     Dual side: W = 1 and every R_M = Q_M = 1/2 (1/2 is its own partial
     transpose), so P_M = W - R_M = 1/2 and every slack is 1/2, the centre of
-    its [0, 1] box; the point is exactly dual feasible.
-
-    Primal side: the split ρ_M = ρ/K, with X_{P_M} = (ρ + 1/d)/K, X_{1-P_M} =
-    1/(Kd), X_{Q_M} = 1/(Kd) + [(ρ/K)^{T_M}]_+ and X_{1-Q_M} = 1/(Kd) +
-    [(ρ/K)^{T_M}]_-, the positive and negative parts of one eigendecomposition.
-    Then sum_M (X_{P_M} - X_{1-P_M}) = ρ and X_{Q_M} - X_{1-Q_M} =
-    (X_{P_M} - X_{1-P_M})^{T_M}, which are the program's equality
-    constraints, up to rounding, and every block is at least 1/(Kd) > 0.
+    its [0, 1] box; the point is exactly dual feasible.  Primal side:
+    :func:`_repair_primal` of the floor 1/(Kd) in every block, which meets
+    the equality constraints up to rounding with every block >= 1/(Kd).
     """
     k, d = len(structure["parts"]), structure["dim"]
     eye = np.eye(d)
-    floor = eye / (k * d)
-    # (ρ/K)^{T_M} for every M, through the structure's transpose table
-    transposed = np.take(rho.ravel() / k, structure["transpose"] % (d * d)).reshape(k, d, d)
-    lam, vec = np.linalg.eigh(transposed)
-    vec_h = np.conj(vec).transpose(0, 2, 1)
-    positive = (vec * np.maximum(lam, 0)[:, None, :]) @ vec_h
-    negative = (vec * np.maximum(-lam, 0)[:, None, :]) @ vec_h
-    x = np.empty((k, 4, d, d), dtype=complex)
-    x[:, 0] = (rho + eye / d) / k
-    x[:, 1] = floor
-    x[:, 2] = floor + positive
-    x[:, 3] = floor + negative
+    x = _repair_primal(rho, structure, np.broadcast_to(eye / (k * d), (4 * k, d, d)))
     geom = structure["geom"]
     y = np.concatenate([geom.svec(eye)] + [geom.svec(eye / 2)] * k)
-    return x.reshape(4 * k, d, d), y, np.broadcast_to(eye / 2, (4 * k, d, d))
+    return x, y, np.broadcast_to(eye / 2, (4 * k, d, d))
 
 
 @dataclass
@@ -826,7 +838,8 @@ def genuine_negativity(rho: np.ndarray, nqubits: int | None = None) -> GmnResult
     problem.schur_factory = lambda _: schur
     try:
         result = bracket.result(sdp.solve(problem, stop=bracket.closed,
-                                          start=_start_point(rho, structure)))
+                                          start=_start_point(rho, structure),
+                                          repair=partial(_repair_primal, rho, structure)))
     finally:
         free.append(schur)
     if result.solved:

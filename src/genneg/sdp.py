@@ -72,10 +72,12 @@ OpenBLAS threads as with one, at the same iteration count.  One thread also
 makes a solve's rounding the same in-process and in a pool worker.  Other
 BLAS vendors are left alone.
 
-Problems without a strictly complementary optimum hit an accuracy floor in
-double precision somewhere around 1e-7; the solver detects the stall
-(:data:`STALL_ITERATIONS`, :data:`STALL_ACCURACY`) and returns its best
-iterate with an explanatory message instead of burning the iteration budget.
+Problems without a strictly complementary optimum stall in double
+precision at a primal residual of a few 1e-7.  A caller that can restore
+primal feasibility passes ``repair(x)``, which in the end game replaces
+each accepted X (``gmn`` adds PSD blocks that meet A(X) = b to rounding).
+After :data:`MAX_ITERATIONS` the last iterate is returned; a caller that
+wants its best point keeps it through ``stop``, as ``gmn``'s bracket does.
 
 The solver has one configuration: the module constants below, read at call
 time.  ``gmn`` stops every solve through ``stop`` once its certified bracket
@@ -142,13 +144,11 @@ HERMITICITY_TOL = 1e-12
 
 GAP_TOL = 1e-8                # relative duality gap
 FEAS_TOL = 1e-8               # scaled primal/dual residual norms
-MAX_ITERATIONS = 200
+MAX_ITERATIONS = 80            # the slowest closing N=4 point takes 53
 STEP_FRACTION = 0.98          # fraction of the distance to the boundary
 MIN_REGULARIZATION = 1e-12
 MAX_REGULARIZATION = 1e-6
 DIVERGENCE_BOUND = 1e12       # |objective| beyond which we declare infeasibility
-STALL_ITERATIONS = 12         # stop when this many iterations fail to halve the error
-STALL_ACCURACY = 1e-6         # error level where a short plateau already stops
 
 
 class SdpStatus(Enum):
@@ -745,7 +745,8 @@ class _Failure(Exception):
 
 def solve(problem: SdpProblem,
           stop: Callable[[np.ndarray, np.ndarray, np.ndarray], bool] | None = None,
-          start: tuple | None = None) -> SdpSolution:
+          start: tuple | None = None,
+          repair: Callable[[np.ndarray], np.ndarray] | None = None) -> SdpSolution:
     """Run the predictor-corrector interior-point iteration on ``problem``.
 
     Returns an :class:`SdpSolution` whose status is ``OPTIMAL`` once the
@@ -778,12 +779,18 @@ def solve(problem: SdpProblem,
     the first iteration.  Without a start the iteration is the same, bit for
     bit.
 
+    ``repair(x)``, when given, is called on the accepted X (a stack to be
+    read, not modified) of every iteration whose relative gap is below 1e-3,
+    the iterations that refine, and returns the exactly Hermitian positive
+    definite stack that replaces it.  What it raises propagates.  After
+    :data:`MAX_ITERATIONS` iterations the last iterate is returned.
+
     The iteration runs on one BLAS thread (see the module docstring); the
     thread counts after the call equal those before it, also when ``stop``
     raises.
     """
     with _ONE_BLAS_THREAD:
-        return _solve(problem, stop, start)
+        return _solve(problem, stop, start, repair)
 
 
 def _checked_start(problem: SdpProblem, start) -> tuple:
@@ -831,7 +838,7 @@ def _checked_start(problem: SdpProblem, start) -> tuple:
     return x, y, s, x_chol, s_chol
 
 
-def _solve(problem: SdpProblem, stop, start) -> SdpSolution:
+def _solve(problem: SdpProblem, stop, start, repair) -> SdpSolution:
     a, a_t = problem.a_csc, problem.a_t
     b = problem.b
     m = problem.num_constraints
@@ -921,19 +928,10 @@ def _solve(problem: SdpProblem, stop, start) -> SdpSolution:
     status = SdpStatus.MAX_ITERATIONS
     message = ""
     iterations = 0
-    best_merit = math.inf
-    best_iterate = None
-    best_trail = []  # best merit seen up to each iteration
 
     try:
         for iterations in range(MAX_ITERATIONS + 1):
             pobj, dobj, relgap, rp_norm, rd_norm, rp_vec, rd = measure(x, y, s)
-
-            merit = max(relgap, rp_norm, rd_norm)
-            if merit < best_merit:
-                best_merit = merit
-                best_iterate = (x.copy(), y.copy(), s.copy())
-            best_trail.append(best_merit)
 
             if stop is not None and stop(x, y, s):
                 status = SdpStatus.OPTIMAL
@@ -950,17 +948,7 @@ def _solve(problem: SdpProblem, stop, start) -> SdpSolution:
                 raise _Failure(SdpStatus.INFEASIBLE,
                                "primal objective diverged: the dual problem is infeasible")
             if iterations == MAX_ITERATIONS:
-                break
-            stalled_long = (iterations > STALL_ITERATIONS
-                            and best_merit > 0.5 * best_trail[-1 - STALL_ITERATIONS])
-            stalled_short = (best_merit <= STALL_ACCURACY and iterations > 4
-                             and best_merit > 0.7 * best_trail[-5])
-            if stalled_long or stalled_short:
-                # degenerate optima (no strictly complementary solution) hit an
-                # accuracy floor in double precision; stop at the best iterate
-                x, y, s = best_iterate
-                message = (f"progress stalled after {iterations} iterations at "
-                           f"accuracy {best_merit:.2e}; best iterate returned")
+                message = f"no convergence within {MAX_ITERATIONS} iterations"
                 break
 
             mu = float(svec(x) @ svec(s)) / n_tot
@@ -1045,17 +1033,15 @@ def _solve(problem: SdpProblem, stop, start) -> SdpSolution:
             if alpha_p <= 0 or alpha_d <= 0:
                 raise _Failure(SdpStatus.NUMERICAL_FAILURE,
                                "no positive step keeps the iterate inside the cone")
+            if refine and repair is not None:
+                # the accepted X's factor no longer describes the repaired X
+                x, x_chol = repair(x), None
             y = y + alpha_d * dy
             if not (np.isfinite(y).all() and np.isfinite(x).all() and np.isfinite(s).all()):
                 raise _Failure(SdpStatus.NUMERICAL_FAILURE, "non-finite iterate")
     except _Failure as failure:
         status = failure.status
         message = failure.message
-
-    if status is SdpStatus.MAX_ITERATIONS and not message:
-        message = f"no convergence within {MAX_ITERATIONS} iterations"
-        if best_iterate is not None:
-            x, y, s = best_iterate
 
     pobj, dobj, relgap, rp_norm, rd_norm, _, _ = measure(x, y, s)
     return SdpSolution(

@@ -388,6 +388,30 @@ class TestStartPoint:
         for got, want in zip(x_first, x_start):
             assert np.allclose(got, want, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_repair_meets_the_constraints_by_psd_additions(self, n):
+        """Any PD stack, repaired, meets A(X) = b, read through partial_transpose too."""
+        rng = np.random.default_rng(70 + n)
+        d = 2**n
+        rho = random_mixed_density(rng, d)
+        structure = gmn._program_structure(n)
+        problem = gmn.build_program(rho, n)
+        shape = (len(problem.block_dims), d, d)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        x = hermitian_part(g @ g.conj().transpose(0, 2, 1) / d + 0.1 * np.eye(d))
+        before = x.copy()
+        repaired = gmn._repair_primal(rho, structure, x)
+        assert np.array_equal(x, before)
+        assert np.array_equal(repaired, repaired.conj().transpose(0, 2, 1))
+        svec = problem._geom.svec(repaired).ravel()
+        assert np.max(np.abs(problem.a_t @ svec - problem.b)) <= 1e-12
+        split = repaired[0::4] - repaired[1::4]
+        assert np.max(np.abs(split.sum(axis=0) - rho)) <= 1e-12
+        for part, rho_m, q, q_bar in zip(structure["parts"], split, repaired[2::4],
+                                         repaired[3::4]):
+            assert np.max(np.abs(q - q_bar - partial_transpose(rho_m, part.members, n))) <= 1e-12
+        assert np.linalg.eigvalsh(repaired - x)[:, 0].min() >= -1e-14
+
 
 def random_iterates(rng, problem):
     """S^-1 and X stacks of random Hermitian positive definite iterates."""
@@ -676,10 +700,15 @@ class TestFourQubits:
         assert res.solver.iterations <= most
         assert gmn.certificate_diagnostics(res, rho) == []
 
-    def test_near_pure_ghz4_closes(self, n4_solve):
-        # the bracket of this near-pure point is about 4.7e-7 wide when it
-        # closes; it stays open when every Schur solve goes unrefined
-        rho, res = n4_solve("ghz4", ChannelKind.AMPLITUDE_DAMPING, 0.01)
+    # ghz4/ad/0.01 is about 4.7e-7 wide when it closes, and stays open when
+    # every Schur solve goes unrefined; chi4/dp/0.05 stays 1.8e-6 wide
+    # unless the end-game iterates are repaired to primal feasibility
+    @pytest.mark.parametrize("state,kind,s", [
+        ("ghz4", ChannelKind.AMPLITUDE_DAMPING, 0.01),
+        ("chi4", ChannelKind.DEPOLARIZING, 0.05),
+    ], ids=["ghz4-ad-0.01", "chi4-dp-0.05"])
+    def test_near_pure_point_closes(self, state, kind, s, n4_solve):
+        rho, res = n4_solve(state, kind, s)
         assert res.solved and res.certificate_ok
         assert gmn.certificate_diagnostics(res, rho) == []
 
@@ -834,7 +863,8 @@ def test_solves_are_refined_only_in_the_end_game():
 
     An iteration there makes 2 solves (predictor and corrector) and no
     matvec; one below it refines both solves of each direction and corrects
-    each direction's primal residual: 8 solves and 4 matvecs.
+    each direction's primal residual: 8 solves and 4 matvecs.  Only the
+    latter repair their accepted X, and the next iterate is the repaired one.
     """
     rho = apply_local_channel(states.to_density(states.named_state("w3")),
                               ChannelKind.AMPLITUDE_DAMPING, 0.2, 3)
@@ -843,18 +873,30 @@ def test_solves_are_refined_only_in_the_end_game():
     counting = CountingSchur(problem.schur_factory(problem))
     problem.schur_factory = lambda prob: counting
     gaps = []  # relative gap at each point stop sees: iterate, Newton point, iterate, ...
+    seen = []  # the X stack of each of those points
+    repaired = {}  # iteration -> the stack repair returned
 
     def record_gap(x_blocks, y, s_blocks):
         pobj = sum(np.vdot(c, x).real for c, x in zip(problem.c_blocks, x_blocks))
         gaps.append(abs(pobj - problem.b @ y) / (1 + abs(pobj)))
+        seen.append(x_blocks)
         return False
 
-    sol = sdp.solve(problem, stop=record_gap, start=gmn._start_point(rho, structure))
+    def recording_repair(x_blocks):
+        # called in iteration k after stop has seen its iterate and Newton point
+        repaired[len(gaps) // 2 - 1] = out = gmn._repair_primal(rho, structure, x_blocks)
+        return out
+
+    sol = sdp.solve(problem, stop=record_gap, start=gmn._start_point(rho, structure),
+                    repair=recording_repair)
     assert sol.status is SdpStatus.OPTIMAL
     assert len(counting.calls) == sol.iterations
     at_iterates = gaps[0::2][:sol.iterations]
     assert counting.calls == [[2, 0] if gap >= 1e-3 else [8, 4] for gap in at_iterates]
     assert [2, 0] in counting.calls and [8, 4] in counting.calls
+    assert sorted(repaired) == [k for k, gap in enumerate(at_iterates) if gap < 1e-3]
+    for k, out in repaired.items():
+        assert seen[2 * (k + 1)] is out
 
 
 START_CASES = [

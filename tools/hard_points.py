@@ -14,8 +14,9 @@ the one solved with.  Three sets, 198 solves:
 Near-pure 4-qubit states are where brackets fail to close, so a solver
 change compares these sets before and after.  The printed line holds, per
 set, the point count, the summed iteration count (Schur systems factored),
-and every point whose bracket did not close or whose certificate failed,
-with its bracket width.  ``--points PATH`` writes every point's E, bracket
+the largest iteration count of one point (``sdp.MAX_ITERATIONS`` must stay
+above it), and every point whose bracket did not close or whose certificate
+failed, with its bracket width.  ``--points PATH`` writes every point's E, bracket
 and iteration count to PATH as JSON, to diff two checkouts point by point.
 """
 
@@ -86,6 +87,7 @@ def main(argv=None) -> int:
         summary[name] = {
             "points": len(mine),
             "iterations": sum(r["iterations"] for r in mine),
+            "most_iterations": max(r["iterations"] for r in mine),
             "failures": {r["label"]: float(f"{r['e_hi'] - r['e_lo']:.3g}")
                          for r in mine if not r["ok"]}}
     if args.points is not None:
