@@ -88,10 +88,10 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
     return grid
 
 
-def log_derivative(grid, values, floor: float = ETA_FLOOR) -> np.ndarray:
+def log_derivative(grid, values) -> np.ndarray:
     """Finite-difference d ln(values)/ds: central interiorly, one-sided at the ends.
 
-    Points where ``values`` is below ``floor`` (or not finite) yield NaN.  For
+    Points where ``values`` is below ``ETA_FLOOR`` (or not finite) yield NaN.  For
     exactly exponential input the central differences are exact; in general
     the interior error is O(h^2).
     """
@@ -101,7 +101,7 @@ def log_derivative(grid, values, floor: float = ETA_FLOOR) -> np.ndarray:
         raise ValueError(f"values shape {values.shape} does not match grid {grid.shape}")
     h = float(grid[1] - grid[0])
     lnv = np.full_like(values, np.nan)
-    ok = np.isfinite(values) & (values >= floor)
+    ok = np.isfinite(values) & (values >= ETA_FLOOR)
     lnv[ok] = np.log(values[ok])
     eta = np.full_like(values, np.nan)
     eta[1:-1] = (lnv[2:] - lnv[:-2]) / (2 * h)
@@ -151,16 +151,25 @@ class EnsembleSummary:
         return f"{self.generator.value}{self.nqubits}-mean"
 
 
-def _evaluate_point(job):
-    """E(ρ(s)) for one grid point; returns (value, ok, note)."""
+def _evaluate_point(job) -> dict:
+    """The record of one job (ρ0, channel, s, nqubits): E of ρ0 evolved to s, and how it ended.
+
+    ``E_lo``/``E_hi`` are the certified bracket, ``iterations``, ``status``
+    and ``message`` the solver's stop.  ``ok`` holds when the bracket closed
+    and its certificate was verified; otherwise ``E`` is NaN and ``note``
+    says why.
+    """
     rho0, kind, s, nqubits = job
-    rho_s = apply_local_channel(rho0, kind, s, nqubits)
-    result = genuine_negativity(rho_s, nqubits)
+    result = genuine_negativity(apply_local_channel(rho0, kind, s, nqubits), nqubits)
     if not result.solved:
-        return math.nan, False, f"solver status {result.failure()}"
-    if not result.certificate_ok:
-        return math.nan, False, "witness certificate failed verification"
-    return result.value, True, ""
+        note = f"solver status {result.failure()}"
+    elif not result.certificate_ok:
+        note = "witness certificate failed verification"
+    else:
+        note = ""
+    return {"E": math.nan if note else result.value, "E_lo": result.e_lo, "E_hi": result.e_hi,
+            "iterations": result.solver.iterations, "status": result.solver.status.value,
+            "message": result.solver.message, "ok": not note, "note": note}
 
 
 _EXECUTORS: dict = {}
@@ -209,7 +218,7 @@ def _warmup(_):
 
 
 def _run_jobs(jobs, workers: int | None):
-    """Evaluate every job, in the calling process or in the cached pool.
+    """Every job's record (see ``_evaluate_point``), in the calling process or the cached pool.
 
     A pool whose worker died (killed, or out of memory) is broken for good,
     so it is shut down and dropped from the cache before the
@@ -265,9 +274,9 @@ def sweep(rho0: np.ndarray, kind: ChannelKind, grid, nqubits: int,
     grid = _check_grid(grid)
     label = _check_label(label or "state")
     jobs = [(rho0, kind, float(s), nqubits) for s in grid]
-    outcomes = _run_jobs(jobs, workers)
-    values = np.array([v for v, _, _ in outcomes])
-    failures = [(float(s), note) for s, (_, ok, note) in zip(grid, outcomes) if not ok]
+    records = _run_jobs(jobs, workers)
+    values = np.array([r["E"] for r in records])
+    failures = [(float(s), r["note"]) for s, r in zip(grid, records) if not r["ok"]]
     eta = log_derivative(grid, values)
     return SweepSeries(label=label, channel=kind, grid=grid, values=values,
                        eta=eta, kinks=_one_sided_kinks(grid, values),
@@ -287,16 +296,13 @@ def ensemble_from_densities(rhos, generator: GeneratorKind, kind: ChannelKind,
     for mlabel in member_labels or ():
         _check_label(mlabel)
     jobs = [(rho, kind, float(s), nqubits) for rho in rhos for s in grid]
-    outcomes = _run_jobs(jobs, workers)
-    npts = len(grid)
-    values = np.empty((count, npts))
-    for i in range(count):
-        for k in range(npts):
-            v, ok, note = outcomes[i * npts + k]
-            if not ok:
-                raise RuntimeError(f"solver failure for ensemble member {i} "
-                                   f"at s={grid[k]:g}: {note}")
-            values[i, k] = v
+    records = _run_jobs(jobs, workers)
+    for j, r in enumerate(records):
+        if not r["ok"]:
+            i, k = divmod(j, len(grid))
+            raise RuntimeError(f"solver failure for ensemble member {i} "
+                               f"at s={grid[k]:g}: {r['note']}")
+    values = np.array([r["E"] for r in records]).reshape(count, len(grid))
 
     included = ~np.any(values < LIFETIME_FLOOR, axis=1)
     excluded = int(np.count_nonzero(~included))

@@ -126,7 +126,7 @@ from .linalg import check_density_matrix, eig_hermitian, hermitian_part, partial
 # whose solves the solver's own gap and residual tests may never end while
 # the bracket is already far narrower than this.  Near pure 4-qubit states
 # brackets close only a little below it: the eight hardest points of
-# tools/hard_points.py close at widths of 3.9-5.0e-7.
+# `python tools/points.py hard` close at widths of 3.9-5.0e-7.
 BRACKET_TOL = 5e-7
 
 # Absolute tolerance of every check in certificate_diagnostics: the repaired

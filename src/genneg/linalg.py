@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 HERMITICITY_TOL = 1e-10
+DENSITY_TOL = 1e-9  # a density matrix's |Tr - 1| and negative eigenvalues
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -82,12 +83,12 @@ def eig_hermitian(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(hermitian_part(m))
 
 
-def check_density_matrix(rho: np.ndarray, nqubits: int | None = None,
-                         trace_tol: float = 1e-9, eig_tol: float = 1e-9) -> int:
+def check_density_matrix(rho: np.ndarray, nqubits: int | None = None) -> int:
     """Validate a density matrix and return its qubit count.
 
     Raises ``ValueError`` naming the violated property (shape, finiteness,
-    hermiticity, trace, positivity).
+    hermiticity, trace, positivity); trace and eigenvalues are held to
+    ``DENSITY_TOL``.
     """
     rho = np.asarray(rho)
     n = nqubits_of(rho)
@@ -98,9 +99,10 @@ def check_density_matrix(rho: np.ndarray, nqubits: int | None = None,
         raise ValueError("density matrix has non-finite entries")
     require_hermitian(rho, "density matrix")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"density matrix trace {tr!r} differs from 1 by more than {trace_tol:.0e}")
+    if abs(tr - 1.0) > DENSITY_TOL:
+        raise ValueError(f"density matrix trace {tr!r} differs from 1 "
+                         f"by more than {DENSITY_TOL:.0e}")
     lo = float(np.linalg.eigvalsh(hermitian_part(rho))[0])
-    if lo < -eig_tol:
-        raise ValueError(f"density matrix has negative eigenvalue {lo:.3e} < -{eig_tol:.0e}")
+    if lo < -DENSITY_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {lo:.3e} < -{DENSITY_TOL:.0e}")
     return n

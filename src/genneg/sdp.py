@@ -890,15 +890,15 @@ def _solve(problem: SdpProblem, stop, start, repair) -> SdpSolution:
             raise _Failure(SdpStatus.NUMERICAL_FAILURE,
                            f"{what} left the cone interior: {exc}") from None
 
-    def safe_step(stack: np.ndarray, delta: np.ndarray, alpha: float, tries: int = 30) -> tuple:
+    def safe_step(stack: np.ndarray, delta: np.ndarray, alpha: float) -> tuple:
         """(alpha, stack + alpha*delta, its Cholesky factors) for the first PD trial.
 
         The max-step estimate can overshoot once blocks are nearly singular,
-        so alpha halves until the trial factors; (0, stack, None) if none
-        does.  The trial is exactly Hermitian (both terms are), and its
-        factors are the next iteration's.
+        so alpha halves until the trial factors; (0, stack, None) if none of
+        30 trials does.  The trial is exactly Hermitian (both terms are), and
+        its factors are the next iteration's.
         """
-        for _ in range(tries):
+        for _ in range(30):
             trial = stack + alpha * delta
             try:
                 return alpha, trial, np.linalg.cholesky(trial)

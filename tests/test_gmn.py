@@ -899,6 +899,128 @@ def test_solves_are_refined_only_in_the_end_game():
         assert seen[2 * (k + 1)] is out
 
 
+
+class RefusingSchur:
+    """A Schur system whose ``factor`` refuses every shift below ``floor`` x the ladder's scale.
+
+    The scale is the solver's, max(1, largest diagonal entry).  Each
+    assembly records the shifts it was asked to factor with, and that scale.
+    """
+
+    def __init__(self, inner, floor):
+        self._inner = inner
+        self._floor = floor
+        self.rungs = []  # (scale, [shift, ...]) per assembled system
+
+    def assemble(self, sinv_blocks, x_blocks):
+        self._inner.assemble(sinv_blocks, x_blocks)
+        self.rungs.append((max(1.0, self._inner.max_diagonal()), []))
+
+    def max_diagonal(self):
+        return self._inner.max_diagonal()
+
+    def factor(self, shift):
+        scale, shifts = self.rungs[-1]
+        shifts.append(shift)
+        if shift < self._floor * scale:
+            raise np.linalg.LinAlgError("shift below the floor")
+        self._inner.factor(shift)
+
+    def solve(self, rhs):
+        return self._inner.solve(rhs)
+
+    def matvec(self, v):
+        return self._inner.matvec(v)
+
+
+def refusing_solves(monkeypatch, floor) -> list:
+    """Make every ``sdp.solve`` factor through a :class:`RefusingSchur`; returns them as made."""
+    systems = []
+    solve = sdp.solve
+
+    def wrapped(problem, **kwargs):
+        systems.append(RefusingSchur(problem.schur_factory(problem), floor))
+        problem.schur_factory = lambda _: systems[-1]
+        return solve(problem, **kwargs)
+
+    monkeypatch.setattr(sdp, "solve", wrapped)
+    return systems
+
+
+LADDER_JOB = (states.to_density(states.named_state("w3")), ChannelKind.AMPLITUDE_DAMPING, 0.2, 3)
+LADDER_RHO = apply_local_channel(*LADDER_JOB)
+
+
+def test_regularization_ladder_escalates_to_a_factorable_shift(monkeypatch):
+    """A system refused below 1e-9 x scale factors a rung up, and the solve ends as usual."""
+    plain = gmn.genuine_negativity(LADDER_RHO, 3)
+    systems = refusing_solves(monkeypatch, 1e-9)
+    res = gmn.genuine_negativity(LADDER_RHO, 3)
+    [schur] = systems
+    assert len(schur.rungs) == res.solver.iterations
+    for scale, shifts in schur.rungs:
+        assert shifts[0] == pytest.approx(sdp.MIN_REGULARIZATION * scale, rel=1e-12)
+        assert np.allclose(np.divide(shifts[1:], shifts[:-1]), 10, rtol=1e-12, atol=0)
+        assert shifts[-2] < 1e-9 * scale <= shifts[-1] <= sdp.MAX_REGULARIZATION * scale
+    assert res.solver.status is plain.solver.status is SdpStatus.OPTIMAL
+    assert res.solved and res.certificate_ok
+    assert abs(res.value - plain.value) <= gmn.BRACKET_TOL
+    assert max(res.e_lo, plain.e_lo) <= min(res.e_hi, plain.e_hi) + ROUNDING
+
+
+def test_regularization_ladder_exhausted_is_an_explicit_failure(monkeypatch):
+    """When every rung is refused the solve fails by name, and E is NaN with its bracket kept."""
+    systems = refusing_solves(monkeypatch, math.inf)
+    res = gmn.genuine_negativity(LADDER_RHO, 3)
+    [schur] = systems
+    [(scale, shifts)] = schur.rungs
+    assert shifts[0] == pytest.approx(sdp.MIN_REGULARIZATION * scale, rel=1e-12)
+    assert np.allclose(np.divide(shifts[1:], shifts[:-1]), 10, rtol=1e-12, atol=0)
+    assert shifts[-1] == pytest.approx(sdp.MAX_REGULARIZATION * scale, rel=1e-12)
+    assert len(shifts) == 7
+    assert res.solver.status is SdpStatus.NUMERICAL_FAILURE
+    assert f"up to regularization {sdp.MAX_REGULARIZATION:.0e}" in res.solver.message
+    assert not res.solved and not res.certificate_ok and math.isnan(res.value)
+    assert 0 <= res.e_lo < res.e_hi < math.inf
+    # a sweep or an ensemble sees the same failure
+    record = analysis._evaluate_point(LADDER_JOB)
+    assert not record["ok"] and math.isnan(record["E"])
+    assert record["note"] == f"solver status {res.failure()}"
+
+
+def test_repaired_iterate_is_factored_afresh(monkeypatch):
+    """After ``repair`` moves X, the next iteration's X factor is that of the repaired stack."""
+    structure = gmn._program_structure(3)
+    problem = gmn.build_program(LADDER_RHO, 3)
+    events = []  # ("repair", stack returned) and ("factor", L), in call order
+    inverse_factor = sdp._inverse_factor
+
+    def recording_inverse_factor(chol):
+        events.append(("factor", chol.copy()))
+        return inverse_factor(chol)
+
+    def shifting_repair(x_blocks):
+        # a visible move: the exact repair plus 1e-3 on every diagonal
+        out = gmn._repair_primal(LADDER_RHO, structure, x_blocks)
+        out += 1e-3 * np.eye(x_blocks.shape[-1])
+        events.append(("repair", out))
+        return out
+
+    monkeypatch.setattr(sdp, "_inverse_factor", recording_inverse_factor)
+    sdp.solve(problem, start=gmn._start_point(LADDER_RHO, structure), repair=shifting_repair)
+    checked = 0
+    for k, (kind, repaired) in enumerate(events):
+        # the next iteration factors S first, then X
+        following = [chol for what, chol in events[k + 1:k + 3] if what == "factor"]
+        if kind != "repair" or len(following) < 2:
+            continue
+        x_chol = following[1]
+        assert np.allclose(x_chol @ np.conj(np.swapaxes(x_chol, -1, -2)), repaired,
+                           rtol=0, atol=1e-12 * np.max(np.abs(repaired)))
+        checked += 1
+    assert checked >= 3
+
+
 START_CASES = [
     ("w3", ChannelKind.AMPLITUDE_DAMPING),
     ("ghz3", ChannelKind.PHASE_DAMPING),

@@ -1,11 +1,14 @@
-"""Smoke tests of the scripts under ``tools``: their point lists, built without solving."""
+"""Smoke tests of ``tools/points.py``: its point lists, built without solving, and its record."""
 
 import importlib.util
+import json
 import sys
-from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from genneg import analysis, gmn, states
+from genneg.channels import ChannelKind
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -25,34 +28,43 @@ def load_tool(monkeypatch):
 
 
 def test_hard_points_sets(load_tool):
-    hard = load_tool("hard_points")
-    sets = hard.point_sets()
-    assert {name: len(points) for name, points in sets.items()} == {
+    tool = load_tool("points")
+    groups = tool.hard_points()
+    assert {name: len(points) for name, points in groups.items()} == {
         "named": 54, "random77001": 72, "random93001": 72}
-    labels = [label for points in sets.values() for label, *_ in points]
+    labels = [label for points in groups.values() for label, _ in points]
     assert len(labels) == len(set(labels)) == 198
-    for label, psi, channel, s in sets["named"]:
-        assert psi.shape == (16,) and channel in hard.CHANNELS and s in hard.NAMED_S
+    for label, (rho0, kind, s, n) in groups["named"]:
+        assert rho0.shape == (16, 16) and n == 4
+        assert kind.value in tool.CHANNELS and s in tool.HARD_NAMED_S
 
 
 def test_bench_points_list(load_tool):
-    tool = load_tool("bench_points")
-    points = tool.points()
-    assert len(points) == 254
-    labels = [label for label, *_ in points]
-    assert len(set(labels)) == 254
+    tool = load_tool("points")
+    groups = tool.bench_points()
+    assert {name: len(points) for name, points in groups.items()} == {
+        "solve-n4": 4, "sweep-n3": 150, "ensemble-n3": 100}
+    labels = [label for points in groups.values() for label, _ in points]
+    assert len(labels) == len(set(labels)) == 254
     # every label is the key of the benchmark item it comes from, or that
     # key followed by "/" and the point
     keys = {item.key: (name, tool.WORKLOADS[name].nqubits) for name in tool.BENCH_WORKLOADS
             for item in tool.WORKLOADS[name].items}
+    for name, points in groups.items():
+        for label, (rho0, _, _, n) in points:
+            found = [key for key in keys if label == key or label.startswith(key + "/")]
+            assert len(found) == 1, label
+            assert keys[found[0]] == (name, n) and rho0.shape == (2**n, 2**n)
 
-    def item_of(label):
-        found = [key for key in keys if label == key or label.startswith(key + "/")]
-        assert len(found) == 1, label
-        return keys[found[0]]
 
-    counts = Counter(item_of(label)[0] for label in labels)
-    assert counts == {"solve-n4": 4, "sweep-n3": 150, "ensemble-n3": 100}
-    for label, rho0, kind, s, n in points:
-        assert n == item_of(label)[1]
-        assert rho0.shape == (2**n, 2**n)
+def test_point_record_format():
+    """One point through analysis's job runner gives the record that the tool writes as a line."""
+    rho0 = states.to_density(states.named_state("ghz2"))
+    [record] = analysis._run_jobs([(rho0, ChannelKind.PHASE_DAMPING, 0.1, 2)], 1)
+    assert list(record) == ["E", "E_lo", "E_hi", "iterations", "status", "message", "ok", "note"]
+    assert record["ok"] is True and record["note"] == "" and record["status"] == "optimal"
+    assert record["E_lo"] <= record["E"] <= record["E_hi"]
+    assert record["E_hi"] - record["E_lo"] <= gmn.BRACKET_TOL
+    assert isinstance(record["iterations"], int) and record["iterations"] > 0
+    line = {"label": "ghz2/pd/0.1", **record}
+    assert json.loads(json.dumps(line)) == line
