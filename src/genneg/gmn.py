@@ -48,7 +48,10 @@ not depend on the chunk size.
 Factoring forms wq_M = -L_M^-1 H01_M for every r-block factor L_M by forward
 substitution in row blocks of :data:`SOLVE_BLOCK_ROWS`, so that most of its
 flops run in ``dgemm`` rather than in the slower ``dtrsm``; up to N = 3 that
-is one ``dtrsm`` per factor.
+is one ``dtrsm`` per factor.  Each ``dtrsm`` reads its diagonal triangle in
+place inside the factor, without a copy.  The factorizations and triangular
+solves call LAPACK and BLAS directly, with arguments built once per system,
+so they release the interpreter lock and cost no more than scipy's wrappers.
 
 At N = 4, where the assembly takes more than one chunk, the system splits
 the bipartitions into two lanes, 0-3 and 4-6.  The calling thread assembles
@@ -105,6 +108,7 @@ oracle.
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 import itertools
 import math
@@ -116,7 +120,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import blas, lapack
+from scipy.linalg import cython_blas, cython_lapack, lapack
 
 from . import sdp
 from .linalg import check_density_matrix, eig_hermitian, hermitian_part, partial_transpose
@@ -226,6 +230,68 @@ if hasattr(os, "register_at_fork"):     # POSIX; elsewhere no process forks
     os.register_at_fork(after_in_child=_forget_lane_helper)
 
 
+def _capi_function(module, name: str, nargs: int):
+    """Routine ``name`` of scipy's Cython BLAS or LAPACK API, as a ctypes function.
+
+    The routine takes ``nargs`` pointers (Fortran passes every argument by
+    reference), given as integer addresses.  A ``CFUNCTYPE`` call releases
+    the interpreter lock while the routine runs, which scipy's f2py wrappers
+    do not, so the two lanes of :class:`ArrowheadSchur` factor at once.  The
+    routine is the one in scipy's OpenBLAS that those wrappers call too.
+    """
+    capsule = module.__pyx_capi__[name]
+    capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    address = capsule_pointer(capsule, capsule_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * nargs)(address)
+
+
+# arguments: uplo, n, a, lda, info; and side, uplo, transa, diag, m, n,
+# alpha, a, lda, b, ldb
+_dpotrf = _capi_function(cython_lapack, "dpotrf", 5)
+_dtrsm = _capi_function(cython_blas, "dtrsm", 11)
+_LOWER, _RIGHT, _TRANSPOSED, _NON_UNIT = (ctypes.c_char(flag) for flag in (b"L", b"R", b"T", b"N"))
+_MINUS_ONE = ctypes.c_double(-1.0)
+
+
+def _c_ints(*values) -> tuple:
+    """An intc array of ``values``, and the address of each entry."""
+    ints = np.array(values, dtype=np.intc)
+    return ints, tuple(ints.ctypes.data + k * ints.itemsize for k in range(len(values)))
+
+
+def _check_operand(a: np.ndarray) -> None:
+    """Refuse an array that a direct call could not read as C-ordered float64 square matrices."""
+    if a.dtype != np.float64 or not a.flags.c_contiguous or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected C-contiguous float64 square matrices, got a {a.dtype} "
+                         f"array of shape {a.shape}")
+
+
+class _Cholesky:
+    """``dpotrf`` of one fixed square C-ordered array in place; a call returns the factor.
+
+    The call is the lower ``dpotrf`` of the Fortran-ordered transpose
+    ``a.T``, which it returns: the upper triangle of ``a`` is read and
+    replaced by L^T, and the strict lower triangle is left as it was.  The
+    arguments are built once, here, with an ``info`` of this object's own,
+    so objects for different arrays may be called in different threads at
+    once.  A matrix that is not positive definite raises ``LinAlgError``
+    naming ``routine`` (``sdp.lapack_checked``).
+    """
+
+    def __init__(self, a: np.ndarray, routine: str):
+        _check_operand(a)
+        self._factor, self._routine = a.T, routine
+        self._ints, (n, info) = _c_ints(a.shape[0], 0)
+        self._args = (ctypes.addressof(_LOWER), n, a.ctypes.data, n, info)
+
+    def __call__(self) -> np.ndarray:
+        _dpotrf(*self._args)
+        return sdp.lapack_checked((self._factor, self._ints.item(1)), self._routine)
+
+
 class ArrowheadSchur:
     """Block-arrowhead :class:`sdp.SchurSystem` of the PPT-mixture program.
 
@@ -287,11 +353,15 @@ class ArrowheadSchur:
     own.  The caller waits for the helper's lane before it returns or
     raises, so a ``LinAlgError`` from either lane reaches the solver's
     regularization ladder only once neither writes.  Each lane calls
-    single-threaded BLAS under the solver's one-thread policy.  On a 2-vCPU
-    Xeon, the four N = 4 solves of the benchmark took 13.3 ms per iteration
-    with two lanes against 16.0 ms with one, and 16.1 ms with two lanes on
-    one CPU.  scipy's ``dpotrf`` and ``dtrsm`` wrappers hold the
-    interpreter lock, so those calls of the two lanes do not overlap.
+    single-threaded BLAS under the solver's one-thread policy.  A lane calls
+    ``dpotrf`` and ``dtrsm`` directly, through scipy's Cython BLAS and
+    LAPACK API (:class:`_Cholesky`, :class:`_LowerSolve`), and such a call
+    releases the interpreter lock, so the two lanes factor at once as they
+    multiply at once.  On a 2-vCPU Xeon, the four N = 4 solves of the
+    benchmark took 12.5 ms per iteration with two lanes against 16.3 ms
+    with one, and 15.9 ms with two lanes on one CPU.  Their ``factor``
+    took 3.8 ms per iteration, against 4.6 ms through scipy's f2py
+    wrappers, which hold the lock.
 
     D stays out of the stored blocks: :meth:`solve` and :meth:`matvec` scale
     their vectors by D^-1 and D, and the shift of :meth:`factor` enters M^ as
@@ -316,14 +386,15 @@ class ArrowheadSchur:
     (``sdp._BlockGeometry.kernel_work``).  It allocates the factor side at
     its first :meth:`factor`: the shifted r-blocks that ``dpotrf`` factors
     in place, wq, and one n x n part of wq^T wq per lane, the first of which
-    becomes the w-block Schur complement.  At N = 4 the two sides take 11.6
-    and 8.4 MB (10.0 and 7.9 MB with one lane); building a system and
-    assembling once thus peaks at 1.6 times the assembled blocks.  Every
-    array is written before it is read in each iteration, so a system
-    carries nothing from one assembly to the next and may serve any program
-    of its shape (K bipartitions, r-blocks of n = d^2 rows), one solve at a
-    time; two systems never share an array, so solves in several threads
-    may share the helper.
+    becomes the w-block Schur complement, and builds there, once, the
+    arguments of every direct ``dpotrf`` and ``dtrsm`` on them.  At N = 4
+    the two sides take 11.6 and 8.4 MB (10.0 and 7.9 MB with one lane);
+    building a system and assembling once thus peaks at 1.6 times the
+    assembled blocks.  Every array is written before it is read in each
+    iteration, so a system carries nothing from one assembly to the next and
+    may serve any program of its shape (K bipartitions, r-blocks of n = d^2
+    rows), one solve at a time; two systems never share an array, so solves
+    in several threads may share the helper.
     """
 
     def __init__(self, tables, problem: sdp.SdpProblem):
@@ -347,7 +418,8 @@ class ArrowheadSchur:
         self._lanes = [self._lane(slice(a, b), pair_tables)
                        for a, b in itertools.pairwise(cuts) if a < b]
         self._delta = np.tile(self._geom.delta, 1 + k)
-        self._shifted = self._sc = None          # factor-side scratch, from the first factor()
+        # factor-side scratch and the direct calls on it, from the first factor()
+        self._shifted = self._sc = self._lane_calls = self._factor_w = None
         self._lq = self._wq = self._lw = None    # factors, set by factor()
 
     def _lane(self, parts: slice, pair_tables: list) -> tuple:
@@ -405,6 +477,12 @@ class ArrowheadSchur:
         if self._sc is None:
             self._shifted, self._wq = np.empty((2, k, n, n))
             self._sc = np.empty((len(self._lanes), n, n))
+            # each lane's dpotrf and dtrsm calls, on its slices of these arrays
+            self._lane_calls = [
+                ([_Cholesky(q, "dpotrf(r_M block)") for q in self._shifted[parts]],
+                 _LowerSolve(self._shifted[parts], self.h01[parts], self._wq[parts]))
+                for parts, _, _ in self._lanes]
+            self._factor_w = _Cholesky(self._sc[0], "dpotrf(w Schur complement)")
         shifts = shift / self._geom.delta ** 2
         self._lq = [f for factors in self._in_lanes(self._factor_lane, shifts) for f in factors]
         # the complement of the w-block, from the lanes' wq^T wq in lane order
@@ -417,27 +495,24 @@ class ArrowheadSchur:
         # sc is exactly symmetric (numpy forms each wq^T wq as a rank-k
         # update), so its Fortran-ordered view sc.T is the same matrix,
         # factored in place
-        self._lw = sdp.lapack_checked(lapack.dpotrf(sc.T, lower=1, clean=0, overwrite_a=1),
-                                      "dpotrf(w Schur complement)")
+        self._lw = self._factor_w()
 
     def _factor_lane(self, lane, shifts) -> list:
         """Factor the lane's r-blocks, form its wq_M and its part of wq^T wq; returns the L_M."""
         parts = self._lanes[lane][0]
-        lq, wq = self._shifted[parts], self._wq[parts]
+        choleskys, lower_solve = self._lane_calls[lane]
+        lq = self._shifted[parts]
         diag = np.arange(self.n)
         np.copyto(lq, self.qq[parts])
         lq[:, diag, diag] += shifts
-        # LAPACK is called directly: the scipy.linalg wrappers spend tens of
-        # microseconds on argument checks per call, and every factor and solve
-        # makes 2K + 1 calls.  q.T is q itself, and Fortran-ordered, so LAPACK
-        # factors it in place.
-        factors = [sdp.lapack_checked(lapack.dpotrf(q.T, lower=1, clean=0, overwrite_a=1),
-                                      "dpotrf(r_M block)")
-                   for q in lq]
+        # direct calls, which release the interpreter lock.  A shifted block
+        # q is symmetric, so its Fortran-ordered view q.T is the same matrix,
+        # factored in place.
+        factors = [cholesky() for cholesky in choleskys]
         # wq is written apart from h01, which matvec reads.  A successful
         # dpotrf leaves a positive diagonal, so L_M needs no singularity check.
-        _lower_solve(lq, self.h01[parts], wq)
-        wq = wq.reshape(-1, self.n)
+        lower_solve()
+        wq = self._wq[parts].reshape(-1, self.n)
         np.matmul(wq.T, wq, out=self._sc[lane])
         return factors
 
@@ -468,12 +543,14 @@ class ArrowheadSchur:
         return out.reshape(v.shape)
 
 
-def _lower_solve(lt: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+class _LowerSolve:
     """out[m] = -L_m^-1 b[m] for each lower triangle L_m, given as ``lt[m]`` = L_m^T.
 
-    ``lt``, ``b`` and ``out`` are C-ordered (K, n, n) stacks; ``lt`` holds the
-    factors as ``dpotrf`` leaves them in a Fortran-ordered view, and its upper
-    triangle (of L_m) is never read.
+    The arrays are fixed when the object is built, and each call reads the
+    values ``lt`` and ``b`` hold then.  ``lt`` and ``out`` are C-ordered (K,
+    n, n) stacks, ``b`` any (K, n, n) array; ``lt`` holds the factors as
+    ``dpotrf`` leaves them in a Fortran-ordered view (:class:`_Cholesky`),
+    and its upper triangle (of L_m) is never read.
 
     Forward substitution in row blocks of :data:`SOLVE_BLOCK_ROWS`: with
     rows r of block i and the rows p before it, out_r = -L_rr^-1 (b_r +
@@ -482,21 +559,42 @@ def _lower_solve(lt: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     ``dgemm``, which OpenBLAS runs about three times faster on these
     operands.  Each ``dtrsm`` is right-sided, on the Fortran-ordered
     transpose of the rows of out[m]: X L_rr^T = -c^T gives X = out_r^T.  It
-    copies its triangle, a strided view, into a contiguous array.  Up to
-    SOLVE_BLOCK_ROWS rows (N <= 3) there is one block, and one ``dtrsm``
-    per factor.
+    is called directly, with arguments built here, and reads its triangle
+    L_rr in place inside lt[m] (leading dimension n), without a copy.  Up to
+    SOLVE_BLOCK_ROWS rows (N <= 3) there is one block, and one ``dtrsm`` per
+    factor.
     """
-    n = lt.shape[-1]
-    for start in range(0, n, SOLVE_BLOCK_ROWS):
-        r = slice(start, min(start + SOLVE_BLOCK_ROWS, n))
-        if start == 0:
-            np.copyto(out[:, r], b[:, r])
-        else:
-            # L_rp = lt[:, p, r]^T, for the whole stack at once
-            np.matmul(lt[:, :start, r].transpose(0, 2, 1), out[:, :start], out=out[:, r])
-            out[:, r] += b[:, r]
-        for low, o in zip(lt, out):
-            blas.dtrsm(-1.0, low.T[r, r], o[r].T, side=1, lower=1, trans_a=1, overwrite_b=1)
+
+    def __init__(self, lt: np.ndarray, b: np.ndarray, out: np.ndarray):
+        for a in (lt, out):
+            _check_operand(a)
+        if b.shape != lt.shape or out.shape != lt.shape:
+            raise ValueError(f"stacks of shapes {lt.shape}, {b.shape}, {out.shape} differ")
+        self._lt, self._b, self._out = lt, b, out
+        n, size = lt.shape[-1], lt.itemsize
+        blocks = [slice(s, min(s + SOLVE_BLOCK_ROWS, n)) for s in range(0, n, SOLVE_BLOCK_ROWS)]
+        self._ints, (dim, *heights) = _c_ints(n, *(r.stop - r.start for r in blocks))
+        head = (*(ctypes.addressof(f) for f in (_RIGHT, _LOWER, _TRANSPOSED, _NON_UNIT)), dim)
+        alpha = ctypes.addressof(_MINUS_ONE)
+        # per row block r: its dtrsm for each m, on L_rr (row and column
+        # r.start of lt[m]) and the rows r of out[m]
+        self._blocks = [(r, [(*head, height, alpha,
+                              low.ctypes.data + (r.start * n + r.start) * size, dim,
+                              o.ctypes.data + r.start * n * size, dim)
+                             for low, o in zip(lt, out)])
+                        for r, height in zip(blocks, heights)]
+
+    def __call__(self) -> None:
+        lt, b, out = self._lt, self._b, self._out
+        for r, solves in self._blocks:
+            if r.start == 0:
+                np.copyto(out[:, r], b[:, r])
+            else:
+                # L_rp = lt[:, p, r]^T, for the whole stack at once
+                np.matmul(lt[:, :r.start, r].transpose(0, 2, 1), out[:, :r.start], out=out[:, r])
+                out[:, r] += b[:, r]
+            for args in solves:
+                _dtrsm(*args)
 
 
 @lru_cache(maxsize=None)

@@ -32,8 +32,8 @@ implementation through ``SdpProblem.schur_factory``; the default
 Cholesky, while structured programs (the PPT-mixture program in ``gmn``) keep
 M in a sparser block form.
 The solver owns the regularization ladder: the shift is reg times max(1, the
-largest diagonal entry of M), with reg escalating by factors of ten from
-:data:`MIN_REGULARIZATION` to :data:`MAX_REGULARIZATION`.  A pure
+largest diagonal entry of M), with reg = :data:`MIN_REGULARIZATION` x 10^k
+at rung k, escalating until it passes :data:`MAX_REGULARIZATION`.  A pure
 centering step is taken whenever the smallest complementarity pairs drift far
 below their mean (which is what stalls plain Mehrotra steps on degenerate
 optima).  Step lengths are :data:`STEP_FRACTION` of the distance to the cone
@@ -65,7 +65,10 @@ Parallelism across solves comes from the worker pool in ``analysis``, whose
 workers start single-threaded.  Inside a solve the only parallelism is the
 Schur system's own: ``gmn.ArrowheadSchur`` assembles and factors the 4-qubit
 program's bipartitions in two lanes, on the calling thread and one helper
-thread, each of which calls BLAS on one thread.  The largest BLAS operands
+thread, each of which calls BLAS on one thread.  Its lanes call ``dpotrf``
+and ``dtrsm`` directly through scipy's Cython API, which releases the
+interpreter lock, so they run at once; these are the routines of the same
+OpenBLAS, so this policy covers them too.  The largest BLAS operands
 are the 256 x 256 Schur blocks of that program, too small for BLAS threads
 to pay off: on a 2-vCPU host an N=4 solve took twice as long with two
 OpenBLAS threads as with one, at the same iteration count.  One thread also
@@ -913,13 +916,16 @@ def _solve(problem: SdpProblem, stop, start, repair) -> SdpSolution:
         # Schur entries grow like 1/mu and an absolute shift would vanish in
         # the rounding noise of the factorization
         scale = max(1.0, schur.max_diagonal())
-        reg = MIN_REGULARIZATION
-        while reg <= MAX_REGULARIZATION * (1 + 1e-12):
+        rung, reg = 0, MIN_REGULARIZATION
+        while reg <= MAX_REGULARIZATION:
             try:
                 schur.factor(reg * scale)
                 return
             except np.linalg.LinAlgError:
-                reg *= 10
+                # rung k from MIN_REGULARIZATION itself: repeated products by 10
+                # would fall short of the decades
+                rung += 1
+                reg = MIN_REGULARIZATION * 10.0 ** rung
         raise _Failure(SdpStatus.NUMERICAL_FAILURE,
                        "Schur complement not positive definite up to regularization "
                        f"{MAX_REGULARIZATION:.0e} (linearly dependent constraints?)")

@@ -2,6 +2,8 @@ import copy
 import math
 import multiprocessing
 import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -576,6 +578,99 @@ def test_two_lanes_solve_as_one_lane(monkeypatch):
     assert np.array_equal(solutions[0], solutions[2])
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_direct_calls_match_scipy_wrappers(n):
+    """The r-block factors, wq and the w-block factor equal scipy's dpotrf and dtrsm bit for bit.
+
+    The reference runs the blocked forward substitution with one scipy
+    ``dtrsm`` per row block and factor, which copies each triangle.
+    """
+    problem = gmn.build_program(np.eye(2**n) / 2**n, n)
+    system = problem.schur_factory(problem)
+    system.assemble(*random_iterates(np.random.default_rng(700 + n), problem))
+    shift = 1e-9 * system.max_diagonal()
+    system.factor(shift)
+    size = system.n
+    shifts = shift / problem._geom.delta ** 2
+    diag = np.arange(size)
+    lt = system.qq.copy()
+    lt[:, diag, diag] += shifts
+    for q, factor in zip(lt, system._lq, strict=True):
+        sla.lapack.dpotrf(q.T, lower=1, clean=0, overwrite_a=1)
+        assert np.array_equal(factor, q.T)
+    wq = np.empty_like(lt)
+    for start in range(0, size, gmn.SOLVE_BLOCK_ROWS):
+        r = slice(start, start + gmn.SOLVE_BLOCK_ROWS)
+        wq[:, r] = system.h01[:, r]
+        if start:
+            wq[:, r] += np.matmul(lt[:, :start, r].transpose(0, 2, 1), wq[:, :start])
+        for low, w in zip(lt, wq):
+            sla.blas.dtrsm(-1.0, low.T[r, r], w[r].T, side=1, lower=1, trans_a=1, overwrite_b=1)
+    assert np.array_equal(system._wq, wq)
+    # the w-block complement from the lanes' parts of wq^T wq, in lane order
+    parts = [wq[bipartitions].reshape(-1, size) for bipartitions, _, _ in system._lanes]
+    sc = parts[0].T @ parts[0]
+    for part in parts[1:]:
+        sc += part.T @ part
+    sc = system.ww - sc
+    sc[diag, diag] += shifts
+    sla.lapack.dpotrf(sc.T, lower=1, clean=0, overwrite_a=1)
+    assert np.array_equal(system._lw, sc.T)
+
+
+def test_direct_cholesky_releases_the_interpreter_lock():
+    """While one thread runs a direct ``dpotrf``, Python code runs in another.
+
+    The main thread stamps the time in a loop from the moment the factoring
+    thread is about to call until the call has returned.  Had the call held
+    the interpreter lock, the loop could not run inside it: its longest
+    pause would span the whole call.  That pause must stay below half the
+    call in one of three tries, so that a busy host does not fail the test.
+    A short switch interval hands the lock back soon after the call.
+    """
+    size = 1800     # a single-threaded factorization of tens of ms
+    g = np.random.default_rng(8).standard_normal((size, size))
+    spd = g @ g.T + size * np.eye(size)
+    del g
+    longest = []    # the longest pause of the loop inside each call, over the call
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for _ in range(3):
+            a = spd.copy()
+            cholesky = gmn._Cholesky(a, "dpotrf(test)")
+            started, done, call = threading.Event(), threading.Event(), []
+
+            def factor():
+                started.set()
+                call.append(time.perf_counter())
+                cholesky()
+                call.append(time.perf_counter())
+                done.set()
+
+            with sdp._ONE_BLAS_THREAD:
+                thread = threading.Thread(target=factor)
+                thread.start()
+                assert started.wait(timeout=30)
+                first = last = time.perf_counter()
+                pauses = []     # (from, to) of every pause of the loop above 1 ms
+                while not done.is_set():
+                    now = time.perf_counter()
+                    if now - last > 1e-3:
+                        pauses.append((last, now))
+                    last = now
+                thread.join(timeout=30)
+            assert not thread.is_alive()
+            t0, t1 = call
+            pauses += [(t0, first), (last, t1)]
+            longest.append(max(min(to, t1) - max(since, t0) for since, to in pauses) / (t1 - t0))
+            if longest[-1] < 0.5:
+                break
+    finally:
+        sys.setswitchinterval(interval)
+    assert longest[-1] < 0.5, longest
+
+
 def test_n4_assembly_memory_stays_near_its_output():
     """One N=4 assembly allocates at most twice the bytes of its output."""
     problem = gmn.build_program(np.eye(16) / 16, 4)
@@ -824,7 +919,7 @@ def test_blocked_solve_matches_one_triangular_solve(monkeypatch):
     for q in lt:
         sla.lapack.dpotrf(q.T, lower=1, clean=0, overwrite_a=1)
     blocked = np.empty_like(h01)
-    gmn._lower_solve(lt, h01, blocked)
+    gmn._LowerSolve(lt, h01, blocked)()
     whole = h01.copy()
     for low, w in zip(lt, whole):
         sla.blas.dtrsm(-1.0, low.T, w.T, side=1, lower=1, trans_a=1, overwrite_b=1)
@@ -952,7 +1047,7 @@ LADDER_RHO = apply_local_channel(*LADDER_JOB)
 
 
 def test_regularization_ladder_escalates_to_a_factorable_shift(monkeypatch):
-    """A system refused below 1e-9 x scale factors a rung up, and the solve ends as usual."""
+    """A system refused below 1e-9 x scale factors at the fourth rung; the solve ends as usual."""
     plain = gmn.genuine_negativity(LADDER_RHO, 3)
     systems = refusing_solves(monkeypatch, 1e-9)
     res = gmn.genuine_negativity(LADDER_RHO, 3)
@@ -962,6 +1057,8 @@ def test_regularization_ladder_escalates_to_a_factorable_shift(monkeypatch):
         assert shifts[0] == pytest.approx(sdp.MIN_REGULARIZATION * scale, rel=1e-12)
         assert np.allclose(np.divide(shifts[1:], shifts[:-1]), 10, rtol=1e-12, atol=0)
         assert shifts[-2] < 1e-9 * scale <= shifts[-1] <= sdp.MAX_REGULARIZATION * scale
+        # the rungs are exact decades: 1e-12, 1e-11, 1e-10, then 1e-9 meets the floor
+        assert len(shifts) == 4
     assert res.solver.status is plain.solver.status is SdpStatus.OPTIMAL
     assert res.solved and res.certificate_ok
     assert abs(res.value - plain.value) <= gmn.BRACKET_TOL
