@@ -61,8 +61,12 @@ more.
 Every solve runs on one BLAS thread: :func:`solve` lowers the thread count of
 each loaded OpenBLAS (numpy's and scipy's bundled copies, or a system build)
 to 1 for the duration of the iteration and restores it afterwards.
-Parallelism across solves comes from the worker pool in ``analysis``, whose
-workers start single-threaded.  Inside a solve the only parallelism is the
+Parallelism across solves comes from the worker pool in ``analysis``.  On
+Linux its workers are forked from the calling process, and the pool's
+initializer enters this policy for each worker's lifetime; a forked child
+starts with no entries, so a lock that a parent thread held at the fork
+cannot block it.  Where workers are spawned, they also start with
+single-threaded BLAS.  Inside a solve the only parallelism is the
 Schur system's own: ``gmn.ArrowheadSchur`` assembles and factors the 4-qubit
 program's bipartitions in two lanes, on the calling thread and one helper
 thread, each of which calls BLAS on one thread.  Its lanes call ``dpotrf``
@@ -710,10 +714,19 @@ class _OneBlasThread:
     """
 
     def __init__(self):
+        self._libraries = None
+        self._forget_entries()
+
+    def _forget_entries(self):
+        """Start with no entries: a fresh lock, depth 0 and nothing lowered.
+
+        A forked child runs this, since it inherits the entries of the
+        parent's threads but not the threads, one of which may have held
+        the lock at the fork.
+        """
         self._lock = threading.Lock()
         self._depth = 0
         self._lowered = []  # (library, thread count before the first entry)
-        self._libraries = None
 
     def __enter__(self):
         with self._lock:
@@ -738,6 +751,9 @@ class _OneBlasThread:
 
 
 _ONE_BLAS_THREAD = _OneBlasThread()
+
+if hasattr(os, "register_at_fork"):     # POSIX; elsewhere no process forks
+    os.register_at_fork(after_in_child=_ONE_BLAS_THREAD._forget_entries)
 
 
 class _Failure(Exception):

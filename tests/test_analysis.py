@@ -16,6 +16,10 @@ from genneg.analysis import (GeneratorKind, SweepSeries, default_grid,
 from genneg.channels import ChannelKind
 
 
+def blas_thread_counts() -> list:
+    return [lib.get_threads() for lib in sdp._loaded_openblas()]
+
+
 class TestLogDerivative:
     def test_exponential_is_exact(self):
         grid = np.linspace(0.1, 2.0, 20)
@@ -97,6 +101,28 @@ class TestSweep:
         two = sweep(rho, ChannelKind.AMPLITUDE_DAMPING, grid, 4, workers=2)
         assert one.ok and two.ok
         assert one.values.tobytes() == two.values.tobytes()
+
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        # with the parent's OpenBLAS at 2 threads, a fresh pool's worker runs
+        # every loaded OpenBLAS on 1 and the parent's counts stay at 2
+        libs = sdp._loaded_openblas()
+        if not libs:
+            pytest.skip("no OpenBLAS library is loaded")
+        saved = blas_thread_counts()
+        monkeypatch.setattr(analysis, "_EXECUTORS", {})
+        try:
+            for lib in libs:
+                lib.set_threads(2)
+            pool = analysis._get_executor(2)
+            try:
+                worker = pool.submit(blas_thread_counts).result(timeout=60)
+            finally:
+                pool.shutdown()
+            assert worker == [1] * len(libs)
+            assert blas_thread_counts() == [2] * len(libs)
+        finally:
+            for lib, count in zip(libs, saved):
+                lib.set_threads(count)
 
     def test_a_broken_pool_is_replaced(self):
         # a worker killed (or out of memory) breaks its pool for good: the

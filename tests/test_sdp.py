@@ -1,5 +1,7 @@
 import itertools
 import math
+import multiprocessing
+import os
 import sys
 import threading
 import tracemalloc
@@ -10,7 +12,7 @@ import scipy
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from genneg import sdp, states
+from genneg import gmn, sdp, states
 from genneg.gmn import build_program
 from genneg.sdp import (SdpProblem, SdpStatus, _boundary_step, _congruence, _geometry,
                         _inverse_factor, _inverse_from_factor, _smallest_eigenvalues, solve)
@@ -466,6 +468,10 @@ def blas_at_two_threads():
         lib.set_threads(count)
 
 
+def ghz2_value():
+    return gmn.genuine_negativity(states.to_density(states.named_state("ghz2")), 2).value
+
+
 class FakeOpenBlas:
     def __init__(self, count):
         self.count = count
@@ -541,6 +547,44 @@ class TestOneBlasThread:
         assert not any(worker.is_alive() for worker in workers)
         assert errors == []
         assert thread_counts(libs) == [2] * len(libs)
+
+    # Python 3.12 warns on every fork of a process with threads, which this test makes on purpose
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_solves_while_a_parent_thread_enters(self, monkeypatch):
+        """A child forked while another thread holds the policy's lock starts without entries.
+
+        The thread's entry pauses, holding the lock, on reading the thread
+        count of a library that pauses in the parent alone.  A child that
+        kept the held lock would wait for it forever.
+        """
+        parent = os.getpid()
+        inside, release = threading.Event(), threading.Event()
+
+        def pausing_count():
+            if os.getpid() == parent:
+                inside.set()
+                release.wait(timeout=60)
+            return 1
+
+        monkeypatch.setattr(sdp._ONE_BLAS_THREAD, "_libraries",
+                            [sdp._OpenBlas("pausing", pausing_count, lambda n: None)])
+
+        def enter():
+            with sdp._ONE_BLAS_THREAD:
+                pass
+
+        thread = threading.Thread(target=enter)
+        thread.start()
+        try:
+            assert inside.wait(timeout=60)
+            with multiprocessing.get_context("fork").Pool(1) as pool:
+                child = pool.apply_async(ghz2_value).get(timeout=30)
+        finally:
+            release.set()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert child == ghz2_value()
+        assert abs(child - 0.5) <= gmn.BRACKET_TOL
 
     def test_solve_runs_on_one_thread(self, blas_at_two_threads, monkeypatch):
         libs = blas_at_two_threads

@@ -1,16 +1,19 @@
-"""Smoke tests of ``tools/points.py``: its point lists, built without solving, and its record."""
+"""Tests of ``tools/points.py``: its point lists, built without solving, its record, and E
+against the closed form of its GHZ-diagonal states."""
 
 import importlib.util
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from genneg import analysis, gmn, states
-from genneg.channels import ChannelKind
+from genneg.channels import ChannelKind, apply_local_channel
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+ORACLE_TEST_BASES = {3: 31001, 4: 41001}   # member i seeded with derive_seed(base, i)
 
 
 @pytest.fixture
@@ -68,3 +71,50 @@ def test_point_record_format():
     assert isinstance(record["iterations"], int) and record["iterations"] > 0
     line = {"label": "ghz2/pd/0.1", **record}
     assert json.loads(json.dumps(line)) == line
+
+
+def test_oracle_points_set(load_tool):
+    tool = load_tool("points")
+    groups = tool.oracle_points()
+    assert {name: len(points) for name, points in groups.items()} == {"rotated": 20, "noisy": 40}
+    labels = [label for points in groups.values() for label, _ in points]
+    assert len(labels) == len(set(labels)) == 60
+    for _, (rho0, _, s, n) in groups["rotated"]:
+        assert rho0.shape == (16, 16) and n == 4 and s == 0.0
+    for _, (rho0, kind, s, n) in groups["noisy"]:
+        assert rho0.shape == (16, 16) and n == 4
+        assert kind.value in tool.ORACLE_CHANNELS and s in tool.ORACLE_S
+
+
+def assert_in_bracket(rho, nqubits, exact):
+    result = gmn.genuine_negativity(rho, nqubits)
+    assert result.solved and result.certificate_ok
+    assert result.e_lo - gmn.CERTIFICATE_TOL <= exact <= result.e_hi + gmn.CERTIFICATE_TOL
+
+
+@pytest.mark.parametrize("nqubits", [3, 4])
+@pytest.mark.parametrize("index", range(10))
+def test_ghz_diagonal_states_meet_the_closed_form(load_tool, nqubits, index):
+    """E = max(0, λ_max - 1/2) lies in the bracket of a GHZ-diagonal state; odd members are
+    turned by local unitaries, under which E is invariant."""
+    tool = load_tool("points")
+    seed = states.derive_seed(ORACLE_TEST_BASES[nqubits], index)
+    rho = tool.ghz_diagonal_state(nqubits, seed, rotated=index % 2 == 1)
+    assert_in_bracket(rho, nqubits, tool.ghz_diagonal_negativity(rho))
+
+
+@pytest.mark.parametrize("name, nqubits", [("ghz3", 3), ("ghz4", 4)])
+def test_ghz_depolarizing_law(load_tool, name, nqubits):
+    """Depolarizing noise keeps GHZ GHZ-diagonal, so E(s) = max(0, λ_max(s) - 1/2)."""
+    basis = load_tool("points").ghz_basis(nqubits)
+    rho0 = states.to_density(states.named_state(name))
+    exact = []
+    for s in (0.05, 0.2, 0.5):
+        rho = apply_local_channel(rho0, ChannelKind.DEPOLARIZING, s, nqubits)
+        weights = basis.T @ rho @ basis
+        assert np.max(np.abs(weights - np.diag(np.diag(weights)))) <= 1e-12
+        exact.append(max(0.0, float(np.max(np.diag(weights).real)) - 0.5))
+        assert_in_bracket(rho, nqubits, exact[-1])
+    assert exact[0] > exact[1] > 0
+    if nqubits == 4:
+        assert exact[2] == 0.0
