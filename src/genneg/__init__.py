@@ -8,18 +8,18 @@ graph states.
 """
 
 from . import _kernels  # noqa: F401  unused here; perfbench's host record reads skron_into
-from .analysis import (EnsembleSummary, GeneratorKind, RobustnessReport,
-                       SweepSeries, default_grid, ensemble_study,
-                       log_derivative, robustness_report, sweep)
+from .analysis import (EnsembleSummary, RobustnessReport, SweepSeries,
+                       default_grid, ensemble_study, log_derivative,
+                       robustness_report, sweep)
 from .channels import (ChannelKind, KrausSet, apply_local_channel,
                        evolved_single_qubit_oracle, single_qubit_kraus)
 from .gmn import (Bipartition, GmnResult, bipartite_negativity, bipartitions,
                   build_program, genuine_negativity, verify_certificate)
 from .linalg import eig_hermitian, partial_transpose, tensor_product
 from .sdp import SdpProblem, SdpSolution, SdpStatus, solve
-from .states import (NAMED_STATE_NAMES, WeightedGraph, haar_random_state,
-                     named_state, random_weighted_graph, to_density,
-                     weighted_graph_state)
+from .states import (NAMED_STATE_NAMES, GeneratorKind, WeightedGraph,
+                     haar_random_state, named_state, random_weighted_graph,
+                     to_density, weighted_graph_state)
 
 __version__ = "0.1.0"
 

@@ -29,15 +29,15 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
 from . import sdp
 from .channels import ChannelKind, apply_local_channel
 from .gmn import genuine_negativity
-from .states import (derive_seed, haar_random_state, random_weighted_graph,
-                     to_density, weighted_graph_state)
+from .states import GeneratorKind, derive_seed, random_state, to_density
+# unused here; perfbench's trace_targets patches them by name
+from .states import haar_random_state, random_weighted_graph, weighted_graph_state  # noqa: F401
 
 ETA_FLOOR = 1e-5         # E below this leaves eta undefined at that point
 LIFETIME_FLOOR = 1e-4    # ensemble members dipping below this are excluded
@@ -45,31 +45,18 @@ MAX_EXCLUDED_FRACTION = 0.05
 KINK_FACTOR = 10.0       # a kink's slope jump exceeds 10*h and 10x the jumps 2 points away
 
 
-class GeneratorKind(Enum):
-    HAAR_RANDOM = "haar"
-    WEIGHTED_GRAPH = "wgs"
-
-    @classmethod
-    def parse(cls, text: str) -> "GeneratorKind":
-        key = str(text).strip().lower()
-        for kind in cls:
-            if key in (kind.value, kind.name.lower()):
-                return kind
-        raise ValueError(f"unknown generator {text!r} (expected 'haar' or 'wgs')")
-
-
 def default_grid(kind: ChannelKind, smin: float = 0.02, smax: float | None = None,
                  steps: int = 50) -> np.ndarray:
     """Uniform sweep grid; depolarizing uses a shorter range (faster death)."""
     if smax is None:
         smax = 0.5 if kind is ChannelKind.DEPOLARIZING else 1.0
+    if not (math.isfinite(smin) and math.isfinite(smax)):
+        raise ValueError(f"grid ends must be finite, got [{smin}, {smax}]")
     if not smin < smax:
         raise ValueError(f"need smin < smax, got [{smin}, {smax}]")
-    if smin < 0:
-        raise ValueError(f"grid start must be nonnegative, got {smin}")
     if steps < 3:
         raise ValueError(f"need at least 3 grid points, got {steps}")
-    return np.linspace(smin, smax, steps)
+    return _check_grid(np.linspace(smin, smax, steps))
 
 
 def _check_grid(grid: np.ndarray) -> np.ndarray:
@@ -80,6 +67,8 @@ def _check_grid(grid: np.ndarray) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 3:
         raise ValueError("grid must be a 1-D array with at least 3 points")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("grid values must be finite")
     h = np.diff(grid)
     if np.any(h <= 0):
         raise ValueError("grid must be strictly increasing")
@@ -102,15 +91,21 @@ def log_derivative(grid, values) -> np.ndarray:
     if values.shape != grid.shape:
         raise ValueError(f"values shape {values.shape} does not match grid {grid.shape}")
     h = float(grid[1] - grid[0])
-    lnv = np.full_like(values, np.nan)
-    ok = np.isfinite(values) & (values >= ETA_FLOOR)
-    lnv[ok] = np.log(values[ok])
+    lnv = _log_above_floor(values)
     eta = np.full_like(values, np.nan)
     eta[1:-1] = (lnv[2:] - lnv[:-2]) / (2 * h)
     eta[0] = (lnv[1] - lnv[0]) / h
     eta[-1] = (lnv[-1] - lnv[-2]) / h
-    eta[~ok] = np.nan  # the undefined marker applies to the position itself
+    eta[np.isnan(lnv)] = np.nan  # the undefined marker applies to the position itself
     return eta
+
+
+def _log_above_floor(values: np.ndarray) -> np.ndarray:
+    """ln(values) where they are finite and at least ``ETA_FLOOR``, NaN elsewhere."""
+    lnv = np.full(values.shape, np.nan)
+    ok = np.isfinite(values) & (values >= ETA_FLOOR)
+    lnv[ok] = np.log(values[ok])
+    return lnv
 
 
 @dataclass
@@ -265,10 +260,7 @@ def _one_sided_kinks(grid, values) -> list:
     only at the one or two points next to it.
     """
     h = float(grid[1] - grid[0])
-    lnv = np.full(len(values), np.nan)
-    ok = np.isfinite(values) & (values >= ETA_FLOOR)
-    lnv[ok] = np.log(values[ok])
-    slopes = np.diff(lnv) / h
+    slopes = np.diff(_log_above_floor(values)) / h
     jumps = np.full(len(values), np.nan)
     jumps[1:-1] = np.abs(np.diff(slopes))
     kinks = []
@@ -357,21 +349,13 @@ def ensemble_study(generator, count: int, kind: ChannelKind, grid, seed: int,
     Member i uses the derived seed ``derive_seed(seed, i)``, so a single base
     seed reproduces the whole ensemble bit for bit.
     """
-    generator = generator if isinstance(generator, GeneratorKind) else GeneratorKind.parse(generator)
-    rhos = []
-    labels = []
-    for i in range(count):
-        member_seed = derive_seed(seed, i)
-        if generator is GeneratorKind.HAAR_RANDOM:
-            psi = haar_random_state(nqubits, member_seed)
-        else:
-            psi = weighted_graph_state(random_weighted_graph(nqubits, member_seed))
-        rhos.append(to_density(psi))
-        labels.append(f"{generator.value}{nqubits}-r{i:03d}")
-    summary = ensemble_from_densities(rhos, generator, kind, grid, nqubits, seed=seed,
-                                      workers=workers, keep_members=keep_members,
-                                      member_labels=labels)
-    return summary
+    generator = GeneratorKind.parse(generator)
+    rhos = [to_density(random_state(generator, nqubits, derive_seed(seed, i)))
+            for i in range(count)]
+    labels = [f"{generator.value}{nqubits}-r{i:03d}" for i in range(count)]
+    return ensemble_from_densities(rhos, generator, kind, grid, nqubits, seed=seed,
+                                   workers=workers, keep_members=keep_members,
+                                   member_labels=labels)
 
 
 # -- ranking -----------------------------------------------------------------

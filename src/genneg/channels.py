@@ -48,13 +48,14 @@ class KrausSet:
 
     def __post_init__(self):
         total = sum(w.conj().T @ w for w in self.operators)
-        if np.max(np.abs(total - np.eye(2))) > 1e-12:
-            raise ValueError("Kraus set violates completeness: sum w†w != I within 1e-12")
+        if not np.max(np.abs(total - np.eye(2))) <= 1e-12:  # NaN entries fail too
+            raise ValueError(f"Kraus set at s = {self.s} violates completeness: "
+                             "sum w†w != I within 1e-12")
 
 
 def single_qubit_kraus(kind: ChannelKind, s: float) -> KrausSet:
     """Kraus operators of one noise model at dimensionless time s = Γt."""
-    if s < 0:
+    if not s >= 0:  # NaN fails too; s = inf is full decay
         raise ValueError(f"elapsed noise s must be nonnegative, got {s}")
     gamma = math.exp(-s / 2)
     decay = math.sqrt(max(0.0, 1.0 - gamma * gamma))

@@ -8,11 +8,12 @@ Subcommands:
 * ``sweep``     - evaluate E and eta on a grid of elapsed noise values and
   write the analysis CSV.
 * ``ensemble``  - random-state ensemble statistics (mean eta, CI band) as CSV.
-* ``genstate``  - write a state file for a named, Haar-random or weighted
-  graph state.
+* ``genstate``  - write the state file of a pure state: a named, Haar-random
+  or weighted graph state.
 
-State selectors: ghz2 ghz3 ghz4 ghz3b w2 w3 w4 w3b d24 singlet4 cluster4 chi4,
-``file:PATH``, ``haar:N``, ``wgs:N`` (the latter two use ``--seed``).
+State selectors (``--state``): ghz2 ghz3 ghz4 ghz3b w2 w3 w4 w3b d24 singlet4
+cluster4 chi4, ``haar:N``, ``wgs:N`` (the latter two use ``--seed``) and,
+except for ``genstate``, ``file:PATH``.
 Channels: ``ad`` (amplitude damping), ``pd`` (phase damping), ``dp``
 (depolarizing).  Times are the dimensionless s = Γt.  All randomness derives
 from ``--seed``.  ``sweep`` and ``ensemble`` run in one process unless
@@ -34,33 +35,30 @@ from .channels import ChannelKind
 def _resolve_state(selector: str, seed: int):
     """Map a CLI state selector to (label, density matrix, nqubits)."""
     sel = selector.strip()
-    low = sel.lower()
-    if low.startswith("file:"):
+    if sel.lower().startswith("file:"):
         path = sel[5:]
         rho = states.read_state_file(path)
-        n = rho.shape[0].bit_length() - 1
-        return os.path.basename(path), rho, n
-    if low.startswith("haar:"):
-        n = _parse_qubits(low[5:], selector)
-        return f"haar{n}(seed={seed})", states.to_density(states.haar_random_state(n, seed)), n
-    if low.startswith("wgs:"):
-        n = _parse_qubits(low[4:], selector)
-        graph = states.random_weighted_graph(n, seed)
-        return f"wgs{n}(seed={seed})", states.to_density(states.weighted_graph_state(graph)), n
-    psi = states.named_state(low)
-    n = states.nqubits_of_state(psi)
-    return low, states.to_density(psi), n
+        return os.path.basename(path), rho, rho.shape[0].bit_length() - 1
+    label, psi = _pure_state(sel, seed)
+    return label, states.to_density(psi), states.nqubits_of_state(psi)
+
+
+def _pure_state(selector: str, seed: int):
+    """Map a named, ``haar:N`` or ``wgs:N`` selector to (label, amplitude vector)."""
+    low = selector.strip().lower()
+    for generator in states.GeneratorKind:
+        prefix = f"{generator.value}:"
+        if low.startswith(prefix):
+            n = _parse_qubits(low[len(prefix):], selector)
+            return f"{generator.value}{n}(seed={seed})", states.random_state(generator, n, seed)
+    return low, states.named_state(low)
 
 
 def _parse_qubits(text: str, selector: str) -> int:
     try:
-        n = int(text)
+        return int(text)
     except ValueError:
         raise ValueError(f"bad qubit count in selector {selector!r}") from None
-    low, high = gmn.QUBIT_RANGE
-    if not low <= n <= high:
-        raise ValueError(f"selector {selector!r}: qubit count must be {low} to {high}")
-    return n
 
 
 def _grid(args) -> np.ndarray:
@@ -122,17 +120,11 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_genstate(args) -> int:
-    if args.kind == "named":
-        if not args.state:
-            raise ValueError("genstate --kind named requires --state")
-        psi = states.named_state(args.state)
-    elif args.kind == "haar":
-        psi = states.haar_random_state(args.n, args.seed)
-    else:
-        psi = states.weighted_graph_state(states.random_weighted_graph(args.n, args.seed))
-    text = states.format_pure_state(psi)
+    if args.state.strip().lower().startswith("file:"):
+        raise ValueError(f"genstate writes pure states; {args.state!r} is a state file")
+    _, psi = _pure_state(args.state, args.seed)
     with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+        fh.write(states.format_pure_state(psi))
     return 0
 
 
@@ -156,8 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="genneg",
         description="Genuine multiparticle negativity under local decoherence.")
     sub = parser.add_subparsers(dest="command", required=True)
-    low, high = gmn.QUBIT_RANGE
-    qubit_counts = range(low, high + 1)
 
     p = sub.add_parser("monotone", help="compute E for one state")
     p.add_argument("--state", required=True)
@@ -173,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ensemble", help="random-state ensemble statistics, as CSV")
     p.add_argument("--generator", required=True, help="haar or wgs")
-    p.add_argument("--n", type=int, required=True, choices=qubit_counts)
+    p.add_argument("--n", type=int, required=True, help="qubit count")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--members", action="store_true",
                    help="also write one row group per included realization")
@@ -181,10 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid(p)
     p.set_defaults(fn=_cmd_ensemble)
 
-    p = sub.add_parser("genstate", help="write a state file")
-    p.add_argument("--kind", required=True, choices=("named", "haar", "wgs"))
-    p.add_argument("--state", default=None, help="named-state selector for --kind named")
-    p.add_argument("--n", type=int, default=3, choices=qubit_counts)
+    p = sub.add_parser("genstate", help="write a pure state's file")
+    p.add_argument("--state", required=True, help="named, haar:N or wgs:N selector")
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(fn=_cmd_genstate)

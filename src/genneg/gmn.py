@@ -146,7 +146,7 @@ CERTIFICATE_TOL = 1e-9
 ASSEMBLY_CHUNK_BYTES = 2**20
 
 # Row block of the forward substitution that forms wq_M = -L_M^-1 H01_M in
-# ArrowheadSchur.factor (_lower_solve).  With one OpenBLAS thread on a 2-vCPU
+# ArrowheadSchur.factor (_LowerSolve).  With one OpenBLAS thread on a 2-vCPU
 # Xeon, the seven solves of N = 4 (256 rows) took 4.9 ms as one dtrsm each,
 # 3.8 ms in halves, 3.3-3.4 ms in blocks of 64 and 3.3 ms in blocks of 32.
 # The three of N = 3 (64 rows) took 60 us in halves against 49 us whole, so
@@ -372,7 +372,7 @@ class ArrowheadSchur:
     L_M L_M^T) and factors the n x n Schur complement
     M^_ww - sum_M wq_M^T wq_M of the w-block, with wq_M = -L_M^-1 H01_M.
     The wq_M are kept as one C-ordered (K, n, n) array, written by
-    :func:`_lower_solve`: right-sided triangular solves on the
+    :class:`_LowerSolve`: right-sided triangular solves on the
     Fortran-ordered transposes of its row blocks, with one batched product
     per row block for the rows before it.  Its (K n, n) reshape is a view,
     so the Schur complement and every :meth:`solve` (two products with wq

@@ -147,6 +147,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
+from .linalg import hermitian_part
+
 HERMITICITY_TOL = 1e-12
 
 GAP_TOL = 1e-8                # relative duality gap
@@ -587,10 +589,6 @@ def _adjoint(stack: np.ndarray) -> np.ndarray:
     return stack.conj().transpose(0, 2, 1)
 
 
-def _herm_stack(stack: np.ndarray) -> np.ndarray:
-    return (stack + _adjoint(stack)) / 2
-
-
 def lapack_checked(result, routine: str) -> np.ndarray:
     """The array of a ``scipy.linalg.lapack`` ``(array, info)`` result.
 
@@ -617,7 +615,7 @@ def _inverse_factor(chol: np.ndarray) -> np.ndarray:
 
 def _inverse_from_factor(linv: np.ndarray) -> np.ndarray:
     """X^-1 = L^-H L^-1 for each block, given the stacked L^-1 of X = L L^H."""
-    return _herm_stack(np.matmul(_adjoint(linv), linv))
+    return hermitian_part(np.matmul(_adjoint(linv), linv))
 
 
 def _congruence(linv: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -839,7 +837,7 @@ def _checked_start(problem: SdpProblem, start) -> tuple:
         stack = np.ascontiguousarray(blocks, dtype=complex)
         # one batched check; only a failure is traced to its block
         if np.isfinite(stack).all() and np.max(np.abs(stack - _adjoint(stack))) <= HERMITICITY_TOL:
-            herm = _herm_stack(stack)
+            herm = hermitian_part(stack)
             try:
                 out += [herm, np.linalg.cholesky(herm)]
                 continue
@@ -989,7 +987,7 @@ def _solve(problem: SdpProblem, stop, start, repair) -> SdpSolution:
                 return dy
 
             a_sinv = op_a(sinv)
-            a_g = op_a(_herm_stack(sinv @ rd @ x))
+            a_g = op_a(hermitian_part(sinv @ rd @ x))
 
             def direction(sig_mu, corr):
                 """HKM direction; in the end game its solves are refined and A(dX) = rp restored."""
@@ -998,7 +996,7 @@ def _solve(problem: SdpProblem, stop, start, repair) -> SdpSolution:
                     rhs = rhs + op_a(corr)
                 dy = kkt_solve(rhs)
                 ds = rd - op_at(dy)
-                dx = _herm_stack(sig_mu * sinv - x - sinv @ ds @ x)
+                dx = hermitian_part(sig_mu * sinv - x - sinv @ ds @ x)
                 if corr is not None:
                     dx = dx - corr
                 if refine:
@@ -1009,7 +1007,7 @@ def _solve(problem: SdpProblem, stop, start, repair) -> SdpSolution:
                     aty2 = op_at(dy2)
                     dy = dy + dy2
                     ds = ds - aty2
-                    dx = dx + _herm_stack(sinv @ aty2 @ x)
+                    dx = dx + hermitian_part(sinv @ aty2 @ x)
                 return dy, ds, dx
 
             # predictor (affine scaling, sigma = 0)
@@ -1033,7 +1031,7 @@ def _solve(problem: SdpProblem, stop, start, repair) -> SdpSolution:
                 sigma = max(sigma, 0.5)
 
             # corrector with Mehrotra second-order term
-            corr = _herm_stack(sinv @ ds_aff @ dx_aff)
+            corr = hermitian_part(sinv @ ds_aff @ dx_aff)
             dy, ds, dx = direction(sigma * mu, corr)
 
             # the full Newton point meets A(X) = b and C - A^T y = S to rounding

@@ -3,7 +3,8 @@
 Named states use the flat selector namespace also exposed by the CLI:
 ghz2/ghz3/ghz4, w2/w3/w4, the three-qubit variants ghz3b = (|001>+|110>)/√2
 and w3b = (|110>+|101>+|011>)/√3, and the four-qubit states d24, singlet4,
-cluster4, chi4.
+cluster4, chi4.  :func:`random_state` draws the random states, Haar-random
+or weighted graph states, as :class:`GeneratorKind` selects.
 
 Randomness contract: every generator takes a 64-bit integer seed and is a
 pure function of its arguments.  Streams are produced by PCG64 seeded through
@@ -15,6 +16,7 @@ with the Marsaglia polar transform of the uniform stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -207,6 +209,29 @@ def weighted_graph_state(g: WeightedGraph) -> np.ndarray:
     for (k, l), phi in sorted(g.phases.items()):
         phase += phi * bits[k] * bits[l]
     return np.exp(-1j * phase) / np.sqrt(d)
+
+
+class GeneratorKind(Enum):
+    HAAR_RANDOM = "haar"
+    WEIGHTED_GRAPH = "wgs"
+
+    @classmethod
+    def parse(cls, text) -> "GeneratorKind":
+        """The kind whose value or member name is ``text`` in any case, or ``text`` if a kind."""
+        if isinstance(text, cls):
+            return text
+        key = str(text).strip().lower()
+        for kind in cls:
+            if key in (kind.value, kind.name.lower()):
+                return kind
+        raise ValueError(f"unknown generator {text!r} (expected 'haar' or 'wgs')")
+
+
+def random_state(generator, nqubits: int, seed: int) -> np.ndarray:
+    """The Haar-random or weighted graph state that ``generator`` draws for ``seed``."""
+    if GeneratorKind.parse(generator) is GeneratorKind.HAAR_RANDOM:
+        return haar_random_state(nqubits, seed)
+    return weighted_graph_state(random_weighted_graph(nqubits, seed))
 
 
 class StateFileError(ValueError):

@@ -71,6 +71,43 @@ class TestDefaultGrid:
             default_grid(ChannelKind.PHASE_DAMPING, smin=1.0, smax=0.5)
         with pytest.raises(ValueError, match="3 grid points"):
             default_grid(ChannelKind.PHASE_DAMPING, steps=2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            default_grid(ChannelKind.PHASE_DAMPING, smin=-0.1)
+
+    @pytest.mark.parametrize("smin, smax", [(0.02, np.inf), (0.02, np.nan), (np.nan, 1.0),
+                                            (-np.inf, 1.0), (np.nan, None)])
+    def test_non_finite_ends_are_refused(self, smin, smax):
+        # np.linspace would warn (an error under the suite's filters) or
+        # return a grid of NaN and inf
+        with pytest.raises(ValueError, match="grid ends must be finite"):
+            default_grid(ChannelKind.PHASE_DAMPING, smin=smin, smax=smax, steps=3)
+
+    @pytest.mark.parametrize("grid", [[0.0, np.nan, 0.2], [np.nan] * 3, [0.0, 0.1, np.inf],
+                                      [-np.inf, 0.0, np.inf]])
+    def test_non_finite_grid_is_refused_before_any_solve(self, monkeypatch, grid):
+        monkeypatch.setattr(analysis, "genuine_negativity", lambda *args: pytest.fail("solved"))
+        rho = states.to_density(states.named_state("ghz2"))
+        with pytest.raises(ValueError, match="grid values must be finite"):
+            sweep(rho, ChannelKind.PHASE_DAMPING, np.array(grid), 2, workers=1)
+        with pytest.raises(ValueError, match="grid values must be finite"):
+            log_derivative(np.array(grid), np.ones(3))
+
+
+def test_generator_kind_has_one_home():
+    assert analysis.GeneratorKind is states.GeneratorKind
+    assert GeneratorKind.parse("WGS") is GeneratorKind.WEIGHTED_GRAPH
+    assert GeneratorKind.parse(GeneratorKind.HAAR_RANDOM) is GeneratorKind.HAAR_RANDOM
+
+
+@pytest.mark.parametrize("generator", ["haar", "wgs"])
+def test_ensemble_members_are_random_states(monkeypatch, generator):
+    built = []
+    monkeypatch.setattr(analysis, "ensemble_from_densities",
+                        lambda rhos, *args, **kwargs: built.extend(rhos))
+    ensemble_study(generator, 3, ChannelKind.PHASE_DAMPING, np.linspace(0.1, 0.3, 3), 9, 3)
+    expected = [states.to_density(states.random_state(generator, 3, states.derive_seed(9, i)))
+                for i in range(3)]
+    assert all(np.array_equal(a, b) for a, b in zip(built, expected, strict=True))
 
 
 class TestSweep:

@@ -15,6 +15,8 @@ import pytest
 import genneg
 from genneg import gmn
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
 
 def test_kernels_skron_into_resolves_after_import():
     # the benchmark's host record reads genneg._kernels.skron_into after a
@@ -34,3 +36,15 @@ def test_program_prep_has_one_entry_per_cone_block(n):
     # the benchmark's setup_s times this cold build
     problem = gmn.build_program(np.eye(2**n) / 2**n, n)
     assert len(problem.prep()) == len(problem.block_dims)
+
+
+def test_every_trace_target_resolves(monkeypatch):
+    # a traced run (--trace 1) patches each (module, attribute) pair by name
+    monkeypatch.setattr(sys, "path", [str(PERFBENCH)] + sys.path)
+    monkeypatch.delitem(sys.modules, "bench", raising=False)
+    from bench import trace_targets
+
+    targets = trace_targets()
+    assert targets
+    for module, attribute, _, _ in targets:
+        assert callable(getattr(module, attribute, None)), f"{module.__name__}.{attribute}"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from genneg import linalg
-from genneg.channels import (ChannelKind, apply_local_channel,
+from genneg.channels import (ChannelKind, KrausSet, apply_local_channel,
                              evolved_single_qubit_oracle, single_qubit_kraus)
 
 ALL_KINDS = list(ChannelKind)
@@ -72,6 +72,20 @@ class TestKrausSets:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             single_qubit_kraus(ChannelKind.PHASE_DAMPING, -0.1)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_nan_noise_rejected(self, kind):
+        with pytest.raises(ValueError, match="noise s must be nonnegative, got nan"):
+            single_qubit_kraus(kind, math.nan)
+        nan_ops = tuple(np.full((2, 2), math.nan, dtype=complex) for _ in range(2))
+        with pytest.raises(ValueError, match="Kraus set at s = nan violates completeness"):
+            KrausSet(kind=kind, s=math.nan, operators=nan_ops)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_infinite_noise_is_full_decay(self, kind):
+        ops = single_qubit_kraus(kind, math.inf).operators
+        assert all(np.all(np.isfinite(w)) for w in ops)
+        assert np.allclose(ops, single_qubit_kraus(kind, 1e3).operators, rtol=0, atol=1e-15)
 
     def test_parse(self):
         assert ChannelKind.parse("ad") is ChannelKind.AMPLITUDE_DAMPING

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import genneg
-from genneg import analysis, cli, gmn, sdp
+from genneg import analysis, cli, gmn, sdp, states
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -79,10 +79,20 @@ class TestMonotone:
         assert run_cli(["monotone", "--state", "haar:2", "--seed", "3"]) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize("selector", ["haar:5", "WGS:1"])
+    def test_random_selector_qubit_range(self, capsys, selector):
+        assert run_cli(["monotone", "--state", selector]) == 1
+        assert "nqubits must be 2 to 4" in capsys.readouterr().err
+
+    def test_random_selector_label(self, tmp_path):
+        out = tmp_path / "w.csv"
+        assert run_cli(["sweep", "--state", "WGS:2", "--seed", "5", "--channel", "pd",
+                        "--steps", "3", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].startswith("wgs2(seed=5),pd,")
+
     def test_file_selector(self, tmp_path, capsys):
         path = tmp_path / "ghz3.state"
-        assert run_cli(["genstate", "--kind", "named", "--state", "ghz3",
-                        "--out", str(path)]) == 0
+        assert run_cli(["genstate", "--state", "ghz3", "--out", str(path)]) == 0
         assert run_cli(["monotone", "--state", f"file:{path}"]) == 0
         assert "E = 0.500000" in capsys.readouterr().out
 
@@ -104,25 +114,40 @@ class TestMonotone:
 class TestGenstate:
     def test_haar_deterministic_bytes(self, tmp_path):
         p1, p2 = tmp_path / "a.state", tmp_path / "b.state"
-        assert run_cli(["genstate", "--kind", "haar", "--n", "3", "--seed", "7",
-                        "--out", str(p1)]) == 0
-        assert run_cli(["genstate", "--kind", "haar", "--n", "3", "--seed", "7",
-                        "--out", str(p2)]) == 0
+        assert run_cli(["genstate", "--state", "haar:3", "--seed", "7", "--out", str(p1)]) == 0
+        assert run_cli(["genstate", "--state", "haar:3", "--seed", "7", "--out", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
+        assert p1.read_text() == states.format_pure_state(states.haar_random_state(3, 7))
 
     def test_wgs_state_file(self, tmp_path):
         path = tmp_path / "g.state"
-        assert run_cli(["genstate", "--kind", "wgs", "--n", "2", "--seed", "1",
-                        "--out", str(path)]) == 0
+        assert run_cli(["genstate", "--state", "wgs:2", "--seed", "1", "--out", str(path)]) == 0
         text = path.read_text()
         assert text.startswith("pure 2\n")
         amp = [complex(float(l.split()[0]), float(l.split()[1]))
                for l in text.strip().splitlines()[1:]]
         assert abs(np.linalg.norm(amp) - 1) < 1e-12
+        graph = states.random_weighted_graph(2, 1)
+        assert text == states.format_pure_state(states.weighted_graph_state(graph))
 
-    def test_named_requires_state(self, capsys):
-        assert run_cli(["genstate", "--kind", "named", "--out", "/tmp/x.state"]) == 1
-        assert "requires --state" in capsys.readouterr().err
+    def test_named_state_file(self, tmp_path):
+        path = tmp_path / "ghz3.state"
+        assert run_cli(["genstate", "--state", "GHZ3", "--out", str(path)]) == 0
+        assert path.read_text() == states.format_pure_state(states.named_state("ghz3"))
+
+    def test_file_selector_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "x.state"
+        assert run_cli(["genstate", "--state", f"file:{tmp_path / 'in.state'}",
+                        "--out", str(path)]) == 1
+        assert "genstate writes pure states" in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("selector", ["haar:5", "wgs:1"])
+    def test_qubit_count_out_of_range(self, tmp_path, capsys, selector):
+        path = tmp_path / "x.state"
+        assert run_cli(["genstate", "--state", selector, "--out", str(path)]) == 1
+        assert "nqubits must be 2 to 4" in capsys.readouterr().err
+        assert not path.exists()
 
 
 class TestSweep:
@@ -139,6 +164,15 @@ class TestSweep:
         assert lines[0] == "label,channel,s,E,eta,eta_lo,eta_hi"
         assert len(lines) == 5
         assert lines[1].startswith("ghz2,pd,0.02,")
+
+    @pytest.mark.parametrize("bounds", [["--smax", "inf"], ["--smax", "nan"],
+                                        ["--smin", "nan"], ["--smin=-inf"]])
+    def test_non_finite_grid_is_refused(self, capsys, tmp_path, bounds):
+        out = tmp_path / "x.csv"
+        assert run_cli(["sweep", "--state", "ghz3", "--channel", "pd", "--steps", "3"]
+                       + bounds + ["--out", str(out)]) == 1
+        assert "invalid grid: grid ends must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_grid(self, capsys):
         assert run_cli(["sweep", "--state", "ghz2", "--channel", "pd",
@@ -172,8 +206,7 @@ class TestSweep:
 
     def test_state_file_name_that_breaks_the_csv_is_refused(self, tmp_path, capsys):
         state = tmp_path / "a,b.state"
-        assert run_cli(["genstate", "--kind", "named", "--state", "ghz2",
-                        "--out", str(state)]) == 0
+        assert run_cli(["genstate", "--state", "ghz2", "--out", str(state)]) == 0
         out = tmp_path / "lab.csv"
         assert run_cli(["sweep", "--state", f"file:{state}", "--channel", "ad",
                         "--steps", "3", "--workers", "1", "--out", str(out)]) == 1
@@ -205,6 +238,13 @@ class TestEnsemble:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == analysis.CSV_HEADER
         assert [line.split(",")[0] for line in lines[1:]] == ["haar2-mean"] * 3
+
+    def test_qubit_count_out_of_range(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run_cli(["ensemble", "--generator", "wgs", "--n", "5", "--count", "2",
+                        "--channel", "ad", "--steps", "3", "--out", str(out)]) == 1
+        assert "nqubits must be 2 to 4, got 5" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_count_validation(self, capsys):
         assert run_cli(["ensemble", "--generator", "haar", "--n", "2",

@@ -91,6 +91,27 @@ class TestHaarRandom:
         with pytest.raises(ValueError, match="nqubits"):
             states.haar_random_state(5, 0)
 
+    @pytest.mark.parametrize("generator", list(states.GeneratorKind))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_state_dispatch(self, generator, n):
+        psi = states.random_state(generator, n, 17)
+        if generator is states.GeneratorKind.HAAR_RANDOM:
+            expected = states.haar_random_state(n, 17)
+        else:
+            expected = states.weighted_graph_state(states.random_weighted_graph(n, 17))
+        assert np.array_equal(psi, expected)
+        assert np.array_equal(states.random_state(generator.value, n, 17), expected)
+
+    @pytest.mark.parametrize("generator", ["haar", "wgs"])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_random_state_qubit_range(self, generator, n):
+        with pytest.raises(ValueError, match=f"nqubits must be 2 to 4, got {n}"):
+            states.random_state(generator, n, 0)
+
+    def test_unknown_generator(self):
+        with pytest.raises(ValueError, match="unknown generator 'gauss'"):
+            states.random_state("gauss", 3, 0)
+
     def test_polar_normals_moments(self):
         rng = states.seeded_rng(7)
         z = states._standard_normals(rng, 20_000)

@@ -40,6 +40,20 @@ def test_hard_points_sets(load_tool):
     for label, (rho0, kind, s, n) in groups["named"]:
         assert rho0.shape == (16, 16) and n == 4
         assert kind.value in tool.CHANNELS and s in tool.HARD_NAMED_S
+    # each member seed gives a Haar-random and a weighted graph state
+    for i, generator in enumerate(("haar", "wgs")):
+        label, (rho0, _, _, _) = groups["random77001"][6 * i]
+        assert label == f"{generator}77001/0/ad/0.02"
+        psi = states.random_state(generator, 4, states.derive_seed(77001, 0))
+        assert np.array_equal(rho0, states.to_density(psi))
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_non_positive_workers_are_refused(load_tool, capsys, workers):
+    with pytest.raises(SystemExit) as exit_info:
+        load_tool("points").main(["bench", "--workers", workers])
+    assert exit_info.value.code == 2
+    assert f"error: --workers/workers must be at least 1, got {workers}\n" in capsys.readouterr().err
 
 
 def test_bench_points_list(load_tool):

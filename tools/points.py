@@ -102,12 +102,9 @@ def hard_points() -> dict:
     groups = {"named": points([(name, states.named_state(name)) for name in HARD_NAMED],
                               HARD_NAMED_S)}
     for base in HARD_BASES:
-        members = []
-        for i in range(HARD_MEMBERS):
-            seed = states.derive_seed(base, i)
-            members += [(f"haar{base}/{i}", states.haar_random_state(4, seed)),
-                        (f"wgs{base}/{i}", states.weighted_graph_state(
-                            states.random_weighted_graph(4, seed)))]
+        seeds = [states.derive_seed(base, i) for i in range(HARD_MEMBERS)]
+        members = [(f"{generator.value}{base}/{i}", states.random_state(generator, 4, seed))
+                   for i, seed in enumerate(seeds) for generator in states.GeneratorKind]
         groups[f"random{base}"] = points(members, HARD_RANDOM_S)
     return groups
 
@@ -202,8 +199,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--out", type=Path, help="write one JSON record per point here")
     args = parser.parse_args(argv)
-    if args.workers < 1:
-        parser.error(f"--workers must be at least 1, got {args.workers}")
+    try:
+        analysis.resolve_workers(args.workers)
+    except ValueError as exc:
+        parser.error(str(exc))
     t0 = time.perf_counter()
     groups = {"bench": bench_points, "hard": hard_points, "oracle": oracle_points}[args.set]()
     points = [point for group in groups.values() for point in group]
