@@ -12,8 +12,11 @@ deliberately avoids those timescales.  Ensembles of random states report the
 per-grid-point mean μ and population variance δ of η over the included
 realizations, with the band CI = μ ± sqrt(δ) (an error estimate, not a
 confidence interval in the statistical sense).  Realizations whose E falls
-below 1e-4 anywhere on the grid are excluded and counted; more than 5%
-exclusions aborts the study, since the expected rate is below 1%.
+below 1e-4 anywhere on the grid are excluded and counted.  Members are solved
+and read in member order, and the study stops at the first member that ends
+it: one with a failed point, or the exclusion that takes the count above 5%
+of the ensemble (the expected rate is below 1%).  Later members are never
+solved, so the first such cause in member order is the one reported.
 
 CSV output columns: label,channel,s,E,eta,eta_lo,eta_hi with 12 significant
 digits; eta_lo/eta_hi are blank for single states and carry the CI bounds for
@@ -22,6 +25,8 @@ ensemble rows.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 import os
 import sys
@@ -138,14 +143,20 @@ class EnsembleSummary:
     mean_values: np.ndarray
     mean_eta: np.ndarray
     variance_eta: np.ndarray
-    ci_low: np.ndarray
-    ci_high: np.ndarray
     excluded: int
-    members: list | None = None
+    members: list  # the SweepSeries of every included member, in member order
 
     @property
     def label(self) -> str:
         return f"{self.generator.value}{self.nqubits}-mean"
+
+    @property
+    def ci_low(self) -> np.ndarray:
+        return self.mean_eta - np.sqrt(self.variance_eta)
+
+    @property
+    def ci_high(self) -> np.ndarray:
+        return self.mean_eta + np.sqrt(self.variance_eta)
 
 
 def _evaluate_point(job) -> dict:
@@ -230,19 +241,23 @@ def _warmup(_):
 
 
 def _run_jobs(jobs, workers: int | None):
-    """Every job's record (see ``_evaluate_point``), in the calling process or the cached pool.
+    """Yield every job's record (see ``_evaluate_point``) in job order.
 
+    The jobs run in the calling process or in the cached pool.  Closing the
+    generator early cancels the pool's chunks that no worker has started;
+    the chunks already running finish and their records are dropped.
     A pool whose worker died (killed, or out of memory) is broken for good,
     so it is shut down and dropped from the cache before the
     ``BrokenProcessPool`` propagates; the next call starts a fresh pool.
     """
     nworkers = resolve_workers(workers)
     if nworkers <= 1 or len(jobs) <= 1:
-        return [_evaluate_point(job) for job in jobs]
+        yield from map(_evaluate_point, jobs)
+        return
     ex = _get_executor(nworkers)
     chunk = max(1, len(jobs) // (nworkers * 8))
     try:
-        return list(ex.map(_evaluate_point, jobs, chunksize=chunk))
+        yield from ex.map(_evaluate_point, jobs, chunksize=chunk)
     except BrokenProcessPool:
         ex.shutdown(wait=False, cancel_futures=True)
         _EXECUTORS.pop(nworkers, None)
@@ -271,6 +286,15 @@ def _one_sided_kinks(grid, values) -> list:
     return kinks
 
 
+def _series(label: str, kind: ChannelKind, grid: np.ndarray, records: list) -> SweepSeries:
+    """The series of one state's point records on ``grid``: E, η, kinks and failed points."""
+    values = np.array([r["E"] for r in records])
+    failures = [(float(s), r["note"]) for s, r in zip(grid, records) if not r["ok"]]
+    return SweepSeries(label=label, channel=kind, grid=grid, values=values,
+                       eta=log_derivative(grid, values), kinks=_one_sided_kinks(grid, values),
+                       failures=failures)
+
+
 def sweep(rho0: np.ndarray, kind: ChannelKind, grid, nqubits: int,
           label: str = "", workers: int | None = None) -> SweepSeries:
     """Evaluate E and η along a grid of elapsed noise values.
@@ -283,67 +307,63 @@ def sweep(rho0: np.ndarray, kind: ChannelKind, grid, nqubits: int,
     grid = _check_grid(grid)
     label = _check_label(label or "state")
     jobs = [(rho0, kind, float(s), nqubits) for s in grid]
-    records = _run_jobs(jobs, workers)
-    values = np.array([r["E"] for r in records])
-    failures = [(float(s), r["note"]) for s, r in zip(grid, records) if not r["ok"]]
-    eta = log_derivative(grid, values)
-    return SweepSeries(label=label, channel=kind, grid=grid, values=values,
-                       eta=eta, kinks=_one_sided_kinks(grid, values),
-                       failures=failures)
+    return _series(label, kind, grid, list(_run_jobs(jobs, workers)))
 
 
 def ensemble_from_densities(rhos, generator: GeneratorKind, kind: ChannelKind,
                             grid, nqubits: int, seed: int = 0,
                             workers: int | None = None,
-                            keep_members: bool = False,
                             member_labels: list | None = None) -> EnsembleSummary:
-    """Ensemble statistics over explicitly provided density matrices."""
+    """Ensemble statistics over explicitly provided density matrices.
+
+    Each member's series is built as a sweep's is, in member order, and the
+    study stops at the first member that ends it: a failed point raises
+    "solver failure for ensemble member i", and the exclusion that takes the
+    excluded count above ``MAX_EXCLUDED_FRACTION`` of the ensemble raises
+    "fell below".  The first cause in member order wins, since no later
+    member is solved; within one member a failed point outranks its
+    exclusion.  ``member_labels`` (default ``member-000``, ...) must give one
+    label per member.
+    """
     grid = _check_grid(grid)
     count = len(rhos)
     if count < 2:
         raise ValueError(f"ensemble needs at least 2 members, got {count}")
-    for mlabel in member_labels or ():
+    labels = member_labels if member_labels is not None else [
+        f"member-{i:03d}" for i in range(count)]
+    if len(labels) != count:
+        raise ValueError(f"{len(labels)} member labels for {count} ensemble members")
+    for mlabel in labels:
         _check_label(mlabel)
     jobs = [(rho, kind, float(s), nqubits) for rho in rhos for s in grid]
-    records = _run_jobs(jobs, workers)
-    for j, r in enumerate(records):
-        if not r["ok"]:
-            i, k = divmod(j, len(grid))
-            raise RuntimeError(f"solver failure for ensemble member {i} "
-                               f"at s={grid[k]:g}: {r['note']}")
-    values = np.array([r["E"] for r in records]).reshape(count, len(grid))
-
-    included = ~np.any(values < LIFETIME_FLOOR, axis=1)
-    excluded = int(np.count_nonzero(~included))
-    if excluded > MAX_EXCLUDED_FRACTION * count:
-        raise RuntimeError(
-            f"{excluded} of {count} ensemble members fell below E = {LIFETIME_FLOOR:g} "
-            f"on the grid (more than {MAX_EXCLUDED_FRACTION:.0%}); "
-            "shorten the grid or inspect the generator")
-
-    eta = np.array([log_derivative(grid, values[i]) for i in range(count)])
-    eta_in = eta[included]
-    mean_eta = eta_in.mean(axis=0)
-    variance_eta = eta_in.var(axis=0)  # population variance
-    width = np.sqrt(variance_eta)
-    members = None
-    if keep_members:
-        members = []
-        for i in np.nonzero(included)[0]:
-            mlabel = member_labels[i] if member_labels else f"member-{i:03d}"
-            members.append(SweepSeries(label=mlabel, channel=kind, grid=grid,
-                                       values=values[i], eta=eta[i],
-                                       kinks=_one_sided_kinks(grid, values[i])))
+    members = []
+    excluded = 0
+    with contextlib.closing(_run_jobs(jobs, workers)) as records:
+        for i, mlabel in enumerate(labels):
+            member = _series(mlabel, kind, grid, list(itertools.islice(records, len(grid))))
+            if member.failures:
+                s, note = member.failures[0]
+                raise RuntimeError(f"solver failure for ensemble member {i} at s={s:g}: {note}")
+            if not np.any(member.values < LIFETIME_FLOOR):
+                members.append(member)
+                continue
+            excluded += 1
+            if excluded > MAX_EXCLUDED_FRACTION * count:
+                raise RuntimeError(
+                    f"{excluded} of the first {i + 1} of {count} ensemble members fell below "
+                    f"E = {LIFETIME_FLOOR:g} on the grid (more than "
+                    f"{MAX_EXCLUDED_FRACTION:.0%} of {count}); "
+                    "shorten the grid or inspect the generator")
+    eta = np.array([m.eta for m in members])
     return EnsembleSummary(
         generator=generator, nqubits=nqubits, channel=kind, count=count, seed=seed,
-        grid=grid, mean_values=values[included].mean(axis=0), mean_eta=mean_eta,
-        variance_eta=variance_eta, ci_low=mean_eta - width, ci_high=mean_eta + width,
+        grid=grid, mean_values=np.array([m.values for m in members]).mean(axis=0),
+        mean_eta=eta.mean(axis=0), variance_eta=eta.var(axis=0),  # population variance
         excluded=excluded, members=members)
 
 
 def ensemble_study(generator, count: int, kind: ChannelKind, grid, seed: int,
-                   nqubits: int, workers: int | None = None,
-                   keep_members: bool = False) -> EnsembleSummary:
+                   nqubits: int, workers: int | None = None) -> EnsembleSummary:
     """Random-state ensemble study; deterministic for a fixed (seed, count, grid).
 
     Member i uses the derived seed ``derive_seed(seed, i)``, so a single base
@@ -354,8 +374,7 @@ def ensemble_study(generator, count: int, kind: ChannelKind, grid, seed: int,
             for i in range(count)]
     labels = [f"{generator.value}{nqubits}-r{i:03d}" for i in range(count)]
     return ensemble_from_densities(rhos, generator, kind, grid, nqubits, seed=seed,
-                                   workers=workers, keep_members=keep_members,
-                                   member_labels=labels)
+                                   workers=workers, member_labels=labels)
 
 
 # -- ranking -----------------------------------------------------------------
@@ -467,17 +486,12 @@ def series_csv_rows(series: SweepSeries) -> list:
 
 
 def summary_csv_rows(summary: EnsembleSummary) -> list:
-    """The rows of every kept member (see ``keep_members``), then the mean rows."""
-    rows = []
-    if summary.members:
-        for member in summary.members:
-            rows.extend(series_csv_rows(member))
+    """The mean rows, with the CI band in eta_lo/eta_hi."""
     ch = summary.channel.value
-    for k, s in enumerate(summary.grid):
-        rows.append(f"{summary.label},{ch},{_fmt(s)},{_fmt(summary.mean_values[k])},"
-                    f"{_fmt(summary.mean_eta[k])},{_fmt(summary.ci_low[k])},"
-                    f"{_fmt(summary.ci_high[k])}")
-    return rows
+    ci_low, ci_high = summary.ci_low, summary.ci_high
+    return [f"{summary.label},{ch},{_fmt(s)},{_fmt(summary.mean_values[k])},"
+            f"{_fmt(summary.mean_eta[k])},{_fmt(ci_low[k])},{_fmt(ci_high[k])}"
+            for k, s in enumerate(summary.grid)]
 
 
 def write_csv(path, rows: list) -> None:

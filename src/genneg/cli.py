@@ -110,12 +110,12 @@ def _cmd_ensemble(args) -> int:
     generator = analysis.GeneratorKind.parse(args.generator)
     grid = _grid(args)
     summary = analysis.ensemble_study(generator, args.count, kind, grid, args.seed,
-                                      args.n, workers=args.workers,
-                                      keep_members=args.members)
+                                      args.n, workers=args.workers)
     if summary.excluded:
         print(f"genneg: note: excluded {summary.excluded} of {summary.count} "
               f"realizations (E fell below {analysis.LIFETIME_FLOOR:g})", file=sys.stderr)
-    analysis.write_csv(args.out, analysis.summary_csv_rows(summary))
+    rows = [r for m in summary.members for r in analysis.series_csv_rows(m)] if args.members else []
+    analysis.write_csv(args.out, rows + analysis.summary_csv_rows(summary))
     return 0
 
 

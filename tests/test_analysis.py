@@ -1,4 +1,4 @@
-import dataclasses
+import math
 import os
 import signal
 import time
@@ -16,8 +16,31 @@ from genneg.analysis import (GeneratorKind, SweepSeries, default_grid,
 from genneg.channels import ChannelKind
 
 
+GHZ2 = states.to_density(states.named_state("ghz2"))
+
+
 def blas_thread_counts() -> list:
     return [lib.get_threads() for lib in sdp._loaded_openblas()]
+
+
+def product_density() -> np.ndarray:
+    """|00><00|, whose E is 0 at every noise level."""
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[0, 0] = 1.0
+    return rho
+
+
+def counted_solves(monkeypatch) -> list:
+    """The qubit count of every solve ``analysis`` makes in this process from now on."""
+    calls = []
+    solve = analysis.genuine_negativity
+
+    def counted(rho, nqubits):
+        calls.append(nqubits)
+        return solve(rho, nqubits)
+
+    monkeypatch.setattr(analysis, "genuine_negativity", counted)
+    return calls
 
 
 class TestLogDerivative:
@@ -306,10 +329,78 @@ class TestEnsembles:
     def test_members_kept_on_request(self):
         grid = np.linspace(0.02, 0.3, 3)
         summary = ensemble_study("wgs", 3, ChannelKind.AMPLITUDE_DAMPING, grid,
-                                 seed=3, nqubits=2, keep_members=True)
-        assert summary.members is not None
+                                 seed=3, nqubits=2)
         assert len(summary.members) == 3 - summary.excluded
         assert summary.members[0].label == "wgs2-r000"
+
+    @pytest.mark.parametrize("labels", [["m0"], ["m0", "m1", "m2"], []])
+    def test_member_labels_of_the_wrong_length_are_refused(self, monkeypatch, labels):
+        monkeypatch.setattr(analysis, "genuine_negativity", lambda *args: pytest.fail("solved"))
+        rho = np.eye(4, dtype=complex) / 4
+        message = f"^{len(labels)} member labels for 2 ensemble members$"
+        with pytest.raises(ValueError, match=message):
+            ensemble_from_densities([rho, rho], GeneratorKind.HAAR_RANDOM,
+                                    ChannelKind.AMPLITUDE_DAMPING, np.linspace(0.02, 0.3, 3), 2,
+                                    workers=1, member_labels=labels)
+
+    def test_stops_at_the_first_excluded_member(self, monkeypatch):
+        calls = counted_solves(monkeypatch)
+        grid = np.linspace(0.02, 0.3, 3)
+        message = (r"^1 of the first 1 of 4 ensemble members fell below E = 0.0001 on the grid "
+                   r"\(more than 5% of 4\); shorten the grid or inspect the generator$")
+        with pytest.raises(RuntimeError, match=message):
+            ensemble_from_densities([product_density(), GHZ2, GHZ2, GHZ2],
+                                    GeneratorKind.HAAR_RANDOM, ChannelKind.AMPLITUDE_DAMPING,
+                                    grid, 2, workers=1)
+        assert len(calls) == len(grid)
+
+    def test_stops_at_the_first_failed_member(self, monkeypatch):
+        # one worker: the solves run in this process, where the patch holds
+        monkeypatch.setattr(sdp, "MAX_ITERATIONS", 2)
+        calls = counted_solves(monkeypatch)
+        rho = states.to_density(states.named_state("ghz3"))
+        grid = np.array([0.1, 0.2, 0.3])
+        with pytest.raises(RuntimeError, match="^solver failure for ensemble member 0 at s=0.1: "
+                                               "solver status max_iterations"):
+            ensemble_from_densities([rho] * 3, GeneratorKind.HAAR_RANDOM,
+                                    ChannelKind.PHASE_DAMPING, grid, 3, workers=1)
+        assert len(calls) == len(grid)
+
+    @pytest.mark.parametrize("causes, message", [
+        (("excluded", "failed"), "^1 of the first 2 of 3 ensemble members fell below"),
+        (("failed", "excluded"), "^solver failure for ensemble member 1 at s=0.2: made up$"),
+    ])
+    def test_first_cause_in_member_order_wins(self, monkeypatch, causes, message):
+        # member 0 is fine; members 1 and 2 meet their cause from s = 0.2 on
+        rhos = [np.eye(4, dtype=complex) / 4 for _ in range(3)]
+        records = {"fine": {"E": 0.5, "ok": True, "note": ""},
+                   "excluded": {"E": 0.0, "ok": True, "note": ""},
+                   "failed": {"E": math.nan, "ok": False, "note": "made up"}}
+
+        def fake_point(job):
+            member = next(i for i, rho in enumerate(rhos) if rho is job[0])
+            cause = (("fine",) + causes)[member] if job[2] >= 0.2 else "fine"
+            return records[cause]
+
+        monkeypatch.setattr(analysis, "_evaluate_point", fake_point)
+        with pytest.raises(RuntimeError, match=message):
+            ensemble_from_densities(rhos, GeneratorKind.HAAR_RANDOM, ChannelKind.AMPLITUDE_DAMPING,
+                                    np.array([0.1, 0.2, 0.3]), 2, workers=1)
+
+    def test_an_early_stop_leaves_the_pool_usable(self):
+        pool = analysis._get_executor(2)
+        with pytest.raises(RuntimeError, match="fell below"):
+            ensemble_from_densities([product_density(), GHZ2, GHZ2, GHZ2],
+                                    GeneratorKind.HAAR_RANDOM, ChannelKind.AMPLITUDE_DAMPING,
+                                    np.linspace(0.02, 0.3, 3), 2, workers=2)
+        assert analysis._EXECUTORS[2] is pool
+        # records of the stopped ensemble must not leak into the next call
+        rho = states.to_density(states.named_state("w2"))
+        grid = np.linspace(0.05, 0.45, 5)
+        one = sweep(rho, ChannelKind.DEPOLARIZING, grid, 2, workers=1)
+        two = sweep(rho, ChannelKind.DEPOLARIZING, grid, 2, workers=2)
+        assert one.ok and two.ok
+        assert two.values.tobytes() == one.values.tobytes()
 
 
 def synthetic_series(label, channel, grid, eta):
@@ -420,13 +511,11 @@ class TestCsv:
     def test_summary_rows_carry_ci(self):
         grid = np.linspace(0.02, 0.3, 3)
         summary = ensemble_study("haar", 2, ChannelKind.AMPLITUDE_DAMPING,
-                                 grid, seed=1, nqubits=2, keep_members=True)
-        rows = summary_csv_rows(dataclasses.replace(summary, members=None))
+                                 grid, seed=1, nqubits=2)
+        rows = summary_csv_rows(summary)
+        assert [row.split(",")[0] for row in rows] == ["haar2-mean"] * len(grid)
         first = rows[0].split(",")
-        assert first[0] == "haar2-mean"
         assert first[5] != "" and first[6] != ""
-        with_members = summary_csv_rows(summary)
-        assert len(with_members) == len(rows) + len(summary.members) * len(grid)
 
     def test_write_csv_atomic_and_stable(self, tmp_path):
         rows = ["a,ad,0.1,0.5,-1,,"]

@@ -48,3 +48,17 @@ def test_every_trace_target_resolves(monkeypatch):
     assert targets
     for module, attribute, _, _ in targets:
         assert callable(getattr(module, attribute, None)), f"{module.__name__}.{attribute}"
+
+
+def test_smoke_items_pass_their_benchmark_checks(monkeypatch, tmp_path):
+    # the benchmark parses the CSVs genneg writes (member labels, -mean rows,
+    # --members), so run its own smoke items and checks on this tree
+    monkeypatch.setattr(sys, "path", [str(PERFBENCH)] + sys.path)
+    monkeypatch.delitem(sys.modules, "bench", raising=False)
+    import bench
+
+    reference = bench.load_reference()
+    for item in bench.WORKLOADS["smoke-n2"].items:
+        out = item.run(2, 1, tmp_path)
+        attempted, failed, problems = item.check(out, reference, 2)
+        assert attempted >= 1 and failed == 0, (item.key, problems)

@@ -1,4 +1,5 @@
 import copy
+import functools
 import math
 import multiprocessing
 import sys
@@ -806,6 +807,61 @@ class TestFourQubits:
         rho, res = n4_solve(state, kind, s)
         assert res.solved and res.certificate_ok
         assert gmn.certificate_diagnostics(res, rho) == []
+
+
+# one Haar-4 and one WGS-4 member of this base seed, fixed before any outcome was seen
+METAMORPHIC_SEED = 70913
+
+
+def permute_qubits(rho, order, nqubits=4) -> np.ndarray:
+    """ρ with qubit ``order[k]`` moved to position k."""
+    axes = list(order) + [nqubits + q for q in order]
+    return rho.reshape((2,) * (2 * nqubits)).transpose(axes).reshape(rho.shape)
+
+
+def haar_qubit_unitary(rng) -> np.ndarray:
+    q, r = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def relation_map(relation, rng):
+    """ρ0 -> ρ0' for one relation: a qubit permutation, local phases or a Haar local unitary."""
+    if relation == "permutation":
+        return lambda rho: permute_qubits(rho, (1, 3, 0, 2))
+    if relation == "local-phases":
+        factors = [np.diag([1.0, np.exp(1j * phi)]) for phi in rng.uniform(0, 2 * np.pi, 4)]
+    else:
+        factors = [haar_qubit_unitary(rng) for _ in range(4)]
+    u = functools.reduce(np.kron, factors)
+    return lambda rho: u @ rho @ u.conj().T
+
+
+class TestMetamorphicFourQubits:
+    """E of a generic N=4 state is kept by relations no special family tests.
+
+    The local channels act alike on every qubit, so a qubit permutation of ρ0
+    keeps E(Λ_s(ρ0)); local phases diag(1, e^{iφ}) commute with amplitude and
+    phase damping, and every local unitary with depolarizing noise, so they
+    keep it too.  Each pair of certified brackets must overlap.
+    """
+
+    @pytest.mark.parametrize("relation, kind, s", [
+        ("permutation", ChannelKind.AMPLITUDE_DAMPING, 0.3),
+        ("local-phases", ChannelKind.PHASE_DAMPING, 0.3),
+        ("local-unitary", ChannelKind.DEPOLARIZING, 0.15),
+    ])
+    @pytest.mark.parametrize("generator, member", [("haar", 0), ("wgs", 1)])
+    def test_relation_keeps_the_bracket(self, generator, member, relation, kind, s):
+        rho0 = states.to_density(states.random_state(
+            generator, 4, states.derive_seed(METAMORPHIC_SEED, member)))
+        transform = relation_map(relation, np.random.default_rng(METAMORPHIC_SEED))
+        results = [gmn.genuine_negativity(apply_local_channel(rho, kind, s, 4), 4)
+                   for rho in (rho0, transform(rho0))]
+        for res in results:
+            assert res.solved and res.certificate_ok
+        lo = max(res.e_lo for res in results)
+        hi = min(res.e_hi for res in results)
+        assert lo <= hi + gmn.CERTIFICATE_TOL, [(res.e_lo, res.e_hi) for res in results]
 
 
 def solve_record(result):
